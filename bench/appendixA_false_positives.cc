@@ -5,7 +5,7 @@
 #include <cstdio>
 
 #include "bench/bench_util.h"
-#include "exec/thread_pool.h"
+#include "exec/worker_pool.h"
 #include "stats/ols.h"
 #include "stats/significance.h"
 
@@ -26,8 +26,7 @@ int main() {
   const int reps = bench::PaperScale() ? 400 : 150;
   const size_t nn = 300, pp = 30;
   std::vector<double> adj(reps);
-  exec::ThreadPool pool;
-  exec::ParallelFor(pool, reps, [&](size_t i) {
+  exec::ParallelFor(exec::WorkerPool::Global(), reps, [&](size_t i) {
     Rng rng(4000 + i);
     la::Matrix x(nn, pp), y(nn, 1);
     rng.FillNormal(x.data(), x.size());

@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Tier-1 verification gate: Release build + full ctest + bench smoke, an
 # ASan/UBSan Debug build + full ctest, and a ThreadSanitizer build running
-# the concurrency-sensitive suites (operators, differential, thread pool).
+# the concurrency-sensitive suites (operators, differential, worker pool).
 # Run from anywhere.
 #
 # Usage: check.sh [release|asan|tsan|all]   (default: all)
@@ -107,17 +107,18 @@ if [[ "${STAGE}" == "tsan" || "${STAGE}" == "all" ]]; then
   # ThreadSanitizer job: the suites that drive the morsel-parallel
   # operators, the partitioned join/sort/materialisation paths, the
   # worker pool itself, the tiered store's write/scan/seal concurrency,
-  # and the monitor scheduler/write-tap/shared-scan paths. (ASan and
-  # TSan cannot share a build tree.)
+  # the monitor scheduler/write-tap/shared-scan paths, and Session vs
+  # EXPLAIN parity at parallelism 4 through the shared family builder.
+  # (ASan and TSan cannot share a build tree.)
   echo "=== configure: ${ROOT}/build-tsan (ThreadSanitizer) ==="
   cmake -B "${ROOT}/build-tsan" -S "${ROOT}" \
     -DCMAKE_BUILD_TYPE=RelWithDebInfo \
     -DEXPLAINIT_TSAN=ON
   echo "=== build: ${ROOT}/build-tsan ==="
   cmake --build "${ROOT}/build-tsan" -j "${JOBS}"
-  echo "=== ctest (tsan): operator, differential and thread-pool suites ==="
+  echo "=== ctest (tsan): operator, differential and worker-pool suites ==="
   ctest --test-dir "${ROOT}/build-tsan" --output-on-failure -j "${JOBS}" \
-    -R 'operators_test|differential_test|executor_test|planner_test|logical_plan_test|optimizer_test|fuzz_roundtrip_test|thread_pool_test|worker_pool_test|server_test|concurrency_test|tiered_store_test|ranking_test|ridge_test|anomaly_test|monitor_test|monitor_stress_test'
+    -R 'operators_test|differential_test|executor_test|planner_test|logical_plan_test|optimizer_test|fuzz_roundtrip_test|worker_pool_test|explain_e2e_test|server_test|concurrency_test|tiered_store_test|ranking_test|ridge_test|anomaly_test|monitor_test|monitor_stress_test'
 fi
 
 echo "=== checks passed (${STAGE}) ==="

@@ -63,12 +63,12 @@ int main() {
   // The Score Table is an ordinary relation: register it and drill down
   // with plain SQL (soft keywords like `score` stay addressable).
   engine.catalog().RegisterTable("scores", result->table);
-  auto strong = engine.Sql(
+  auto strong = engine.Query(
       "SELECT rank, family, score FROM scores WHERE score > 0.2 "
       "ORDER BY score DESC LIMIT 5");
   if (strong.ok()) {
     std::printf("re-queried Score Table (score > 0.2):\n%s\n",
-                strong->ToString().c_str());
+                strong->table.ToString().c_str());
   }
 
   // The network families must outrank the disk families once load is

@@ -137,6 +137,26 @@ Result<table::Table> NormalizeToFeatureFamilyTable(
   return out;
 }
 
+Result<std::vector<FeatureFamily>> FamiliesFromRows(
+    table::Table rows, const std::string& default_family) {
+  EXPLAINIT_ASSIGN_OR_RETURN(
+      table::Table ff, NormalizeToFeatureFamilyTable(rows, default_family));
+  rows = table::Table();  // free the sub-select's rows before the build
+  return FamiliesFromTable(ff);
+}
+
+Result<FeatureFamily> FamilyFromRows(table::Table rows,
+                                     const std::string& default_family,
+                                     const std::string& merged_name) {
+  EXPLAINIT_ASSIGN_OR_RETURN(auto families,
+                             FamiliesFromRows(std::move(rows), default_family));
+  if (families.empty()) {
+    return Status::InvalidArgument(default_family +
+                                   " query produced no families");
+  }
+  return MergeFamilies(families, merged_name);
+}
+
 Engine::Engine(std::shared_ptr<tsdb::SeriesStore> store, EngineOptions options)
     : store_(std::move(store)),
       options_(options),
@@ -214,11 +234,6 @@ Result<QueryResult> Engine::ExecuteStatement(sql::Executor& executor,
   return out;
 }
 
-Result<table::Table> Engine::Sql(std::string_view query) {
-  EXPLAINIT_ASSIGN_OR_RETURN(QueryResult result, Query(query));
-  return std::move(result.table);
-}
-
 Result<std::vector<FeatureFamily>> Engine::FamiliesFromStore(
     const TimeRange& range, const GroupingOptions& grouping,
     const tsdb::ScanRequest& base_filter) {
@@ -228,15 +243,6 @@ Result<std::vector<FeatureFamily>> Engine::FamiliesFromStore(
   grid.step_seconds = options_.grid_step_seconds;
   EXPLAINIT_ASSIGN_OR_RETURN(auto series, store_->ScanAligned(req, grid));
   return BuildFamilies(series, grouping);
-}
-
-Result<std::vector<FeatureFamily>> Engine::FamiliesFromQuery(
-    std::string_view query, const std::string& default_family) {
-  EXPLAINIT_ASSIGN_OR_RETURN(table::Table result, Sql(query));
-  EXPLAINIT_ASSIGN_OR_RETURN(table::Table ff,
-                             NormalizeToFeatureFamilyTable(result,
-                                                           default_family));
-  return FamiliesFromTable(ff);
 }
 
 Result<FeatureFamily> Engine::FamilyFromMetric(const std::string& metric_glob,
@@ -311,12 +317,9 @@ Status Session::SetTargetByMetric(const std::string& metric_glob) {
 }
 
 Status Session::SetTargetByQuery(std::string_view sql) {
-  EXPLAINIT_ASSIGN_OR_RETURN(auto families,
-                             engine_->FamiliesFromQuery(sql, "target"));
-  if (families.empty()) {
-    return Status::InvalidArgument("target query produced no families");
-  }
-  target_ = MergeFamilies(families, "target");
+  EXPLAINIT_ASSIGN_OR_RETURN(QueryResult result, engine_->Query(sql));
+  EXPLAINIT_ASSIGN_OR_RETURN(
+      target_, FamilyFromRows(std::move(result.table), "target", "target"));
   return Status::OK();
 }
 
@@ -341,12 +344,10 @@ Status Session::SetConditionByMetric(const std::string& metric_glob) {
 }
 
 Status Session::SetConditionByQuery(std::string_view sql) {
-  EXPLAINIT_ASSIGN_OR_RETURN(auto families,
-                             engine_->FamiliesFromQuery(sql, "condition"));
-  if (families.empty()) {
-    return Status::InvalidArgument("condition query produced no families");
-  }
-  condition_ = MergeFamilies(families, "Z:query");
+  EXPLAINIT_ASSIGN_OR_RETURN(QueryResult result, engine_->Query(sql));
+  EXPLAINIT_ASSIGN_OR_RETURN(
+      condition_,
+      FamilyFromRows(std::move(result.table), "condition", "Z:query"));
   return Status::OK();
 }
 
@@ -369,8 +370,9 @@ Status Session::SetSearchSpaceByGrouping(const GroupingOptions& grouping) {
 }
 
 Status Session::SetSearchSpaceByQuery(std::string_view sql) {
-  EXPLAINIT_ASSIGN_OR_RETURN(candidates_,
-                             engine_->FamiliesFromQuery(sql, "family"));
+  EXPLAINIT_ASSIGN_OR_RETURN(QueryResult result, engine_->Query(sql));
+  EXPLAINIT_ASSIGN_OR_RETURN(
+      candidates_, FamiliesFromRows(std::move(result.table), "family"));
   return Status::OK();
 }
 

@@ -34,9 +34,9 @@ struct EngineOptions {
   /// borrows; null = exec::WorkerPool::Global(). Injection point for
   /// tests — production engines all share the process-wide pool.
   exec::WorkerPool* worker_pool = nullptr;
-  /// Cost-based SQL optimiser knobs (join reordering, aggregate pushdown,
-  /// COUNT rollup routing). All on by default; `enabled = false`
-  /// reproduces statement-order plans exactly.
+  /// Cost-based SQL optimiser (join reordering, aggregate pushdown,
+  /// COUNT rollup routing). On by default; `enabled = false` reproduces
+  /// statement-order plans exactly.
   sql::PlannerOptions sql_optimizer;
 };
 
@@ -84,6 +84,22 @@ Status AlignFamilies(std::vector<FeatureFamily>* families);
 Result<table::Table> NormalizeToFeatureFamilyTable(
     const table::Table& query_result,
     const std::string& default_family = "family");
+
+/// The sub-select -> family builder (stages 1+2 of the Figure 4
+/// pipeline) behind both the EXPLAIN Rank operator and Session's
+/// *ByQuery setters: normalises a query's rows to the Feature Family
+/// Table (rows without a name column fall into `default_family`) and
+/// builds its families. The rows are taken by value and every
+/// intermediate table is freed inside the call.
+Result<std::vector<FeatureFamily>> FamiliesFromRows(
+    table::Table rows, const std::string& default_family);
+
+/// As FamiliesFromRows, merged into the single family `merged_name` (a
+/// target Y or condition Z). InvalidArgument when the rows yield no
+/// families.
+Result<FeatureFamily> FamilyFromRows(table::Table rows,
+                                     const std::string& default_family,
+                                     const std::string& merged_name);
 
 /// The engine facade. Holds one persistent sql::Executor for its
 /// lifetime, so execution statistics accumulate across queries.
@@ -138,12 +154,7 @@ class Engine {
   Result<QueryResult> ExecuteStatement(sql::Executor& executor,
                                        const sql::Statement& stmt);
 
-  /// DEPRECATED: thin shim over Query() that drops everything but the
-  /// result table. Prefer Query(), which also reports the statement kind,
-  /// execution stats and (for EXPLAIN) the typed Score Table.
-  Result<table::Table> Sql(std::string_view query);
-
-  /// Cumulative execution statistics across every Sql() call.
+  /// Cumulative execution statistics across every Query() call.
   const sql::ExecStats& exec_stats() const { return executor_.stats(); }
   /// Statistics (with the per-operator breakdown) of the last query.
   const sql::ExecStats& last_exec_stats() const {
@@ -156,11 +167,6 @@ class Engine {
       const TimeRange& range, const GroupingOptions& grouping,
       const tsdb::ScanRequest& base_filter = {});
 
-  /// Runs a SQL query, normalises the result to the FF schema, and builds
-  /// families from it (stage 1+2 of the Figure 4 pipeline).
-  Result<std::vector<FeatureFamily>> FamiliesFromQuery(
-      std::string_view query, const std::string& default_family = "family");
-
   /// Builds a single (possibly multi-feature) family from all series
   /// matching a metric glob, merged under `family_name`.
   Result<FeatureFamily> FamilyFromMetric(const std::string& metric_glob,
@@ -172,7 +178,7 @@ class Engine {
   /// overlap between X, Y and Z".
   Result<ScoreTable> Rank(const RankRequest& request);
 
-  /// The SQL executor behind Query()/Sql() (parallelism knob, stats).
+  /// The SQL executor behind Query() (parallelism knob, stats).
   sql::Executor& executor() { return executor_; }
 
  private:

@@ -35,45 +35,31 @@ Status RankOperator::OpenImpl() {
     EXPLAINIT_RETURN_IF_ERROR(child(i)->Open());
   }
 
-  // Target (Y): same construction as Session::SetTargetByQuery.
+  // Each side builds through FamiliesFromRows/FamilyFromRows, exactly as
+  // Session's *ByQuery setters do, so both paths rank identical families.
+  // Target (Y).
+  RankRequest req;
   EXPLAINIT_ASSIGN_OR_RETURN(table::Table target_rows, DrainChild(0));
   EXPLAINIT_ASSIGN_OR_RETURN(
-      table::Table target_ff,
-      NormalizeToFeatureFamilyTable(target_rows, "target"));
-  EXPLAINIT_ASSIGN_OR_RETURN(auto target_fams, FamiliesFromTable(target_ff));
-  if (target_fams.empty()) {
-    return Status::InvalidArgument(
-        "EXPLAIN target query produced no families");
-  }
-  RankRequest req;
-  req.target = MergeFamilies(target_fams, "target");
+      req.target, FamilyFromRows(std::move(target_rows), "target", "target"));
 
   // Conditioning set (Z): GIVEN <select> or GIVEN PSEUDOCAUSE (§3.4).
   if (has_given_) {
     EXPLAINIT_ASSIGN_OR_RETURN(table::Table given_rows, DrainChild(1));
     EXPLAINIT_ASSIGN_OR_RETURN(
-        table::Table given_ff,
-        NormalizeToFeatureFamilyTable(given_rows, "condition"));
-    EXPLAINIT_ASSIGN_OR_RETURN(auto given_fams, FamiliesFromTable(given_ff));
-    if (given_fams.empty()) {
-      return Status::InvalidArgument(
-          "EXPLAIN GIVEN query produced no families");
-    }
-    req.condition = MergeFamilies(given_fams, "Z:query");
+        req.condition,
+        FamilyFromRows(std::move(given_rows), "condition", "Z:query"));
   } else if (params_.given_pseudocause) {
     EXPLAINIT_ASSIGN_OR_RETURN(Pseudocause pc,
                                BuildPseudocause(req.target));
     req.condition = std::move(pc.systematic);
   }
 
-  // Search space (X families): same construction as
-  // Session::SetSearchSpaceByQuery.
+  // Search space (X families).
   EXPLAINIT_ASSIGN_OR_RETURN(table::Table space_rows,
                              DrainChild(num_children() - 1));
   EXPLAINIT_ASSIGN_OR_RETURN(
-      table::Table space_ff,
-      NormalizeToFeatureFamilyTable(space_rows, "family"));
-  EXPLAINIT_ASSIGN_OR_RETURN(req.candidates, FamiliesFromTable(space_ff));
+      req.candidates, FamiliesFromRows(std::move(space_rows), "family"));
 
   req.scorer_name = params_.scorer_name;
   req.ranking.top_k = params_.top_k;

@@ -1,12 +1,7 @@
-// Process-wide worker pool with per-caller task groups.
-//
-// The seed grew one private exec::ThreadPool per component (the SQL
-// executor's morsel pool, the store's scan + maintenance pools, a
-// throwaway pool per RankFamilies call). That is fine for one session but
-// oversubscribes the box the moment a server runs N sessions: every
-// session would spin its own hardware_concurrency() threads. WorkerPool
-// replaces all of those creation sites with one shared, affinity-aware
-// pool that callers *borrow*:
+// Process-wide worker pool with per-caller task groups. Every component
+// (the SQL executor's morsels, the store's scans and maintenance, ranking
+// fan-out) borrows one shared, affinity-aware pool instead of growing a
+// private one, so N concurrent sessions never oversubscribe the box:
 //
 //   - WorkerPool::Global() is the process-wide instance every component
 //     defaults to; constructors take an optional WorkerPool* injection
@@ -16,7 +11,7 @@
 //   - TaskGroup scopes a batch of submitted tasks: Wait() blocks only on
 //     *this group's* tasks and rethrows only this group's first
 //     exception, so concurrent sessions sharing the pool never observe
-//     each other's work or errors (ThreadPool::Wait was pool-global).
+//     each other's work or errors.
 //   - A Wait()ing thread HELPS: it runs its own group's queued tasks
 //     inline instead of blocking on a saturated pool. Combined with
 //     caller participation in ParallelFor/ParallelForChunks (the calling
@@ -163,9 +158,8 @@ void ParallelFor(WorkerPool& pool, size_t n,
 
 /// Runs fn(begin, end) over contiguous chunks covering [0, n), blocking
 /// until done. Chunk boundaries depend only on (n, min_grain,
-/// pool.num_threads()) — never on scheduling — matching the seed
-/// ThreadPool helper so sharded output stays deterministic. One inline
-/// call when n <= min_grain.
+/// pool.num_threads()) — never on scheduling — so sharded output stays
+/// deterministic. One inline call when n <= min_grain.
 void ParallelForChunks(WorkerPool& pool, size_t n, size_t min_grain,
                        const std::function<void(size_t, size_t)>& fn);
 

@@ -84,6 +84,13 @@ Result<std::vector<uint8_t>> Client::RoundTrip(
     MessageType type, const std::vector<uint8_t>& payload,
     MessageType* reply_type) {
   if (fd_ < 0) return Status::FailedPrecondition("client not connected");
+  if (payload.size() > kMaxFramePayload) {
+    // The server would drop the connection on such a header; refuse to
+    // send it and keep the connection usable.
+    return Status::OutOfRange("request of " + std::to_string(payload.size()) +
+                              " bytes exceeds the frame cap of " +
+                              std::to_string(kMaxFramePayload) + " bytes");
+  }
   const std::vector<uint8_t> frame = EncodeFrame(type, payload);
   if (!SendAll(fd_, frame.data(), frame.size())) {
     return Status::IOError("send failed (server closed the connection?)");

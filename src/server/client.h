@@ -28,7 +28,9 @@ class Client {
 
   /// Runs one statement. deadline_ms = 0 means no deadline. Server-side
   /// failures come back as the transported Status (ParseError,
-  /// DeadlineExceeded, ...); admission rejection as Unavailable.
+  /// DeadlineExceeded, ...); admission rejection as Unavailable. A
+  /// request or reply over kMaxFramePayload is OutOfRange and leaves the
+  /// connection usable.
   Result<QueryReply> Query(std::string_view sql, uint32_t deadline_ms = 0);
 
   /// Liveness round-trip.

@@ -41,7 +41,9 @@ namespace explainit::server {
 
 constexpr uint32_t kFrameMagic = 0x51535845;  // "EXSQ" in LE byte order
 /// Hard cap on one frame's payload. A hostile u32 length can claim up to
-/// 4 GiB; nothing this server exchanges legitimately exceeds 64 MiB.
+/// 4 GiB. Senders check it before encoding: the server answers an
+/// oversized result with an OutOfRange error frame, and the client
+/// refuses to send an oversized request.
 constexpr uint32_t kMaxFramePayload = 64u << 20;
 /// magic + type + payload_len.
 constexpr size_t kFrameHeaderBytes =

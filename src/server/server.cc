@@ -302,10 +302,6 @@ std::vector<uint8_t> Server::HandleQuery(sql::Executor& executor,
     ++stats_.queries_error;
     return ErrorFrame(result.status());
   }
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    ++stats_.queries_ok;
-  }
   // Encode outside the lock: result frames can be large.
   QueryReply reply;
   reply.latency_us = static_cast<uint64_t>(elapsed * 1e6);
@@ -318,7 +314,21 @@ std::vector<uint8_t> Server::HandleQuery(sql::Executor& executor,
           ? static_cast<uint32_t>(options_.monitors->active_monitors())
           : 0;
   reply.table = std::move(result->table);
-  return EncodeFrame(MessageType::kResult, EncodeResult(reply));
+  const std::vector<uint8_t> encoded = EncodeResult(reply);
+  // A reply over the frame cap would be refused by every client as a
+  // hostile frame: answer with a typed error and keep the session.
+  const bool fits = encoded.size() <= kMaxFramePayload;
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    ++(fits ? stats_.queries_ok : stats_.queries_error);
+  }
+  if (!fits) {
+    return ErrorFrame(Status::OutOfRange(
+        "result of " + std::to_string(encoded.size()) +
+        " bytes exceeds the frame cap of " +
+        std::to_string(kMaxFramePayload) + " bytes"));
+  }
+  return EncodeFrame(MessageType::kResult, encoded);
 }
 
 }  // namespace explainit::server

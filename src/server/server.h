@@ -74,7 +74,7 @@ struct ServerStats {
   uint64_t sessions_accepted = 0;
   uint64_t sessions_rejected = 0;
   uint64_t queries_ok = 0;
-  uint64_t queries_error = 0;   // parse/plan/execute failures (incl. expiry)
+  uint64_t queries_error = 0;   // failures (incl. expiry, oversized replies)
   uint64_t queries_busy = 0;    // admission-gate rejections
 };
 

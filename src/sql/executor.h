@@ -56,8 +56,9 @@ class Executor {
   void set_parallelism(size_t parallelism);
   size_t parallelism() const { return parallelism_; }
 
-  /// Optimiser knobs for subsequent queries (cost-based join reordering,
-  /// aggregate pushdown, COUNT rollup routing — sql/logical_plan.h).
+  /// Optimiser setting for subsequent queries (cost-based join
+  /// reordering, aggregate pushdown, COUNT rollup routing; on unless
+  /// PlannerOptions::enabled is false — sql/logical_plan.h).
   void set_optimizer(PlannerOptions options) { optimizer_ = options; }
   const PlannerOptions& optimizer() const { return optimizer_; }
 

@@ -28,19 +28,13 @@
 
 namespace explainit::sql {
 
-/// Optimiser knobs, threaded Engine -> Executor -> Planner. All passes
-/// default on; `enabled = false` reproduces the pre-optimiser
+/// Optimiser switch, threaded Engine -> Executor -> Planner. When
+/// enabled (the default) every rule pass runs: cost-based join
+/// reordering, partial-aggregate pushdown below joins and COUNT rollup
+/// routing. `enabled = false` reproduces the pre-optimiser
 /// statement-order plans exactly (the differential harness runs both).
 struct PlannerOptions {
   bool enabled = true;
-  /// Cost-based join reordering (DP <= kJoinReorderDpLimit relations,
-  /// greedy beyond). Inner/cross joins only.
-  bool reorder_joins = true;
-  /// Partial-aggregate pushdown below inner/cross joins.
-  bool pushdown_aggregates = true;
-  /// COUNT(*)/COUNT(value) routing onto count rollup tiers for providers
-  /// with Catalog::SupportsExactRollups.
-  bool count_rollups = true;
 };
 
 /// Relations up to which join reordering runs exhaustive left-deep DP;

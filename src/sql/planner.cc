@@ -1309,7 +1309,7 @@ Result<std::unique_ptr<LogicalNode>> Planner::BuildSingle(
   // so the probe below requires a qualifying tier first.
   const SelectStatement* eff = &stmt;
   const bool allow_count =
-      pushdown_eligible && options_.enabled && options_.count_rollups &&
+      pushdown_eligible && options_.enabled &&
       catalog_->SupportsExactRollups(stmt.from->table_name);
   if (allow_count) {
     tsdb::ScanHints probe;
@@ -1412,8 +1412,8 @@ Result<std::unique_ptr<LogicalNode>> Planner::BuildStatement(
 
 void Planner::OptimizeSingle(LogicalNode* root, const SelectStatement& stmt,
                              LogicalPlan* plan) const {
-  if (options_.reorder_joins) ReorderJoins(root, stmt, plan);
-  if (options_.pushdown_aggregates) PushdownAggregate(root, stmt, plan);
+  ReorderJoins(root, stmt, plan);
+  PushdownAggregate(root, stmt, plan);
 }
 
 void Planner::ReorderJoins(LogicalNode* root, const SelectStatement& stmt,

@@ -16,9 +16,9 @@
 //        * projection pruning — scans materialise only referenced columns;
 //        * join strategy + build side — equality conjuncts choose hash
 //          joins, built on the smaller side when row counts are known.
-//   2. *Optimise* — rule passes rewrite the IR (PlannerOptions gates each;
-//      `enabled = false` skips the stage, reproducing statement-order
-//      plans exactly):
+//   2. *Optimise* — rule passes rewrite the IR (PlannerOptions::enabled =
+//      false skips the whole stage, reproducing statement-order plans
+//      exactly):
 //        * join reordering — left-deep DP over the equality-conjunct join
 //          graph (<= kJoinReorderDpLimit relations; greedy beyond),
 //          inner/cross joins only, every column reference qualified, and

@@ -70,28 +70,39 @@ TEST(EngineTest, FamiliesFromStoreGrouping) {
 TEST(EngineTest, SqlOverRegisteredStore) {
   Engine engine(MakeStore(100, 3));
   engine.RegisterStoreTable("tsdb", kRange);
-  auto t = engine.Sql(
+  auto t = engine.Query(
       "SELECT COUNT(*) AS n FROM tsdb WHERE metric_name = 'disk_noise'");
   ASSERT_TRUE(t.ok()) << t.status().ToString();
-  EXPECT_EQ(t->At(0, 0).AsInt(), 100);
+  EXPECT_EQ(t->table.At(0, 0).AsInt(), 100);
 }
 
-TEST(EngineTest, FamiliesFromQueryListing1Shape) {
+TEST(EngineTest, FamiliesFromRowsListing1Shape) {
   Engine engine(MakeStore(120, 4));
   engine.RegisterStoreTable("tsdb", kRange);
   // Appendix C Listing 1: the target family query.
-  auto fams = engine.FamiliesFromQuery(R"(
+  auto rows = engine.Query(R"(
       SELECT timestamp, tag['pipeline_name'], AVG(value) AS runtime_sec
       FROM tsdb
       WHERE metric_name = 'pipeline_runtime'
       GROUP BY timestamp, tag['pipeline_name']
       ORDER BY timestamp ASC)");
+  ASSERT_TRUE(rows.ok()) << rows.status().ToString();
+  auto fams = FamiliesFromRows(std::move(rows->table), "family");
   ASSERT_TRUE(fams.ok()) << fams.status().ToString();
   ASSERT_EQ(fams->size(), 1u);  // one pipeline
   EXPECT_EQ((*fams)[0].name, "p1");
   EXPECT_EQ((*fams)[0].num_features(), 1u);
   EXPECT_EQ((*fams)[0].feature_names[0], "runtime_sec");
   EXPECT_EQ((*fams)[0].num_timestamps(), 120u);
+}
+
+TEST(EngineTest, FamilyFromRowsRejectsRowsWithoutFamilies) {
+  table::Table rows(table::Schema({{"timestamp", table::DataType::kTimestamp},
+                                   {"v", table::DataType::kDouble}}));
+  auto fam = FamilyFromRows(std::move(rows), "condition", "Z:query");
+  ASSERT_FALSE(fam.ok());
+  EXPECT_TRUE(fam.status().IsInvalidArgument());
+  EXPECT_EQ(fam.status().message(), "condition query produced no families");
 }
 
 TEST(EngineTest, NormalizeHandlesMissingNameColumn) {
@@ -208,13 +219,13 @@ TEST(EngineTest, SessionValidation) {
 
 TEST(EngineTest, PersistentExecutorAccumulatesStats) {
   // The engine holds one executor for its lifetime: counters survive
-  // across Sql() calls, and last_exec_stats() isolates the latest query.
+  // across Query() calls, and last_exec_stats() isolates the latest query.
   Engine engine(MakeStore(50, 11));
   engine.RegisterStoreTable("tsdb", kRange);
-  ASSERT_TRUE(engine.Sql("SELECT COUNT(*) AS n FROM tsdb").ok());
+  ASSERT_TRUE(engine.Query("SELECT COUNT(*) AS n FROM tsdb").ok());
   ASSERT_TRUE(
-      engine.Sql("SELECT AVG(value) AS v FROM tsdb "
-                 "WHERE metric_name = 'disk_noise'")
+      engine.Query("SELECT AVG(value) AS v FROM tsdb "
+                   "WHERE metric_name = 'disk_noise'")
           .ok());
   EXPECT_EQ(engine.exec_stats().tables_scanned, 2u);
   EXPECT_EQ(engine.last_exec_stats().tables_scanned, 1u);
@@ -231,11 +242,11 @@ TEST(EngineTest, StoreTablePushdownNarrowsScan) {
   // store actually serves (time window and metric constraint).
   Engine engine(MakeStore(100, 12));
   engine.RegisterStoreTable("tsdb", kRange);
-  auto t = engine.Sql(
+  auto t = engine.Query(
       "SELECT COUNT(*) AS n FROM tsdb WHERE metric_name = 'disk_noise' "
       "AND timestamp BETWEEN 600 AND 1200");
   ASSERT_TRUE(t.ok()) << t.status().ToString();
-  EXPECT_EQ(t->At(0, 0).AsInt(), 11);  // minutes 10..20 inclusive
+  EXPECT_EQ(t->table.At(0, 0).AsInt(), 11);  // minutes 10..20 inclusive
   const tsdb::ScanStats& st = engine.store().scan_stats();
   EXPECT_EQ(st.last_range.start, 600);
   EXPECT_EQ(st.last_range.end, 1201);
@@ -293,11 +304,11 @@ TEST(EngineTest, ExplainScoreTableComposesWithSql) {
       "SCORE BY 'CorrMax'");
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   engine.catalog().RegisterTable("scores", result->table);
-  auto strong = engine.Sql(
+  auto strong = engine.Query(
       "SELECT family, score FROM scores WHERE score > 0.5 AND rank <= 2 "
       "ORDER BY score DESC");
   ASSERT_TRUE(strong.ok()) << strong.status().ToString();
-  EXPECT_LE(strong->num_rows(), 2u);
+  EXPECT_LE(strong->table.num_rows(), 2u);
 }
 
 TEST(EngineTest, ExplainErrorsAreActionable) {

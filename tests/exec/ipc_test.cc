@@ -10,6 +10,8 @@
 #include <cstring>
 #include <vector>
 
+#include "common/random.h"
+
 namespace explainit::exec {
 namespace {
 
@@ -105,6 +107,17 @@ TEST(IpcTest, AcceptsZeroByZero) {
   ASSERT_TRUE(m.ok()) << m.status().ToString();
   EXPECT_EQ(m->rows(), 0u);
   EXPECT_EQ(m->cols(), 0u);
+}
+
+TEST(IpcTest, RoundTripAccumulatesTime) {
+  Rng rng(2);
+  la::Matrix m(100, 50);
+  rng.FillNormal(m.data(), m.size());
+  double seconds = 0.0;
+  auto back = RoundTripMatrix(m, &seconds);
+  ASSERT_TRUE(back.ok());
+  EXPECT_EQ(back.value(), m);
+  EXPECT_GT(seconds, 0.0);
 }
 
 }  // namespace

@@ -49,6 +49,10 @@ TEST(WorkerPoolTest, ErrorsAreGroupLocalAndFirstOnly) {
   failing.Submit([] { throw std::runtime_error("second"); });
   std::atomic<int> ok{0};
   clean.Submit([&ok] { ok.fetch_add(1); });
+  // Let the single worker run both failing tasks in submission order: a
+  // Wait() that found one still queued would run it inline, racing the
+  // worker for which error is recorded first.
+  while (failing.pending() > 0) std::this_thread::yield();
   EXPECT_THROW(
       {
         try {
@@ -145,6 +149,56 @@ TEST(WorkerPoolTest, ParallelForPropagatesException) {
                std::runtime_error);
 }
 
+// Regression: a throwing task must neither kill its worker nor leave the
+// group's pending count undecremented (which would hang every Wait()).
+TEST(WorkerPoolTest, ThrowingTaskDoesNotStopItsGroup) {
+  WorkerPool pool(2);
+  TaskGroup group(&pool);
+  group.Wait();  // an empty group returns at once
+  std::atomic<int> ran{0};
+  group.Submit([] { throw std::runtime_error("boom"); });
+  for (int i = 0; i < 100; ++i) {
+    group.Submit([&ran] { ran.fetch_add(1); });
+  }
+  try {
+    group.Wait();
+    FAIL() << "Wait() should rethrow the task's exception";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(), "boom");
+  }
+  EXPECT_EQ(ran.load(), 100);
+}
+
+TEST(WorkerPoolTest, ParallelForUsesSeveralThreads) {
+  WorkerPool pool(4);
+  std::mutex m;
+  std::set<std::thread::id> ids;
+  ParallelFor(pool, 64, [&](size_t) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    std::lock_guard<std::mutex> lock(m);
+    ids.insert(std::this_thread::get_id());
+  });
+  EXPECT_GT(ids.size(), 1u);
+}
+
+TEST(WorkerPoolTest, ParallelForChunksSmallInputRunsInline) {
+  WorkerPool pool(4);
+  int calls = 0;
+  size_t covered = 0;
+  std::thread::id ran_on;
+  ParallelForChunks(pool, 10, /*min_grain=*/64,
+                    [&](size_t begin, size_t end) {
+                      ++calls;
+                      covered += end - begin;
+                      ran_on = std::this_thread::get_id();
+                    });
+  EXPECT_EQ(calls, 1);
+  EXPECT_EQ(covered, 10u);
+  EXPECT_EQ(ran_on, std::this_thread::get_id());
+  ParallelForChunks(pool, 0, 64, [&](size_t, size_t) { ++calls; });
+  EXPECT_EQ(calls, 1);  // empty range: no call at all
+}
+
 TEST(WorkerPoolTest, ConstructionCounterCountsPools) {
   const size_t before = WorkerPool::constructions();
   { WorkerPool pool(2); }
@@ -189,6 +243,72 @@ TEST(WorkerPoolStressTest, ManyGroupsFromManyThreads) {
   }
   for (auto& t : clients) t.join();
   EXPECT_EQ(total.load(), 8 * 20 * 10);
+}
+
+TEST(WorkerPoolStressTest, ConcurrentParallelForChunksCallers) {
+  WorkerPool pool(4);
+  constexpr int kCallers = 4;
+  std::vector<std::thread> callers;
+  std::vector<size_t> sums(kCallers);
+  for (int c = 0; c < kCallers; ++c) {
+    callers.emplace_back([&pool, &sums, c] {
+      for (int round = 0; round < 10; ++round) {
+        std::mutex m;
+        size_t local = 0;
+        ParallelForChunks(pool, 5000, 64, [&](size_t begin, size_t end) {
+          size_t s = 0;
+          for (size_t i = begin; i < end; ++i) s += i;
+          std::lock_guard<std::mutex> lock(m);
+          local += s;
+        });
+        sums[c] = local;
+      }
+    });
+  }
+  for (auto& t : callers) t.join();
+  const size_t expected = 5000ull * 4999ull / 2;
+  for (int c = 0; c < kCallers; ++c) EXPECT_EQ(sums[c], expected);
+}
+
+TEST(WorkerPoolStressTest, ExceptionsPropagateUnderContention) {
+  // Every caller's throwing rounds surface through that caller's own
+  // Wait(), exactly once each, and every other task still runs.
+  WorkerPool pool(3);
+  constexpr int kCallers = 5;
+  constexpr int kRounds = 30;
+  constexpr int kTasks = 8;
+  std::atomic<int> ran{0};
+  std::atomic<int> rethrown{0};
+  std::atomic<int> throwing_rounds{0};
+  std::vector<std::thread> callers;
+  for (int c = 0; c < kCallers; ++c) {
+    callers.emplace_back([&, c] {
+      for (int round = 0; round < kRounds; ++round) {
+        const bool throws = (round + c) % 4 == 0;
+        if (throws) throwing_rounds.fetch_add(1);
+        TaskGroup group(&pool);
+        for (int t = 0; t < kTasks; ++t) {
+          const bool thrower = throws && t == 3;
+          group.Submit([&ran, thrower] {
+            if (thrower) throw std::runtime_error("stress");
+            ran.fetch_add(1);
+          });
+        }
+        try {
+          group.Wait();
+        } catch (const std::runtime_error&) {
+          rethrown.fetch_add(1);
+        }
+      }
+    });
+  }
+  for (auto& t : callers) t.join();
+  EXPECT_EQ(rethrown.load(), throwing_rounds.load());
+  EXPECT_EQ(ran.load(), kCallers * kRounds * kTasks - throwing_rounds.load());
+  // The pool remains fully usable afterwards.
+  std::atomic<int> after{0};
+  ParallelFor(pool, 64, [&after](size_t) { after.fetch_add(1); });
+  EXPECT_EQ(after.load(), 64);
 }
 
 }  // namespace

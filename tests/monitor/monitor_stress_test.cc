@@ -116,7 +116,7 @@ TEST(MonitorStressTest, ConcurrentIngestQueriesChurnAndStop) {
 
   std::thread history_reader([&engine, &done] {
     while (!done.load(std::memory_order_acquire)) {
-      auto rows = engine.Sql("SELECT COUNT(*) AS n FROM hist");
+      auto rows = engine.Query("SELECT COUNT(*) AS n FROM hist");
       EXPECT_TRUE(rows.ok()) << rows.status().ToString();
       std::this_thread::sleep_for(std::chrono::milliseconds(3));
     }

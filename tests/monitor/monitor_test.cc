@@ -175,21 +175,23 @@ TEST_F(MonitorTest, PeriodicRunsAppendHistoryAndMatchOneShot) {
   for (int64_t k = 0; k < 3; ++k) {
     const EpochSeconds w0 = k * 600;
     const EpochSeconds w1 = 3599 + k * 600;
-    auto runs = engine_.Sql(
+    auto runs = engine_.Query(
         "SELECT rank, family, score, run_ts FROM hist WHERE run = " +
         std::to_string(k) + " ORDER BY rank");
     ASSERT_TRUE(runs.ok()) << runs.status().ToString();
     auto oneshot = engine_.Query(OneShotForWindow(w0, w1));
     ASSERT_TRUE(oneshot.ok()) << oneshot.status().ToString();
-    ASSERT_EQ(runs->num_rows(), oneshot->table.num_rows()) << "run " << k;
-    for (size_t r = 0; r < runs->num_rows(); ++r) {
+    ASSERT_EQ(runs->table.num_rows(), oneshot->table.num_rows())
+        << "run " << k;
+    for (size_t r = 0; r < runs->table.num_rows(); ++r) {
       SCOPED_TRACE("run " + std::to_string(k) + " row " + std::to_string(r));
-      EXPECT_EQ(runs->At(r, 0).AsInt(), oneshot->table.At(r, 0).AsInt());
-      EXPECT_EQ(runs->At(r, 1).AsString(),
+      EXPECT_EQ(runs->table.At(r, 0).AsInt(),
+                oneshot->table.At(r, 0).AsInt());
+      EXPECT_EQ(runs->table.At(r, 1).AsString(),
                 oneshot->table.At(r, 1).AsString());
-      EXPECT_EQ(runs->At(r, 2).AsDouble(),
+      EXPECT_EQ(runs->table.At(r, 2).AsDouble(),
                 oneshot->table.At(r, 2).AsDouble());
-      EXPECT_EQ(runs->At(r, 3).AsTimestamp(), w1);
+      EXPECT_EQ(runs->table.At(r, 3).AsTimestamp(), w1);
     }
   }
 }
@@ -220,9 +222,9 @@ TEST_F(MonitorTest, DropKeepsHistoryQueryableAndAllowsRebind) {
   ASSERT_TRUE(service.Drop("hist").ok());
   EXPECT_EQ(service.active_monitors(), 0u);
 
-  auto rows = engine_.Sql("SELECT COUNT(*) AS n FROM hist");
+  auto rows = engine_.Query("SELECT COUNT(*) AS n FROM hist");
   ASSERT_TRUE(rows.ok()) << rows.status().ToString();
-  EXPECT_GT(rows->At(0, 0).AsInt(), 0);
+  EXPECT_GT(rows->table.At(0, 0).AsInt(), 0);
 
   // Re-registering INTO the same history table rebinds it (fresh runs).
   ASSERT_TRUE(service.Query(executor, kMonitorSql).ok());

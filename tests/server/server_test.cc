@@ -316,5 +316,38 @@ TEST_F(ServerTest, MonitorStatementsWithoutServiceAreErrors) {
       << reply.status().ToString();
 }
 
+TEST_F(ServerTest, OversizedResultIsOutOfRangeAndSessionSurvives) {
+  // 65 rows of 1 MiB strings encode past the 64 MiB frame cap.
+  table::Table big(table::Schema({{"s", table::DataType::kString}}));
+  for (int r = 0; r < 65; ++r) {
+    big.AppendRow({table::Value::String(std::string(1u << 20, 'x'))});
+  }
+  engine_->catalog().RegisterTable("big", std::move(big));
+  StartServer();
+  Client client = Connect();
+  auto reply = client.Query("SELECT * FROM big");
+  ASSERT_FALSE(reply.ok());
+  EXPECT_EQ(reply.status().code(), StatusCode::kOutOfRange)
+      << reply.status().ToString();
+  EXPECT_EQ(server_->stats().queries_error, 1u);
+  // The same connection keeps answering.
+  auto one = client.Query("SELECT 1");
+  ASSERT_TRUE(one.ok()) << one.status().ToString();
+  EXPECT_EQ(one->rows_output, 1u);
+}
+
+TEST_F(ServerTest, ClientRefusesOversizedRequest) {
+  StartServer();
+  Client client = Connect();
+  auto reply = client.Query(std::string(kMaxFramePayload, ' ') + "SELECT 1");
+  ASSERT_FALSE(reply.ok());
+  EXPECT_EQ(reply.status().code(), StatusCode::kOutOfRange)
+      << reply.status().ToString();
+  // Nothing was sent, so the connection is still in sync.
+  auto one = client.Query("SELECT 1");
+  ASSERT_TRUE(one.ok()) << one.status().ToString();
+  EXPECT_EQ(one->rows_output, 1u);
+}
+
 }  // namespace
 }  // namespace explainit::server

@@ -156,10 +156,7 @@ TEST_F(OptimizerTest, OptimizerOffReproducesStatementOrderPlan) {
 }
 
 TEST_F(OptimizerTest, ReordersStarJoinOffStatementOrder) {
-  PlannerOptions reorder_only;
-  reorder_only.pushdown_aggregates = false;
-  reorder_only.count_rollups = false;
-  Table reordered = QueryWith(reorder_only, kStarQuery);
+  Table reordered = QueryWith(PlannerOptions{}, kStarQuery);
   const ExecStats st = executor_->last_stats();
   EXPECT_EQ(st.joins_reordered, 1u);
   EXPECT_NE(st.plan_text.find("[reordered]"), std::string::npos);
@@ -179,10 +176,7 @@ TEST_F(OptimizerTest, ReordersStarJoinOffStatementOrder) {
 }
 
 TEST_F(OptimizerTest, PushesAggregateBelowJoinAndShrinksJoinInput) {
-  PlannerOptions pushdown_only;
-  pushdown_only.reorder_joins = false;
-  pushdown_only.count_rollups = false;
-  Table pushed = QueryWith(pushdown_only, kPushQuery);
+  Table pushed = QueryWith(PlannerOptions{}, kPushQuery);
   const ExecStats st = executor_->last_stats();
   EXPECT_EQ(st.agg_pushdowns, 1u);
   EXPECT_NE(st.plan_text.find("[partial below join]"), std::string::npos);
