@@ -250,9 +250,10 @@ int Main(int argc, char** argv) {
     return 1;
   }
   std::fprintf(f,
-               "{\n  \"bench\": \"explain\",\n  \"candidates\": %zu,\n"
-               "  \"points\": %zu,\n  \"levels\": [\n",
-               num_candidates, points);
+               "{\n  \"bench\": \"explain\",\n  \"hardware_threads\": %u,\n"
+               "  \"candidates\": %zu,\n  \"points\": %zu,\n"
+               "  \"levels\": [\n",
+               std::thread::hardware_concurrency(), num_candidates, points);
   for (size_t j = 0; j < levels.size(); ++j) {
     const core::RankStageStats& s = levels[j].table.stage;
     std::fprintf(f,

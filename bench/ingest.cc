@@ -259,15 +259,17 @@ int Main(int argc, char** argv) {
   }
   std::fprintf(
       f,
-      "{\n  \"bench\": \"ingest\",\n  \"smoke\": %s,\n"
+      "{\n  \"bench\": \"ingest\",\n  \"hardware_threads\": %u,\n"
+      "  \"smoke\": %s,\n"
       "  \"steps\": %zu,\n  \"series\": %zu,\n  \"points\": %zu,\n"
       "  \"ingest_seconds\": %.6f,\n  \"write_points_per_sec\": %.1f,\n"
       "  \"concurrent_queries\": %zu,\n  \"seals\": %zu,\n"
       "  \"compactions\": %zu,\n  \"sealed_segments\": %zu,\n"
       "  \"rollup_points_served\": %zu,\n  \"raw_points_skipped\": %zu,\n"
       "  \"parity\": %s,\n  \"rollup_served\": %s,\n  \"queries\": [\n",
-      smoke ? "true" : "false", steps, live->num_series(), points,
-      ingest_seconds, points / ingest_seconds, live_queries.load(),
+      std::thread::hardware_concurrency(), smoke ? "true" : "false", steps,
+      live->num_series(), points, ingest_seconds, points / ingest_seconds,
+      live_queries.load(),
       storage.seals, storage.compactions, storage.sealed_segments,
       scans.rollup_points_returned, scans.rollup_points_skipped,
       parity ? "true" : "false", rollup_served ? "true" : "false");

@@ -25,6 +25,7 @@
 #include <cstring>
 #include <functional>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/random.h"
@@ -236,6 +237,8 @@ int main(int argc, char** argv) {
   FILE* f = std::fopen(out_path.c_str(), "w");
   if (f != nullptr) {
     std::fprintf(f, "{\n  \"bench\": \"kernels_microbench\",\n");
+    std::fprintf(f, "  \"hardware_threads\": %u,\n",
+                 std::thread::hardware_concurrency());
     std::fprintf(f, "  \"smoke\": %s,\n", smoke ? "true" : "false");
     std::fprintf(f, "  \"avx2_available\": %s,\n",
                  have_avx2 ? "true" : "false");

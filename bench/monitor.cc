@@ -401,7 +401,8 @@ int main(int argc, char** argv) {
   }
   std::fprintf(
       f,
-      "{\n  \"bench\": \"monitor\",\n  \"smoke\": %s,\n"
+      "{\n  \"bench\": \"monitor\",\n  \"hardware_threads\": %u,\n"
+      "  \"smoke\": %s,\n"
       "  \"world_minutes\": %zu,\n  \"window_seconds\": %lld,\n"
       "  \"stride_seconds\": %lld,\n  \"runs\": %zu,\n"
       "  \"parity_failures\": %zu,\n"
@@ -412,7 +413,7 @@ int main(int argc, char** argv) {
       "\"consumer_reads\": %zu},\n"
       "  \"trigger\": {\"fired\": %s, \"latency_seconds\": %.4f, "
       "\"true_cause_top10\": %s, \"top_family\": \"%s\"}\n}\n",
-      smoke ? "true" : "false", minutes,
+      std::thread::hardware_concurrency(), smoke ? "true" : "false", minutes,
       static_cast<long long>(kWindowSeconds),
       static_cast<long long>(kStrideSeconds), runs, parity_failures,
       timings.standing_seconds, timings.oneshot_seconds,

@@ -233,13 +233,14 @@ int main(int argc, char** argv) {
     return 1;
   }
   std::fprintf(f,
-               "{\n  \"bench\": \"server\",\n  \"smoke\": %s,\n"
+               "{\n  \"bench\": \"server\",\n  \"hardware_threads\": %u,\n"
+               "  \"smoke\": %s,\n"
                "  \"world_minutes\": %zu,\n"
                "  \"queries_per_session\": %zu,\n"
                "  \"pools_created_while_serving\": %zu,\n"
                "  \"sweeps\": [\n",
-               smoke ? "true" : "false", minutes, queries_per_session,
-               pools_created);
+               std::thread::hardware_concurrency(), smoke ? "true" : "false",
+               minutes, queries_per_session, pools_created);
   for (size_t i = 0; i < results.size(); ++i) {
     const SweepResult& r = results[i];
     std::fprintf(f,

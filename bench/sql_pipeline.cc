@@ -396,7 +396,10 @@ int Main(int argc, char** argv) {
     std::fprintf(stderr, "cannot write %s\n", out_path.c_str());
     return 1;
   }
-  std::fprintf(f, "{\n  \"bench\": \"sql_pipeline\",\n  \"scales\": [\n");
+  std::fprintf(f,
+               "{\n  \"bench\": \"sql_pipeline\",\n"
+               "  \"hardware_threads\": %u,\n  \"scales\": [\n",
+               std::thread::hardware_concurrency());
   for (size_t i = 0; i < reports.size(); ++i) {
     const ScaleReport& r = reports[i];
     std::fprintf(

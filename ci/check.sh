@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
-# Tier-1 verification gate: Release build + full ctest + bench smoke, an
-# ASan/UBSan Debug build + full ctest, and a ThreadSanitizer build running
-# the concurrency-sensitive suites (operators, differential, worker pool).
+# Tier-1 verification gate: Release build + full ctest (which includes the
+# paper reproductions) + bench smoke, an ASan/UBSan Debug build + full
+# ctest, and a ThreadSanitizer build running the concurrency-sensitive
+# suites (operators, differential, worker pool).
 # Run from anywhere.
 #
 # Usage: check.sh [release|asan|tsan|all]   (default: all)
@@ -26,6 +27,13 @@ run_suite() {
 
 if [[ "${STAGE}" == "release" || "${STAGE}" == "all" ]]; then
   run_suite "${ROOT}/build" -DCMAKE_BUILD_TYPE=Release
+
+  # ctest ran the deterministic paper reproductions (paper_reproductions);
+  # the wall-clock entries stay out of ctest, so run them once here in an
+  # optimised build so they cannot rot.
+  echo "=== paper: timing entries ==="
+  "${ROOT}/build/bench/paper" fig10_score_time table2_cost_model \
+    ablation_optimisations
 
   # The Release tree builds the bench binaries; smoke-run the SQL pipeline
   # bench (tiny scale, seed-vs-pipeline cross-validation across the
