@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # Tier-1 verification gate: Release build + full ctest (which includes the
-# paper reproductions) + bench smoke, an ASan/UBSan Debug build + full
-# ctest, and a ThreadSanitizer build running the concurrency-sensitive
-# suites (operators, differential, worker pool).
+# paper reproductions) + a compile-only build of the perfbench benchmark +
+# bench smoke, an ASan/UBSan Debug build + full ctest, and a
+# ThreadSanitizer build running the concurrency-sensitive suites
+# (operators, differential, worker pool).
 # Run from anywhere.
 #
 # Usage: check.sh [release|asan|tsan|all]   (default: all)
@@ -27,6 +28,14 @@ run_suite() {
 
 if [[ "${STAGE}" == "release" || "${STAGE}" == "all" ]]; then
   run_suite "${ROOT}/build" -DCMAKE_BUILD_TYPE=Release
+
+  # The repository benchmark (perfbench/) is a project of its own over
+  # src/; compile it (no run) so a signature change to anything it calls
+  # fails here rather than only when the benchmark runs.
+  echo "=== build: ${ROOT}/build/perfbench (compile only) ==="
+  cmake -B "${ROOT}/build/perfbench" -S "${ROOT}/perfbench" \
+    -DCMAKE_BUILD_TYPE=Release
+  cmake --build "${ROOT}/build/perfbench" --target perfbench -j "${JOBS}"
 
   # ctest ran the deterministic paper reproductions (paper_reproductions);
   # the wall-clock entries stay out of ctest, so run them once here in an

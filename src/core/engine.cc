@@ -1,161 +1,12 @@
 #include "core/engine.h"
 
-#include <algorithm>
-#include <cmath>
-#include <limits>
-#include <set>
+#include <utility>
 
 #include "common/strings.h"
 #include "core/explain.h"
 #include "sql/parser.h"
 
 namespace explainit::core {
-
-FeatureFamily MergeFamilies(const std::vector<FeatureFamily>& families,
-                            const std::string& name) {
-  FeatureFamily out;
-  out.name = name;
-  if (families.empty()) return out;
-  out.timestamps = families[0].timestamps;
-  size_t total_features = 0;
-  for (const FeatureFamily& f : families) total_features += f.num_features();
-  out.data = la::Matrix(out.timestamps.size(), total_features);
-  size_t col = 0;
-  for (const FeatureFamily& f : families) {
-    for (size_t c = 0; c < f.num_features(); ++c, ++col) {
-      out.feature_names.push_back(f.name + "/" + f.feature_names[c]);
-      for (size_t r = 0; r < out.timestamps.size() && r < f.num_timestamps();
-           ++r) {
-        out.data(r, col) = f.data(r, c);
-      }
-    }
-  }
-  return out;
-}
-
-Status AlignFamilies(std::vector<FeatureFamily>* families) {
-  if (families == nullptr || families->empty()) return Status::OK();
-  // Union grid.
-  std::set<EpochSeconds> grid_set;
-  for (const FeatureFamily& f : *families) {
-    grid_set.insert(f.timestamps.begin(), f.timestamps.end());
-  }
-  const std::vector<EpochSeconds> grid(grid_set.begin(), grid_set.end());
-  for (FeatureFamily& f : *families) {
-    if (f.timestamps == grid) continue;
-    la::Matrix data(grid.size(), f.num_features());
-    // Map existing rows onto the new grid, NaN elsewhere, then interpolate
-    // per column.
-    std::map<EpochSeconds, size_t> row_of;
-    for (size_t r = 0; r < f.timestamps.size(); ++r) {
-      row_of[f.timestamps[r]] = r;
-    }
-    for (size_t c = 0; c < f.num_features(); ++c) {
-      std::vector<double> col(grid.size(),
-                              std::numeric_limits<double>::quiet_NaN());
-      for (size_t r = 0; r < grid.size(); ++r) {
-        auto it = row_of.find(grid[r]);
-        if (it != row_of.end()) col[r] = f.data(it->second, c);
-      }
-      tsdb::InterpolateMissing(col);
-      data.SetCol(c, col);
-    }
-    f.timestamps = grid;
-    f.data = std::move(data);
-  }
-  return Status::OK();
-}
-
-Result<table::Table> NormalizeToFeatureFamilyTable(
-    const table::Table& query_result, const std::string& default_family) {
-  if (query_result.num_columns() == 0) {
-    return Status::InvalidArgument("empty query result");
-  }
-  // Locate the ts column.
-  std::optional<size_t> ts_idx = query_result.schema().FieldIndex("ts");
-  if (!ts_idx) ts_idx = query_result.schema().FieldIndex("timestamp");
-  if (!ts_idx) {
-    for (size_t c = 0; c < query_result.num_columns() && !ts_idx; ++c) {
-      for (size_t r = 0; r < query_result.num_rows(); ++r) {
-        if (query_result.At(r, c).is_null()) continue;
-        if (query_result.At(r, c).type() == table::DataType::kTimestamp) {
-          ts_idx = c;
-        }
-        break;
-      }
-    }
-  }
-  if (!ts_idx) {
-    return Status::InvalidArgument(
-        "query result has no timestamp column (expected 'ts'/'timestamp' or "
-        "a TIMESTAMP-typed column)");
-  }
-  // Locate the family-name column: first string-valued non-ts column.
-  std::optional<size_t> name_idx = query_result.schema().FieldIndex("name");
-  if (name_idx.has_value() && *name_idx == *ts_idx) name_idx.reset();
-  if (!name_idx) {
-    for (size_t c = 0; c < query_result.num_columns() && !name_idx; ++c) {
-      if (c == *ts_idx) continue;
-      for (size_t r = 0; r < query_result.num_rows(); ++r) {
-        if (query_result.At(r, c).is_null()) continue;
-        if (query_result.At(r, c).type() == table::DataType::kString) {
-          name_idx = c;
-        }
-        break;
-      }
-    }
-  }
-  table::Schema schema({{"ts", table::DataType::kTimestamp},
-                        {"name", table::DataType::kString},
-                        {"v", table::DataType::kMap}});
-  table::Table out(schema);
-  const size_t ts_col = *ts_idx;
-  const size_t name_col = name_idx.value_or(std::numeric_limits<size_t>::max());
-  for (size_t r = 0; r < query_result.num_rows(); ++r) {
-    const table::Value& ts = query_result.At(r, ts_col);
-    if (ts.is_null()) continue;
-    std::string family = default_family;
-    if (name_col != std::numeric_limits<size_t>::max()) {
-      const table::Value& nv = query_result.At(r, name_col);
-      if (!nv.is_null()) family = nv.AsString();
-    }
-    table::ValueMap v;
-    for (size_t c = 0; c < query_result.num_columns(); ++c) {
-      if (c == ts_col || c == name_col) continue;
-      const table::Value& cell = query_result.At(r, c);
-      if (cell.AsMap() != nullptr) {
-        // Flatten nested maps (a query may project an existing v column).
-        for (const auto& [k, mv] : *cell.AsMap()) v[k] = mv;
-        continue;
-      }
-      v[query_result.schema().field(c).name] = cell;
-    }
-    out.AppendRow({table::Value::Timestamp(ts.AsTimestamp()),
-                   table::Value::String(family),
-                   table::Value::Map(std::move(v))});
-  }
-  return out;
-}
-
-Result<std::vector<FeatureFamily>> FamiliesFromRows(
-    table::Table rows, const std::string& default_family) {
-  EXPLAINIT_ASSIGN_OR_RETURN(
-      table::Table ff, NormalizeToFeatureFamilyTable(rows, default_family));
-  rows = table::Table();  // free the sub-select's rows before the build
-  return FamiliesFromTable(ff);
-}
-
-Result<FeatureFamily> FamilyFromRows(table::Table rows,
-                                     const std::string& default_family,
-                                     const std::string& merged_name) {
-  EXPLAINIT_ASSIGN_OR_RETURN(auto families,
-                             FamiliesFromRows(std::move(rows), default_family));
-  if (families.empty()) {
-    return Status::InvalidArgument(default_family +
-                                   " query produced no families");
-  }
-  return MergeFamilies(families, merged_name);
-}
 
 Engine::Engine(std::shared_ptr<tsdb::SeriesStore> store, EngineOptions options)
     : store_(std::move(store)),
@@ -371,8 +222,7 @@ Status Session::SetSearchSpaceByGrouping(const GroupingOptions& grouping) {
 
 Status Session::SetSearchSpaceByQuery(std::string_view sql) {
   EXPLAINIT_ASSIGN_OR_RETURN(QueryResult result, engine_->Query(sql));
-  EXPLAINIT_ASSIGN_OR_RETURN(
-      candidates_, FamiliesFromRows(std::move(result.table), "family"));
+  EXPLAINIT_ASSIGN_OR_RETURN(candidates_, FamiliesFromTable(result.table));
   return Status::OK();
 }
 

@@ -63,44 +63,6 @@ struct QueryResult {
   std::optional<ScoreTable> score_table;
 };
 
-/// Merges families into one (features renamed "family/feature").
-FeatureFamily MergeFamilies(const std::vector<FeatureFamily>& families,
-                            const std::string& name);
-
-/// Reindexes every family onto the union of their time grids, filling
-/// holes with nearest-observation interpolation. Makes families from
-/// different sources (SQL results, store scans) rankable together.
-Status AlignFamilies(std::vector<FeatureFamily>* families);
-
-/// Normalises an arbitrary SQL result into the Figure 4 Feature Family
-/// Table schema (ts, name, v):
-///  - the ts column is the first TIMESTAMP-typed column (or one named
-///    ts/timestamp);
-///  - the name column is the first remaining string column (when absent
-///    every row falls into `default_family`);
-///  - every remaining column becomes a map entry keyed by its column name
-///    ("the second stage interprets the aggregated columns as a map whose
-///    keys are the column names", Appendix C).
-Result<table::Table> NormalizeToFeatureFamilyTable(
-    const table::Table& query_result,
-    const std::string& default_family = "family");
-
-/// The sub-select -> family builder (stages 1+2 of the Figure 4
-/// pipeline) behind both the EXPLAIN Rank operator and Session's
-/// *ByQuery setters: normalises a query's rows to the Feature Family
-/// Table (rows without a name column fall into `default_family`) and
-/// builds its families. The rows are taken by value and every
-/// intermediate table is freed inside the call.
-Result<std::vector<FeatureFamily>> FamiliesFromRows(
-    table::Table rows, const std::string& default_family);
-
-/// As FamiliesFromRows, merged into the single family `merged_name` (a
-/// target Y or condition Z). InvalidArgument when the rows yield no
-/// families.
-Result<FeatureFamily> FamilyFromRows(table::Table rows,
-                                     const std::string& default_family,
-                                     const std::string& merged_name);
-
 /// The engine facade. Holds one persistent sql::Executor for its
 /// lifetime, so execution statistics accumulate across queries.
 /// Not copyable/movable: the executor points into the engine's own

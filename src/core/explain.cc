@@ -35,7 +35,7 @@ Status RankOperator::OpenImpl() {
     EXPLAINIT_RETURN_IF_ERROR(child(i)->Open());
   }
 
-  // Each side builds through FamiliesFromRows/FamilyFromRows, exactly as
+  // Each side builds through FamiliesFromTable/FamilyFromRows, exactly as
   // Session's *ByQuery setters do, so both paths rank identical families.
   // Target (Y).
   RankRequest req;
@@ -58,8 +58,8 @@ Status RankOperator::OpenImpl() {
   // Search space (X families).
   EXPLAINIT_ASSIGN_OR_RETURN(table::Table space_rows,
                              DrainChild(num_children() - 1));
-  EXPLAINIT_ASSIGN_OR_RETURN(
-      req.candidates, FamiliesFromRows(std::move(space_rows), "family"));
+  EXPLAINIT_ASSIGN_OR_RETURN(req.candidates, FamiliesFromTable(space_rows));
+  space_rows = table::Table();  // free the rows before ranking
 
   req.scorer_name = params_.scorer_name;
   req.ranking.top_k = params_.top_k;

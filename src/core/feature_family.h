@@ -28,6 +28,8 @@ struct FeatureFamily {
 
   /// Column index of a feature name; -1 when absent.
   int FindFeature(const std::string& feature_name) const;
+
+  bool operator==(const FeatureFamily& other) const = default;
 };
 
 /// How to group a population of series into families.
@@ -53,12 +55,40 @@ Result<std::vector<FeatureFamily>> BuildFamilies(
     const std::vector<tsdb::SeriesData>& series,
     const GroupingOptions& options);
 
-/// Builds feature families from a Feature Family Table in the Figure 4
-/// schema: (ts TIMESTAMP, name STRING, v MAP<string,double>). Rows sharing
-/// `name` form one family; map keys become feature names; missing
-/// (ts, key) cells are interpolated to the nearest observation.
+/// The sub-select -> family builder (Figure 4, Appendix C) behind the
+/// EXPLAIN Rank operator and Session's *ByQuery setters. Column roles:
+/// ts is `ts`, else `timestamp`, else the first TIMESTAMP-valued column
+/// (null-ts rows are skipped); the family is `name`, else the first other
+/// string-valued column, else (or when null) `default_family`. Every
+/// other column is a feature named after its column; a MAP cell gives its
+/// keys instead, and a later column wins a repeated key. Families and
+/// features keep first-seen order, all span the table's sorted distinct
+/// timestamps (the later row wins a repeated one), and missing cells take
+/// the nearest observation.
 Result<std::vector<FeatureFamily>> FamiliesFromTable(
-    const table::Table& feature_family_table);
+    const table::Table& rows, const std::string& default_family = "family");
+
+/// FamiliesFromTable merged into the single family `merged_name` (a
+/// target Y or condition Z). The rows are freed before the merge.
+/// InvalidArgument when the rows yield no families.
+Result<FeatureFamily> FamilyFromRows(table::Table rows,
+                                     const std::string& default_family,
+                                     const std::string& merged_name);
+
+/// Renders a query result as the Figure 4 table (ts, name, v MAP) under
+/// FamiliesFromTable's rules, which build the same families from either.
+Result<table::Table> NormalizeToFeatureFamilyTable(
+    const table::Table& query_result,
+    const std::string& default_family = "family");
+
+/// Merges families into one (features renamed "family/feature").
+FeatureFamily MergeFamilies(const std::vector<FeatureFamily>& families,
+                            const std::string& name);
+
+/// Reindexes every family onto the union of their time grids (the later
+/// row wins a repeated timestamp), filling holes by nearest observation.
+/// Makes families from different sources rankable together.
+Status AlignFamilies(std::vector<FeatureFamily>* families);
 
 /// Renders a family back to the Figure 4 schema (one row per timestamp).
 table::Table FamilyToTable(const FeatureFamily& family);

@@ -51,33 +51,6 @@ table::Value MakeTagsValue(const TagSet& tags) {
   return table::Value::Map(std::move(map));
 }
 
-/// Per-scan counters merged into the store's ScanStats once, at the end.
-struct ScanCounters {
-  size_t points_decoded = 0;
-  size_t points_returned = 0;
-  size_t head_points_decoded = 0;
-  size_t segment_points_decoded = 0;
-  size_t rollup_points_returned = 0;
-  size_t rollup_points_skipped = 0;
-  size_t minute_tier_points = 0;
-  size_t hour_tier_points = 0;
-  size_t segments_rollup_served = 0;
-  size_t segments_raw_fallback = 0;
-
-  void Merge(const ScanCounters& o) {
-    points_decoded += o.points_decoded;
-    points_returned += o.points_returned;
-    head_points_decoded += o.head_points_decoded;
-    segment_points_decoded += o.segment_points_decoded;
-    rollup_points_returned += o.rollup_points_returned;
-    rollup_points_skipped += o.rollup_points_skipped;
-    minute_tier_points += o.minute_tier_points;
-    hour_tier_points += o.hour_tier_points;
-    segments_rollup_served += o.segments_rollup_served;
-    segments_raw_fallback += o.segments_raw_fallback;
-  }
-};
-
 // Decodes `block` into `data`, keeping points inside `range`
 // (unrestricted when `bounded` is false). Returns how many points the
 // block held before windowing.
@@ -645,16 +618,7 @@ Result<std::vector<SeriesData>> SeriesStore::Scan(
             : (request.metric_glob == "*"
                    ? hints.metric_glob
                    : request.metric_glob + "&" + hints.metric_glob);
-    st.points_decoded += total.points_decoded;
-    st.points_returned += total.points_returned;
-    st.head_points_decoded += total.head_points_decoded;
-    st.segment_points_decoded += total.segment_points_decoded;
-    st.rollup_points_returned += total.rollup_points_returned;
-    st.rollup_points_skipped += total.rollup_points_skipped;
-    st.minute_tier_points += total.minute_tier_points;
-    st.hour_tier_points += total.hour_tier_points;
-    st.segments_rollup_served += total.segments_rollup_served;
-    st.segments_raw_fallback += total.segments_raw_fallback;
+    st.Merge(total);
   }
   return out;
 }

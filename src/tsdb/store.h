@@ -104,13 +104,9 @@ struct ScanRequest {
   TimeRange EffectiveRange() const;
 };
 
-/// Per-store scan observability, now mutex-guarded so concurrent scans
-/// stay exact (and TSan-clean). Counters accumulate across scans
-/// (ResetScanStats clears); `series_matched`, `last_range` and
-/// `last_metric_glob` describe the most recent scan only.
-struct ScanStats {
-  size_t scans = 0;
-  size_t series_matched = 0;  // most recent scan
+/// The additive counters of a scan: each scan sums its series' counters
+/// and merges the total into the store's ScanStats.
+struct ScanCounters {
   /// Raw points decoded from Gorilla blocks (head + raw-served
   /// segments). Rollup-served segments decode nothing raw.
   size_t points_decoded = 0;
@@ -128,6 +124,28 @@ struct ScanStats {
   /// window-cut bucket made the tier inexact.
   size_t segments_rollup_served = 0;
   size_t segments_raw_fallback = 0;
+
+  void Merge(const ScanCounters& o) {
+    points_decoded += o.points_decoded;
+    points_returned += o.points_returned;
+    head_points_decoded += o.head_points_decoded;
+    segment_points_decoded += o.segment_points_decoded;
+    rollup_points_returned += o.rollup_points_returned;
+    rollup_points_skipped += o.rollup_points_skipped;
+    minute_tier_points += o.minute_tier_points;
+    hour_tier_points += o.hour_tier_points;
+    segments_rollup_served += o.segments_rollup_served;
+    segments_raw_fallback += o.segments_raw_fallback;
+  }
+};
+
+/// Per-store scan observability, mutex-guarded so concurrent scans stay
+/// exact (and TSan-clean). The ScanCounters accumulate across scans
+/// (ResetScanStats clears); `series_matched`, `last_range` and
+/// `last_metric_glob` describe the most recent scan only.
+struct ScanStats : ScanCounters {
+  size_t scans = 0;
+  size_t series_matched = 0;  // most recent scan
   /// Effective window of the most recent scan — the pushdown tests assert
   /// this shrank below the registered table range.
   TimeRange last_range;

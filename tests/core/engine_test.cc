@@ -76,7 +76,7 @@ TEST(EngineTest, SqlOverRegisteredStore) {
   EXPECT_EQ(t->table.At(0, 0).AsInt(), 100);
 }
 
-TEST(EngineTest, FamiliesFromRowsListing1Shape) {
+TEST(EngineTest, FamiliesFromTableListing1Shape) {
   Engine engine(MakeStore(120, 4));
   engine.RegisterStoreTable("tsdb", kRange);
   // Appendix C Listing 1: the target family query.
@@ -87,13 +87,19 @@ TEST(EngineTest, FamiliesFromRowsListing1Shape) {
       GROUP BY timestamp, tag['pipeline_name']
       ORDER BY timestamp ASC)");
   ASSERT_TRUE(rows.ok()) << rows.status().ToString();
-  auto fams = FamiliesFromRows(std::move(rows->table), "family");
+  auto fams = FamiliesFromTable(rows->table);
   ASSERT_TRUE(fams.ok()) << fams.status().ToString();
   ASSERT_EQ(fams->size(), 1u);  // one pipeline
   EXPECT_EQ((*fams)[0].name, "p1");
   EXPECT_EQ((*fams)[0].num_features(), 1u);
   EXPECT_EQ((*fams)[0].feature_names[0], "runtime_sec");
   EXPECT_EQ((*fams)[0].num_timestamps(), 120u);
+  // The rendered Figure 4 table builds the same families.
+  auto ff = NormalizeToFeatureFamilyTable(rows->table);
+  ASSERT_TRUE(ff.ok()) << ff.status().ToString();
+  auto via_ff = FamiliesFromTable(*ff);
+  ASSERT_TRUE(via_ff.ok()) << via_ff.status().ToString();
+  EXPECT_EQ(*via_ff, *fams);
 }
 
 TEST(EngineTest, FamilyFromRowsRejectsRowsWithoutFamilies) {
@@ -123,6 +129,8 @@ TEST(EngineTest, NormalizeRejectsNoTimestamp) {
   table::Table t(schema);
   t.AppendRow({table::Value::Double(1)});
   EXPECT_FALSE(NormalizeToFeatureFamilyTable(t).ok());
+  EXPECT_TRUE(FamiliesFromTable(t).status().IsInvalidArgument());
+  EXPECT_TRUE(FamiliesFromTable(table::Table()).status().IsInvalidArgument());
 }
 
 TEST(EngineTest, RankExcludesTargetAndConditionNames) {

@@ -2,7 +2,8 @@
 
 #include <gtest/gtest.h>
 
-#include "core/engine.h"
+#include <cstring>
+#include <limits>
 
 namespace explainit::core {
 namespace {
@@ -175,15 +176,124 @@ TEST(FamilyTest, AlignFamiliesOntoUnionGrid) {
   b.feature_names = {"g"};
   b.timestamps = {60, 180};
   b.data = la::Matrix(2, 1, {20, 40});
-  std::vector<FeatureFamily> fams = {a, b};
+  // Unsorted, with 120 twice: the later row wins.
+  FeatureFamily c;
+  c.name = "c";
+  c.feature_names = {"h"};
+  c.timestamps = {120, 0, 120};
+  c.data = la::Matrix(3, 1, {5, 6, 7});
+  // Already on the union grid, holding a NaN and a -0.0 that any
+  // re-interpolation or copy through arithmetic would disturb.
+  FeatureFamily d;
+  d.name = "d";
+  d.feature_names = {"i", "j"};
+  d.timestamps = {0, 60, 120, 180};
+  d.data = la::Matrix(4, 2, {0.1, -0.0, std::numeric_limits<double>::quiet_NaN(),
+                             1, 2, 3, 4, 5});
+  std::vector<FeatureFamily> fams = {a, b, c, d};
   ASSERT_TRUE(AlignFamilies(&fams).ok());
-  EXPECT_EQ(fams[0].num_timestamps(), 4u);
-  EXPECT_EQ(fams[1].num_timestamps(), 4u);
-  EXPECT_EQ(fams[0].timestamps,
-            (std::vector<EpochSeconds>{0, 60, 120, 180}));
+  const std::vector<EpochSeconds> grid = {0, 60, 120, 180};
+  for (const FeatureFamily& f : fams) EXPECT_EQ(f.timestamps, grid);
   EXPECT_EQ(fams[0].data(3, 0), 3.0);  // trailing fill for a
   EXPECT_EQ(fams[1].data(0, 0), 20.0);  // leading fill for b
   EXPECT_EQ(fams[1].data(2, 0), 20.0);  // 120 closer to 60 than 180... tie rule
+  EXPECT_EQ(fams[2].data, la::Matrix(4, 1, {6, 6, 7, 7}));
+  ASSERT_EQ(fams[3].data.size(), d.data.size());
+  EXPECT_EQ(std::memcmp(fams[3].data.data(), d.data.data(),
+                        d.data.size() * sizeof(double)),
+            0);
+  EXPECT_EQ(fams[3].feature_names, d.feature_names);
+}
+
+// Every Figure 4 column rule at once: a ts column that is not first, a
+// family column not called `name`, a null family, a repeated column
+// name, MAP cells sharing a key with a plain column, and one family
+// observed twice at the same timestamp.
+table::Table EdgeCaseRows() {
+  using table::DataType;
+  using table::Value;
+  table::Table t(table::Schema({{"b", DataType::kDouble},
+                                {"ts", DataType::kTimestamp},
+                                {"fam", DataType::kString},
+                                {"a", DataType::kDouble},
+                                {"m", DataType::kMap},
+                                {"a", DataType::kInt64}}));
+  const Value az =
+      Value::Map({{"a", Value::Double(7)}, {"z", Value::Double(9)}});
+  const Value c5 = Value::Map({{"c", Value::Double(5)}});
+  const Value null;
+  t.AppendRow({Value::Double(1), Value::Timestamp(120), Value::String("x"),
+               Value::Double(2), az, Value::Int(3)});
+  t.AppendRow({Value::Double(4), Value::Timestamp(0), Value::String("y"),
+               null, c5, null});
+  t.AppendRow({null, Value::Timestamp(60), null, Value::Double(6), null,
+               Value::Int(8)});
+  t.AppendRow({Value::Double(10), Value::Timestamp(120), Value::String("x"),
+               Value::Double(11), null, Value::Int(12)});
+  t.AppendRow({Value::Double(13), Value::Timestamp(180), Value::String("y"),
+               Value::Double(14), az, Value::Int(15)});
+  return t;
+}
+
+void ExpectFamily(const FeatureFamily& f, const std::string& name,
+                  const std::vector<std::string>& features,
+                  const std::vector<double>& row_major) {
+  EXPECT_EQ(f.name, name);
+  EXPECT_EQ(f.feature_names, features);
+  EXPECT_EQ(f.timestamps, (std::vector<EpochSeconds>{0, 60, 120, 180}));
+  EXPECT_EQ(f.data, la::Matrix(4, features.size(), row_major)) << name;
+}
+
+TEST(FamilyTest, FamiliesFromTableGolden) {
+  // Expected values are those of the two-stage build (render the Figure 4
+  // table, then unbox its maps), which must keep agreeing with this one.
+  const table::Table rows = EdgeCaseRows();
+  auto fams = FamiliesFromTable(rows, "dflt");
+  ASSERT_TRUE(fams.ok()) << fams.status().ToString();
+  ASSERT_EQ(fams->size(), 3u);
+  // x: the second `a` column beats the map's a:7; the later row at 120
+  // wins; m is null in the only row that names it.
+  ExpectFamily((*fams)[0], "x", {"a", "b", "z", "m"},
+               {12, 10, 9, 0, 12, 10, 9, 0, 12, 10, 9, 0, 12, 10, 9, 0});
+  ExpectFamily((*fams)[1], "y", {"a", "b", "c", "z"},
+               {15, 4, 5, 9, 15, 4, 5, 9, 15, 13, 5, 9, 15, 13, 5, 9});
+  ExpectFamily((*fams)[2], "dflt", {"a", "b", "m"},
+               {8, 0, 0, 8, 0, 0, 8, 0, 0, 8, 0, 0});
+  auto ff = NormalizeToFeatureFamilyTable(rows, "dflt");
+  ASSERT_TRUE(ff.ok()) << ff.status().ToString();
+  EXPECT_EQ(ff->num_rows(), rows.num_rows());
+  auto via_ff = FamiliesFromTable(*ff);
+  ASSERT_TRUE(via_ff.ok()) << via_ff.status().ToString();
+  EXPECT_EQ(*via_ff, *fams);
+}
+
+TEST(FamilyTest, LaterNullCellHidesEarlierColumnOfTheSameRow) {
+  using table::DataType;
+  using table::Value;
+  table::Table t(table::Schema({{"ts", DataType::kTimestamp},
+                                {"a", DataType::kDouble},
+                                {"m", DataType::kMap},
+                                {"a", DataType::kDouble}}));
+  const Value a_null = Value::Map({{"a", Value()}, {"q", Value::Double(1)}});
+  t.AppendRow({Value::Timestamp(0), Value::Double(1), Value(),
+               Value::Double(2)});
+  t.AppendRow({Value::Timestamp(60), Value::Double(3), a_null, Value()});
+  t.AppendRow({Value::Timestamp(90), Value::Double(4), Value(),
+               Value::Double(5)});
+  t.AppendRow({Value::Timestamp(120), Value::Double(6), a_null,
+               Value::Double(7)});
+  t.AppendRow({Value(), Value::Double(8), a_null, Value::Double(9)});
+  auto fams = FamiliesFromTable(t);
+  ASSERT_TRUE(fams.ok()) << fams.status().ToString();
+  ASSERT_EQ(fams->size(), 1u);
+  const FeatureFamily& f = (*fams)[0];
+  EXPECT_EQ(f.name, "family");
+  EXPECT_EQ(f.feature_names, (std::vector<std::string>{"a", "m", "q"}));
+  EXPECT_EQ(f.timestamps, (std::vector<EpochSeconds>{0, 60, 90, 120}));
+  // At 60 the later null `a` cells hide the 3, so the hole takes the
+  // earlier neighbour (ts 0) on the index-distance tie. The null-ts row
+  // is skipped.
+  EXPECT_EQ(f.data, la::Matrix(4, 3, {2, 0, 1, 2, 0, 1, 5, 0, 1, 7, 0, 1}));
 }
 
 }  // namespace

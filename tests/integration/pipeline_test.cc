@@ -102,7 +102,7 @@ TEST_F(PipelineIntegrationTest, LaggedFeaturesViaSqlLag) {
             lagged->table.At(0, 1).AsDouble());
 }
 
-TEST_F(PipelineIntegrationTest, FamiliesFromRowsFeedEngineRank) {
+TEST_F(PipelineIntegrationTest, FamiliesFromTableFeedEngineRank) {
   auto rows = engine_->Query(R"(
       SELECT timestamp, metric_name, AVG(value) AS v
       FROM tsdb
@@ -110,7 +110,7 @@ TEST_F(PipelineIntegrationTest, FamiliesFromRowsFeedEngineRank) {
                             'jvm_gc_ms')
       GROUP BY timestamp, metric_name)");
   ASSERT_TRUE(rows.ok()) << rows.status().ToString();
-  auto families = core::FamiliesFromRows(std::move(rows->table), "family");
+  auto families = core::FamiliesFromTable(rows->table);
   ASSERT_TRUE(families.ok()) << families.status().ToString();
   EXPECT_EQ(families->size(), 3u);
   core::RankRequest req;
