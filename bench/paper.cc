@@ -119,19 +119,24 @@ void PrintHistogram(const char* label, const std::vector<double>& v,
   }
 }
 
-/// The global first-pass search of §5: runs the full engine pipeline
-/// (store -> name-grouped families -> ranking) for `target_metric`.
+/// The global first-pass search of §5: one EXPLAIN over the store's
+/// `tsdb` table, one family per metric and one feature per series (§3.2),
+/// the target metric's family left out of the search space (§3.3).
 Result<core::ScoreTable> RankByMetricName(
     std::shared_ptr<tsdb::SeriesStore> store, const TimeRange& range,
     const std::string& target_metric, const std::string& scorer) {
   core::Engine engine(std::move(store));
-  core::Session session(&engine, range);
-  EXPLAINIT_RETURN_IF_ERROR(session.SetTargetByMetric(target_metric));
-  core::GroupingOptions grouping;
-  grouping.key = core::GroupingKey::kMetricName;
-  EXPLAINIT_RETURN_IF_ERROR(session.SetSearchSpaceByGrouping(grouping));
-  EXPLAINIT_RETURN_IF_ERROR(session.SetScorer(scorer));
-  return session.Run();
+  engine.RegisterStoreTable("tsdb", range);
+  const std::string by_metric =
+      "SELECT timestamp AS ts, metric_name AS name, "
+      "MAP(CONCAT(metric_name, tag), value) AS v FROM tsdb "
+      "WHERE metric_name ";
+  EXPLAINIT_ASSIGN_OR_RETURN(
+      core::QueryResult result,
+      engine.Query("EXPLAIN (" + by_metric + "= '" + target_metric +
+                   "') USING (" + by_metric + "<> '" + target_metric +
+                   "') SCORE BY '" + scorer + "' TOP 20"));
+  return std::move(result.score_table).value();
 }
 
 /// Ranks a case-study world with `scorer` and prints the top 20 with the

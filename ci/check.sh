@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Tier-1 verification gate: Release build + full ctest (which includes the
 # paper reproductions) + a compile-only build of the perfbench benchmark +
-# bench smoke, an ASan/UBSan Debug build + full ctest, and a
+# bench and example smoke, an ASan/UBSan Debug build + full ctest, and a
 # ThreadSanitizer build running the concurrency-sensitive suites
 # (operators, differential, worker pool).
 # Run from anywhere.
@@ -52,7 +52,7 @@ if [[ "${STAGE}" == "release" || "${STAGE}" == "all" ]]; then
     "${ROOT}/build/BENCH_sql_pipeline.smoke.json"
 
   # End-to-end EXPLAIN statement: ranking parity across the parallelism
-  # sweep, plus the declarative example (the examples are built above).
+  # sweep.
   # Concurrent ingest over the tiered store: streamed write + query
   # threads, then three-way parity (live tiered / bulk reference / seed
   # interpreter) and proof the grid queries were tier-served.
@@ -71,8 +71,13 @@ if [[ "${STAGE}" == "release" || "${STAGE}" == "all" ]]; then
   echo "=== bench smoke: kernels_microbench ==="
   "${ROOT}/build/bench/kernels_microbench" --smoke \
     "${ROOT}/build/BENCH_kernels.smoke.json"
-  echo "=== example smoke: explain_sql ==="
-  "${ROOT}/build/examples/explain_sql" >/dev/null
+  # Smoke-run every example (built above): each exits non-zero on an
+  # error, and most also when their walkthrough's outcome is wrong.
+  for example in quickstart conditioning fault_injection periodic_rca \
+      explain_sql server_client; do
+    echo "=== example smoke: ${example} ==="
+    "${ROOT}/build/examples/${example}" >/dev/null
+  done
 
   # Concurrent server: start the daemon on an ephemeral port, drive it
   # with concurrent client sessions over real TCP, then run the server

@@ -3,6 +3,7 @@
 // ExplainIt! is pointed at the runtime regression with no prior hints.
 // The interactive loop narrows from a global search to the network layer.
 #include <cstdio>
+#include <string>
 
 #include "core/engine.h"
 #include "simulator/case_studies.h"
@@ -14,16 +15,27 @@ int main() {
   std::printf("%s\n\n", world.description.c_str());
 
   core::Engine engine(world.store);
+  engine.RegisterStoreTable("tsdb", world.range);
   core::Session session(&engine, world.range);
+  // One family per metric, one feature per series (§3.2).
+  const std::string by_metric =
+      "SELECT timestamp AS ts, metric_name AS name, "
+      "MAP(CONCAT(metric_name, tag), value) AS v FROM tsdb WHERE ";
 
   // Step 1: the KPI and the time range of the regression (Figure 2).
-  if (!session.SetTargetByMetric("overall_runtime").ok()) return 1;
+  if (!session.SetTargetByQuery(by_metric + "metric_name = 'overall_runtime'")
+           .ok()) {
+    return 1;
+  }
   if (!session.SetExplainRange(world.fault_window).ok()) return 1;
 
-  // Step 2: global search space — every metric family, grouped by name.
-  core::GroupingOptions grouping;
-  grouping.key = core::GroupingKey::kMetricName;
-  if (!session.SetSearchSpaceByGrouping(grouping).ok()) return 1;
+  // Step 2: global search space — every other metric family.
+  if (!session
+           .SetSearchSpaceByQuery(by_metric +
+                                  "metric_name <> 'overall_runtime'")
+           .ok()) {
+    return 1;
+  }
   std::printf("search space: %zu feature families\n",
               session.num_candidates());
 

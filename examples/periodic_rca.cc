@@ -3,6 +3,7 @@
 // mechanism (§3.4) is used to focus on the residual variation instead of
 // the seasonal pattern.
 #include <cstdio>
+#include <string>
 
 #include "core/engine.h"
 #include "core/pseudocause.h"
@@ -29,11 +30,18 @@ int main() {
               period);
 
   core::Engine engine(world.store);
+  engine.RegisterStoreTable("tsdb", world.range);
+  // The target and the search space as sub-selects: one family per
+  // metric, one feature per series (§3.2).
+  const std::string by_metric =
+      "SELECT timestamp AS ts, metric_name AS name, "
+      "MAP(CONCAT(metric_name, tag), value) AS v FROM tsdb WHERE ";
+  const std::string target = by_metric + "metric_name = 'overall_runtime'";
+  const std::string search_space =
+      by_metric + "metric_name <> 'overall_runtime'";
   core::Session session(&engine, world.range);
-  if (!session.SetTargetByMetric("overall_runtime").ok()) return 1;
-  core::GroupingOptions grouping;
-  grouping.key = core::GroupingKey::kMetricName;
-  if (!session.SetSearchSpaceByGrouping(grouping).ok()) return 1;
+  if (!session.SetTargetByQuery(target).ok()) return 1;
+  if (!session.SetSearchSpaceByQuery(search_space).ok()) return 1;
   if (!session.SetScorer("L2").ok()) return 1;
 
   auto global = session.Run();
@@ -53,11 +61,11 @@ int main() {
   // Pseudocause variant: condition on the systematic component of the
   // target so only residual-specific causes shine (§3.4 / Figure 3).
   core::Session residual_session(&engine, world.range);
-  if (!residual_session.SetTargetByMetric("overall_runtime").ok()) return 1;
+  if (!residual_session.SetTargetByQuery(target).ok()) return 1;
   core::PseudocauseOptions pc;
   pc.period = period >= 2 ? period : 15;
   if (!residual_session.ConditionOnPseudocause(pc).ok()) return 1;
-  if (!residual_session.SetSearchSpaceByGrouping(grouping).ok()) return 1;
+  if (!residual_session.SetSearchSpaceByQuery(search_space).ok()) return 1;
   if (!residual_session.SetScorer("L2").ok()) return 1;
   auto residual = residual_session.Run();
   if (!residual.ok()) return 1;

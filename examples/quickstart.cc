@@ -10,6 +10,7 @@
 // target, (3) rank candidate causes, and (4) use conditioning to check the
 // chain structure Z -> Y -> X.
 #include <cstdio>
+#include <string>
 
 #include "core/engine.h"
 #include "simulator/causal_network.h"
@@ -65,29 +66,34 @@ int main() {
               store->compressed_bytes());
 
   // --- Step 1-3 of the workflow: target, search space, ranking. ---
+  // Each sub-select emits the Figure 4 shape: one family per metric, one
+  // feature per series.
   core::Engine engine(store);
-  core::Session session(&engine,
-                        TimeRange{0, static_cast<int64_t>(steps) * 60});
-  if (!session.SetTargetByMetric("runtime").ok()) return 1;
-  core::GroupingOptions grouping;
-  grouping.key = core::GroupingKey::kMetricName;
-  if (!session.SetSearchSpaceByGrouping(grouping).ok()) return 1;
-  if (!session.SetScorer("L2").ok()) return 1;
-  auto ranking = session.Run();
+  engine.RegisterStoreTable("tsdb",
+                            TimeRange{0, static_cast<int64_t>(steps) * 60});
+  const std::string by_metric =
+      "SELECT timestamp AS ts, metric_name AS name, "
+      "MAP(CONCAT(metric_name, tag), value) AS v FROM tsdb WHERE ";
+  auto ranking = engine.Query(
+      "EXPLAIN (" + by_metric + "metric_name = 'runtime') USING (" +
+      by_metric + "metric_name <> 'runtime') SCORE BY 'L2' TOP 20");
   if (!ranking.ok()) {
     std::fprintf(stderr, "%s\n", ranking.status().ToString().c_str());
     return 1;
   }
   std::printf("\nWhat explains the pipeline runtime?\n%s\n",
-              ranking->ToString().c_str());
+              ranking->score_table->ToString().c_str());
 
   // --- Checking the direction: is it a chain Z -> Y -> X? ---
   // If so, X and Z are dependent marginally but independent given Y.
-  auto x_fam = engine.FamilyFromMetric("disk_*", session.total_range(), "X");
-  auto z_fam = engine.FamilyFromMetric("input_rate",
-                                       session.total_range(), "Z");
-  auto y_fam = engine.FamilyFromMetric("runtime", session.total_range(),
-                                       "Y");
+  auto family = [&](const std::string& where,
+                    const std::string& name) -> Result<core::FeatureFamily> {
+    EXPLAINIT_ASSIGN_OR_RETURN(auto rows, engine.Query(by_metric + where));
+    return core::FamilyFromRows(std::move(rows.table), name, name);
+  };
+  auto x_fam = family("metric_name LIKE 'disk_%'", "X");
+  auto z_fam = family("metric_name = 'input_rate'", "Z");
+  auto y_fam = family("metric_name = 'runtime'", "Y");
   if (!x_fam.ok() || !z_fam.ok() || !y_fam.ok()) return 1;
   core::RidgeScorer scorer;
   la::Matrix empty;

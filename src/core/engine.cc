@@ -85,35 +85,6 @@ Result<QueryResult> Engine::ExecuteStatement(sql::Executor& executor,
   return out;
 }
 
-Result<std::vector<FeatureFamily>> Engine::FamiliesFromStore(
-    const TimeRange& range, const GroupingOptions& grouping,
-    const tsdb::ScanRequest& base_filter) {
-  tsdb::ScanRequest req = base_filter;
-  req.range = range;
-  tsdb::GridOptions grid;
-  grid.step_seconds = options_.grid_step_seconds;
-  EXPLAINIT_ASSIGN_OR_RETURN(auto series, store_->ScanAligned(req, grid));
-  return BuildFamilies(series, grouping);
-}
-
-Result<FeatureFamily> Engine::FamilyFromMetric(const std::string& metric_glob,
-                                               const TimeRange& range,
-                                               const std::string& family_name) {
-  tsdb::ScanRequest req;
-  req.metric_glob = metric_glob;
-  req.range = range;
-  tsdb::GridOptions grid;
-  grid.step_seconds = options_.grid_step_seconds;
-  EXPLAINIT_ASSIGN_OR_RETURN(auto series, store_->ScanAligned(req, grid));
-  if (series.empty()) {
-    return Status::NotFound("no series match metric glob: " + metric_glob);
-  }
-  GroupingOptions g;
-  g.key = GroupingKey::kMetricName;
-  EXPLAINIT_ASSIGN_OR_RETURN(auto families, BuildFamilies(series, g));
-  return MergeFamilies(families, family_name);
-}
-
 Result<ScoreTable> Engine::Rank(const RankRequest& request) {
   EXPLAINIT_ASSIGN_OR_RETURN(std::unique_ptr<Scorer> scorer,
                              MakeScorer(request.scorer_name));
@@ -159,14 +130,6 @@ Result<ScoreTable> AlignAndRank(Engine* engine, RankRequest req) {
 Session::Session(Engine* engine, TimeRange total_range)
     : engine_(engine), total_range_(total_range) {}
 
-Status Session::SetTargetByMetric(const std::string& metric_glob) {
-  EXPLAINIT_ASSIGN_OR_RETURN(
-      FeatureFamily fam,
-      engine_->FamilyFromMetric(metric_glob, total_range_, metric_glob));
-  target_ = std::move(fam);
-  return Status::OK();
-}
-
 Status Session::SetTargetByQuery(std::string_view sql) {
   EXPLAINIT_ASSIGN_OR_RETURN(QueryResult result, engine_->Query(sql));
   EXPLAINIT_ASSIGN_OR_RETURN(
@@ -174,23 +137,12 @@ Status Session::SetTargetByQuery(std::string_view sql) {
   return Status::OK();
 }
 
-void Session::SetTarget(FeatureFamily target) { target_ = std::move(target); }
-
 Status Session::SetExplainRange(const TimeRange& range) {
   if (!range.Overlaps(total_range_)) {
     return Status::InvalidArgument(
         "explain range must overlap the total range");
   }
   explain_range_ = range;
-  return Status::OK();
-}
-
-Status Session::SetConditionByMetric(const std::string& metric_glob) {
-  EXPLAINIT_ASSIGN_OR_RETURN(
-      FeatureFamily fam,
-      engine_->FamilyFromMetric(metric_glob, total_range_,
-                                "Z:" + metric_glob));
-  condition_ = std::move(fam);
   return Status::OK();
 }
 
@@ -213,12 +165,6 @@ Status Session::ConditionOnPseudocause(const PseudocauseOptions& options) {
 }
 
 void Session::ClearCondition() { condition_.reset(); }
-
-Status Session::SetSearchSpaceByGrouping(const GroupingOptions& grouping) {
-  EXPLAINIT_ASSIGN_OR_RETURN(
-      candidates_, engine_->FamiliesFromStore(total_range_, grouping));
-  return Status::OK();
-}
 
 Status Session::SetSearchSpaceByQuery(std::string_view sql) {
   EXPLAINIT_ASSIGN_OR_RETURN(QueryResult result, engine_->Query(sql));

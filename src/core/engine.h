@@ -29,7 +29,6 @@ struct EngineOptions {
   /// Filter/Project/HashAggregate). 1 = serial streaming operators;
   /// 0 = hardware concurrency.
   size_t sql_parallelism = 0;
-  int64_t grid_step_seconds = kSecondsPerMinute;
   /// Shared worker pool the engine's executor (and ranking fan-out)
   /// borrows; null = exec::WorkerPool::Global(). Injection point for
   /// tests — production engines all share the process-wide pool.
@@ -124,17 +123,6 @@ class Engine {
   }
   void ResetExecStats() { executor_.ResetStats(); }
 
-  /// Builds families by scanning the store over `range` and grouping.
-  Result<std::vector<FeatureFamily>> FamiliesFromStore(
-      const TimeRange& range, const GroupingOptions& grouping,
-      const tsdb::ScanRequest& base_filter = {});
-
-  /// Builds a single (possibly multi-feature) family from all series
-  /// matching a metric glob, merged under `family_name`.
-  Result<FeatureFamily> FamilyFromMetric(const std::string& metric_glob,
-                                         const TimeRange& range,
-                                         const std::string& family_name);
-
   /// Scores and ranks (Algorithm 1's loop body). Candidates sharing the
   /// target's or condition's name are excluded, honouring §3.3's "no
   /// overlap between X, Y and Z".
@@ -160,31 +148,26 @@ Result<ScoreTable> AlignAndRank(Engine* engine, RankRequest request);
 /// The interactive loop (Algorithm 1): a Session accumulates the target,
 /// conditioning set, search space and scorer across iterations; each Run()
 /// produces a Score Table, and the user narrows the search (drill-down)
-/// until satisfied.
+/// until satisfied. Target, condition and search space are sub-selects
+/// built exactly as EXPLAIN builds them; the target family is named
+/// `target`, so the search space must leave out the target's own series.
 class Session {
  public:
   Session(Engine* engine, TimeRange total_range);
 
   /// Step 1: target selection.
-  Status SetTargetByMetric(const std::string& metric_glob);
   Status SetTargetByQuery(std::string_view sql);
-  void SetTarget(FeatureFamily target);
 
   /// Figure 2: optional range-to-explain inside the total range.
   Status SetExplainRange(const TimeRange& range);
 
-  /// Conditioning (Z): explicit metrics, a SQL query, or a pseudocause
-  /// derived from the target (§3.4).
-  Status SetConditionByMetric(const std::string& metric_glob);
+  /// Conditioning (Z): a SQL query, or a pseudocause derived from the
+  /// target (§3.4).
   Status SetConditionByQuery(std::string_view sql);
   Status ConditionOnPseudocause(const PseudocauseOptions& options = {});
-  void SetCondition(FeatureFamily condition) {
-    condition_ = std::move(condition);
-  }
   void ClearCondition();
 
   /// Step 2: search space.
-  Status SetSearchSpaceByGrouping(const GroupingOptions& grouping);
   Status SetSearchSpaceByQuery(std::string_view sql);
   /// Restricts the current search space to families matching any glob —
   /// the "fork off further analyses and drill down" loop.
@@ -196,7 +179,6 @@ class Session {
   Result<ScoreTable> Run();
 
   const std::vector<ScoreTable>& history() const { return history_; }
-  const TimeRange& total_range() const { return total_range_; }
   size_t num_candidates() const { return candidates_.size(); }
 
  private:

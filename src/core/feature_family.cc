@@ -2,12 +2,9 @@
 
 #include <algorithm>
 #include <limits>
-#include <map>
 #include <optional>
 #include <unordered_map>
 #include <utility>
-
-#include "common/strings.h"
 
 namespace explainit::core {
 
@@ -19,32 +16,6 @@ int FeatureFamily::FindFeature(const std::string& feature_name) const {
 }
 
 namespace {
-
-Status CheckAligned(const std::vector<tsdb::SeriesData>& series) {
-  if (series.empty()) return Status::OK();
-  const auto& grid = series[0].timestamps;
-  for (const tsdb::SeriesData& s : series) {
-    if (s.timestamps != grid) {
-      return Status::InvalidArgument(
-          "series are not aligned to a common grid; use ScanAligned");
-    }
-  }
-  return Status::OK();
-}
-
-FeatureFamily BuildOne(const std::string& name,
-                       const std::vector<const tsdb::SeriesData*>& members) {
-  FeatureFamily fam;
-  fam.name = name;
-  fam.timestamps = members.front()->timestamps;
-  fam.feature_names.reserve(members.size());
-  fam.data = la::Matrix(fam.timestamps.size(), members.size());
-  for (size_t c = 0; c < members.size(); ++c) {
-    fam.feature_names.push_back(members[c]->meta.ToString());
-    fam.data.SetCol(c, members[c]->values);
-  }
-  return fam;
-}
 
 constexpr size_t kNone = std::numeric_limits<size_t>::max();
 constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
@@ -140,55 +111,6 @@ la::Matrix FilledMatrix(std::vector<std::vector<double>> columns,
 }
 
 }  // namespace
-
-Result<std::vector<FeatureFamily>> BuildFamilies(
-    const std::vector<tsdb::SeriesData>& series,
-    const GroupingOptions& options) {
-  EXPLAINIT_RETURN_IF_ERROR(CheckAligned(series));
-  std::vector<FeatureFamily> out;
-  if (series.empty()) return out;
-
-  // Ordered map keeps family order deterministic.
-  std::map<std::string, std::vector<const tsdb::SeriesData*>> groups;
-  switch (options.key) {
-    case GroupingKey::kMetricName:
-      for (const tsdb::SeriesData& s : series) {
-        groups[s.meta.metric_name].push_back(&s);
-      }
-      break;
-    case GroupingKey::kTag: {
-      if (options.tag_key.empty()) {
-        return Status::InvalidArgument("tag grouping requires tag_key");
-      }
-      for (const tsdb::SeriesData& s : series) {
-        const std::string& v = s.meta.tags.Get(options.tag_key);
-        const std::string family_name =
-            "*{" + options.tag_key + "=" + (v.empty() ? "NULL" : v) + "}";
-        groups[family_name].push_back(&s);
-      }
-      break;
-    }
-    case GroupingKey::kPattern: {
-      if (options.patterns.empty()) {
-        return Status::InvalidArgument(
-            "pattern grouping requires at least one pattern");
-      }
-      for (const std::string& pattern : options.patterns) {
-        for (const tsdb::SeriesData& s : series) {
-          if (GlobMatch(pattern, s.meta.ToString())) {
-            groups[pattern].push_back(&s);
-          }
-        }
-      }
-      break;
-    }
-  }
-  for (const auto& [name, members] : groups) {
-    if (members.empty()) continue;
-    out.push_back(BuildOne(name, members));
-  }
-  return out;
-}
 
 Result<std::vector<FeatureFamily>> FamiliesFromTable(
     const table::Table& rows, const std::string& default_family) {

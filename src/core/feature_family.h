@@ -32,29 +32,6 @@ struct FeatureFamily {
   bool operator==(const FeatureFamily& other) const = default;
 };
 
-/// How to group a population of series into families.
-enum class GroupingKey {
-  kMetricName,  // one family per metric name: input_rate{*}, disk{*}, ...
-  kTag,         // one family per value of a tag key: *{host=datanode-1}, ...
-  kPattern,     // user-supplied glob patterns over "name{tags}" strings
-};
-
-/// Options for BuildFamilies.
-struct GroupingOptions {
-  GroupingKey key = GroupingKey::kMetricName;
-  /// For kTag: which tag key to group on (series missing the key group
-  /// under "NULL", matching §3.2's *{host=NULL} family).
-  std::string tag_key;
-  /// For kPattern: each glob becomes one family of every matching series.
-  std::vector<std::string> patterns;
-};
-
-/// Groups aligned series (same grid) into feature families. Series must
-/// come from SeriesStore::ScanAligned so all timestamp vectors agree.
-Result<std::vector<FeatureFamily>> BuildFamilies(
-    const std::vector<tsdb::SeriesData>& series,
-    const GroupingOptions& options);
-
 /// The sub-select -> family builder (Figure 4, Appendix C) behind the
 /// EXPLAIN Rank operator and Session's *ByQuery setters. Column roles:
 /// ts is `ts`, else `timestamp`, else the first TIMESTAMP-valued column

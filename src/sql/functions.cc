@@ -155,6 +155,22 @@ Result<Value> Coalesce(const std::vector<Value>& args) {
   return Value::Null();
 }
 
+// MAP(k1, v1, k2, v2, ...), as Spark SQL's map(): each key's text maps to
+// its value, a repeated key keeping the later value. Lets one row of a
+// search-space sub-select carry a feature whose name depends on the row.
+Result<Value> Map(const std::vector<Value>& args) {
+  if (args.size() % 2 != 0) {
+    return Status::InvalidArgument(
+        "MAP expects key/value pairs, got " + std::to_string(args.size()) +
+        " arguments");
+  }
+  ValueMap out;
+  for (size_t i = 0; i < args.size(); i += 2) {
+    out[args[i].AsString()] = args[i + 1];
+  }
+  return Value::Map(std::move(out));
+}
+
 Result<Value> If(const std::vector<Value>& args) {
   EXPLAINIT_RETURN_IF_ERROR(Arity(args, 3, "IF"));
   return args[0].AsBool() ? args[1] : args[2];
@@ -209,6 +225,7 @@ FunctionRegistry FunctionRegistry::Builtins() {
   r.Register("GREATEST", Greatest);
   r.Register("LEAST", Least);
   r.Register("COALESCE", Coalesce);
+  r.Register("MAP", Map);
   r.Register("IF", If);
   r.Register("NULLIF", NullIf);
   r.Register("DATE_TRUNC", DateTrunc);

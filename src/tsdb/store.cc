@@ -664,38 +664,6 @@ void InterpolateMissing(std::vector<double>& values) {
   }
 }
 
-Result<std::vector<SeriesData>> SeriesStore::ScanAligned(
-    const ScanRequest& request, const GridOptions& options) const {
-  if (request.range.end <= request.range.start) {
-    return Status::InvalidArgument("ScanAligned requires a non-empty range");
-  }
-  if (options.step_seconds <= 0) {
-    return Status::InvalidArgument("grid step must be positive");
-  }
-  EXPLAINIT_ASSIGN_OR_RETURN(std::vector<SeriesData> raw, Scan(request));
-  const int64_t step = options.step_seconds;
-  const size_t slots = static_cast<size_t>(
-      (request.range.end - request.range.start + step - 1) / step);
-  std::vector<EpochSeconds> grid(slots);
-  for (size_t i = 0; i < slots; ++i) {
-    grid[i] = request.range.start + static_cast<int64_t>(i) * step;
-  }
-  for (SeriesData& s : raw) {
-    std::vector<double> aligned(slots,
-                                std::numeric_limits<double>::quiet_NaN());
-    for (size_t i = 0; i < s.timestamps.size(); ++i) {
-      const int64_t slot = (s.timestamps[i] - request.range.start) / step;
-      if (slot < 0 || static_cast<size_t>(slot) >= slots) continue;
-      // Last observation per slot wins.
-      aligned[static_cast<size_t>(slot)] = s.values[i];
-    }
-    if (options.interpolate_missing) InterpolateMissing(aligned);
-    s.timestamps = grid;
-    s.values = std::move(aligned);
-  }
-  return raw;
-}
-
 Result<table::Table> SeriesStore::ScanToTable(
     const ScanRequest& request) const {
   EXPLAINIT_ASSIGN_OR_RETURN(std::vector<SeriesData> raw, Scan(request));

@@ -197,14 +197,6 @@ struct StoreOptions {
   exec::WorkerPool* worker_pool = nullptr;
 };
 
-/// Options for converting scans to a fixed minute grid.
-struct GridOptions {
-  int64_t step_seconds = kSecondsPerMinute;
-  /// Fill policy for grid slots with no observation: interpolate to the
-  /// closest non-null observation (Appendix C), or leave NaN.
-  bool interpolate_missing = true;
-};
-
 /// An in-memory, write-optimised, concurrency-safe time series store.
 ///
 /// Writes and scans may run concurrently from any number of threads.
@@ -281,12 +273,6 @@ class SeriesStore {
   ScanStats scan_stats() const;
   void ResetScanStats();
   StorageStats storage_stats() const;
-
-  /// Scans and aligns to a regular grid over request.range; missing slots
-  /// are interpolated to the nearest observation (or NaN). All returned
-  /// series share the same timestamps vector length.
-  Result<std::vector<SeriesData>> ScanAligned(
-      const ScanRequest& request, const GridOptions& options = {}) const;
 
   /// Renders a scan as a Table with schema
   /// (timestamp: TIMESTAMP, metric_name: STRING, tag: MAP, value: DOUBLE) —

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <memory>
+#include <string>
 
 #include "common/random.h"
 
@@ -48,23 +50,37 @@ std::shared_ptr<tsdb::SeriesStore> MakeStore(size_t t, uint64_t seed) {
 
 const TimeRange kRange{0, 500 * 60};
 
-TEST(EngineTest, FamilyFromMetric) {
-  Engine engine(MakeStore(500, 1));
-  auto fam = engine.FamilyFromMetric("pipeline_runtime", kRange, "Y");
-  ASSERT_TRUE(fam.ok());
-  EXPECT_EQ(fam->name, "Y");
-  EXPECT_EQ(fam->num_features(), 1u);
-  EXPECT_EQ(fam->num_timestamps(), 500u);
-  EXPECT_FALSE(engine.FamilyFromMetric("nope", kRange, "Y").ok());
+/// A sub-select over `tsdb` giving one family per metric and one feature
+/// per series (§3.2), restricted by `where`.
+std::string ByMetric(const std::string& where) {
+  return "SELECT timestamp AS ts, metric_name AS name, "
+         "MAP(CONCAT(metric_name, tag), value) AS v FROM tsdb WHERE " +
+         where;
 }
 
-TEST(EngineTest, FamiliesFromStoreGrouping) {
-  Engine engine(MakeStore(200, 2));
-  GroupingOptions g;
-  g.key = GroupingKey::kMetricName;
-  auto fams = engine.FamiliesFromStore(kRange, g);
-  ASSERT_TRUE(fams.ok());
-  EXPECT_EQ(fams->size(), 4u);
+/// An engine over MakeStore(t, seed) with the store registered as `tsdb`.
+std::unique_ptr<Engine> MakeEngine(size_t t, uint64_t seed) {
+  auto engine = std::make_unique<Engine>(MakeStore(t, seed));
+  engine->RegisterStoreTable("tsdb", kRange);
+  return engine;
+}
+
+TEST(EngineTest, TargetFamilyFromQuery) {
+  auto engine = MakeEngine(500, 1);
+  auto rows = engine->Query(ByMetric("metric_name = 'pipeline_runtime'"));
+  ASSERT_TRUE(rows.ok()) << rows.status().ToString();
+  auto fam = FamilyFromRows(std::move(rows->table), "target", "Y");
+  ASSERT_TRUE(fam.ok()) << fam.status().ToString();
+  EXPECT_EQ(fam->name, "Y");
+  ASSERT_EQ(fam->num_features(), 1u);
+  EXPECT_EQ(fam->feature_names[0],
+            "pipeline_runtime/pipeline_runtime{pipeline_name=p1}");
+  EXPECT_EQ(fam->num_timestamps(), 500u);
+  auto none = engine->Query(ByMetric("metric_name = 'nope'"));
+  ASSERT_TRUE(none.ok()) << none.status().ToString();
+  EXPECT_TRUE(FamilyFromRows(std::move(none->table), "target", "Y")
+                  .status()
+                  .IsInvalidArgument());
 }
 
 TEST(EngineTest, SqlOverRegisteredStore) {
@@ -134,17 +150,18 @@ TEST(EngineTest, NormalizeRejectsNoTimestamp) {
 }
 
 TEST(EngineTest, RankExcludesTargetAndConditionNames) {
-  Engine engine(MakeStore(300, 5));
-  GroupingOptions g;
-  auto fams = engine.FamiliesFromStore(kRange, g);
-  ASSERT_TRUE(fams.ok());
+  auto engine = MakeEngine(300, 5);
+  auto rows = engine->Query(ByMetric("TRUE"));
+  ASSERT_TRUE(rows.ok()) << rows.status().ToString();
+  auto fams = FamiliesFromTable(rows->table);
+  ASSERT_TRUE(fams.ok()) << fams.status().ToString();
   RankRequest req;
   for (const FeatureFamily& f : *fams) {
     if (f.name == "pipeline_runtime") req.target = f;
     req.candidates.push_back(f);
   }
   req.scorer_name = "L2";
-  auto table = engine.Rank(req);
+  auto table = engine->Rank(req);
   ASSERT_TRUE(table.ok());
   EXPECT_EQ(table->RankOf("pipeline_runtime"), 0u);  // excluded (it is Y)
   EXPECT_GE(table->rows.size(), 3u);
@@ -153,12 +170,15 @@ TEST(EngineTest, RankExcludesTargetAndConditionNames) {
 TEST(EngineTest, EndToEndSessionWorkflow) {
   // Algorithm 1 end to end: target, search space, rank; the causal
   // families outrank noise.
-  Engine engine(MakeStore(400, 6));
-  Session session(&engine, kRange);
-  ASSERT_TRUE(session.SetTargetByMetric("pipeline_runtime").ok());
-  GroupingOptions g;
-  g.key = GroupingKey::kMetricName;
-  ASSERT_TRUE(session.SetSearchSpaceByGrouping(g).ok());
+  auto engine = MakeEngine(400, 6);
+  Session session(engine.get(), kRange);
+  ASSERT_TRUE(
+      session.SetTargetByQuery(ByMetric("metric_name = 'pipeline_runtime'"))
+          .ok());
+  ASSERT_TRUE(session
+                  .SetSearchSpaceByQuery(
+                      ByMetric("metric_name <> 'pipeline_runtime'"))
+                  .ok());
   ASSERT_TRUE(session.SetScorer("L2").ok());
   auto table = session.Run();
   ASSERT_TRUE(table.ok()) << table.status().ToString();
@@ -175,16 +195,23 @@ TEST(EngineTest, SessionConditioningChangesRanking) {
   // §5.2: conditioning on the input size demotes it and lifts residual
   // causes. Here conditioning on input_rate should drop its own rank and
   // the latency (pure effect of runtime) stays high.
-  Engine engine(MakeStore(400, 7));
-  Session session(&engine, kRange);
-  ASSERT_TRUE(session.SetTargetByMetric("pipeline_runtime").ok());
-  GroupingOptions g;
-  ASSERT_TRUE(session.SetSearchSpaceByGrouping(g).ok());
+  auto engine = MakeEngine(400, 7);
+  Session session(engine.get(), kRange);
+  ASSERT_TRUE(
+      session.SetTargetByQuery(ByMetric("metric_name = 'pipeline_runtime'"))
+          .ok());
+  ASSERT_TRUE(session
+                  .SetSearchSpaceByQuery(
+                      ByMetric("metric_name <> 'pipeline_runtime'"))
+                  .ok());
   ASSERT_TRUE(session.SetScorer("L2").ok());
   auto before = session.Run();
   ASSERT_TRUE(before.ok());
   const size_t rate_rank_before = before->RankOf("pipeline_input_rate");
-  ASSERT_TRUE(session.SetConditionByMetric("pipeline_input_rate").ok());
+  ASSERT_TRUE(session
+                  .SetConditionByQuery(
+                      ByMetric("metric_name = 'pipeline_input_rate'"))
+                  .ok());
   auto after = session.Run();
   ASSERT_TRUE(after.ok());
   // After conditioning on Z = input rate, scoring is the conditional
@@ -200,11 +227,9 @@ TEST(EngineTest, SessionConditioningChangesRanking) {
 }
 
 TEST(EngineTest, SessionDrillDown) {
-  Engine engine(MakeStore(200, 8));
-  Session session(&engine, kRange);
-  ASSERT_TRUE(session.SetTargetByMetric("pipeline_runtime").ok());
-  GroupingOptions g;
-  ASSERT_TRUE(session.SetSearchSpaceByGrouping(g).ok());
+  auto engine = MakeEngine(200, 8);
+  Session session(engine.get(), kRange);
+  ASSERT_TRUE(session.SetSearchSpaceByQuery(ByMetric("TRUE")).ok());
   EXPECT_EQ(session.num_candidates(), 4u);
   ASSERT_TRUE(session.DrillDown({"pipeline_*"}).ok());
   EXPECT_EQ(session.num_candidates(), 3u);
@@ -212,10 +237,12 @@ TEST(EngineTest, SessionDrillDown) {
 }
 
 TEST(EngineTest, SessionValidation) {
-  Engine engine(MakeStore(100, 9));
-  Session session(&engine, kRange);
+  auto engine = MakeEngine(100, 9);
+  Session session(engine.get(), kRange);
   EXPECT_FALSE(session.Run().ok());  // no target
-  ASSERT_TRUE(session.SetTargetByMetric("pipeline_runtime").ok());
+  ASSERT_TRUE(
+      session.SetTargetByQuery(ByMetric("metric_name = 'pipeline_runtime'"))
+          .ok());
   EXPECT_FALSE(session.Run().ok());  // no search space
   EXPECT_FALSE(session.SetScorer("bogus").ok());
   EXPECT_FALSE(session.SetExplainRange(TimeRange{kRange.end + 100,
@@ -338,12 +365,16 @@ TEST(EngineTest, ExplainErrorsAreActionable) {
 }
 
 TEST(EngineTest, SessionExplainRangeReported) {
-  Engine engine(MakeStore(300, 10));
-  Session session(&engine, kRange);
-  ASSERT_TRUE(session.SetTargetByMetric("pipeline_runtime").ok());
+  auto engine = MakeEngine(300, 10);
+  Session session(engine.get(), kRange);
+  ASSERT_TRUE(
+      session.SetTargetByQuery(ByMetric("metric_name = 'pipeline_runtime'"))
+          .ok());
   ASSERT_TRUE(session.SetExplainRange(TimeRange{100 * 60, 200 * 60}).ok());
-  GroupingOptions g;
-  ASSERT_TRUE(session.SetSearchSpaceByGrouping(g).ok());
+  ASSERT_TRUE(session
+                  .SetSearchSpaceByQuery(
+                      ByMetric("metric_name <> 'pipeline_runtime'"))
+                  .ok());
   ASSERT_TRUE(session.SetScorer("L2").ok());
   auto table = session.Run();
   ASSERT_TRUE(table.ok());

@@ -4,6 +4,10 @@
 
 #include <cstring>
 #include <limits>
+#include <memory>
+#include <string>
+
+#include "core/engine.h"
 
 namespace explainit::core {
 namespace {
@@ -30,85 +34,99 @@ std::vector<tsdb::SeriesData> MakeSeries() {
   return out;
 }
 
+/// An engine whose store holds the MakeSeries() series, registered as
+/// `tsdb` over their three minutes.
+std::unique_ptr<Engine> MakeEngine() {
+  auto store = std::make_shared<tsdb::SeriesStore>();
+  for (const tsdb::SeriesData& s : MakeSeries()) {
+    EXPECT_TRUE(store
+                    ->WriteSeries(s.meta.metric_name, s.meta.tags,
+                                  s.timestamps, s.values)
+                    .ok());
+  }
+  auto engine = std::make_unique<Engine>(std::move(store));
+  engine->RegisterStoreTable("tsdb", TimeRange{0, 180});
+  return engine;
+}
+
+/// The families a Figure 4 sub-select over MakeEngine()'s `tsdb` yields.
+std::vector<FeatureFamily> QueryFamilies(const std::string& sql) {
+  auto rows = MakeEngine()->Query(sql);
+  EXPECT_TRUE(rows.ok()) << rows.status().ToString();
+  if (!rows.ok()) return {};
+  auto fams = FamiliesFromTable(rows->table);
+  EXPECT_TRUE(fams.ok()) << fams.status().ToString();
+  return fams.ok() ? std::move(*fams) : std::vector<FeatureFamily>{};
+}
+
+/// §3.2's grouping by metric name: one family per metric, one feature
+/// per series.
+std::vector<FeatureFamily> ByMetricName() {
+  return QueryFamilies(
+      "SELECT timestamp AS ts, metric_name AS name, "
+      "MAP(CONCAT(metric_name, tag), value) AS v FROM tsdb");
+}
+
 TEST(FamilyTest, GroupByMetricNameMirrorsPaperExample) {
   // §3.2: grouping by name gives input_rate{*}, runtime{*}, disk{*}.
-  GroupingOptions opts;
-  opts.key = GroupingKey::kMetricName;
-  auto fams = BuildFamilies(MakeSeries(), opts);
-  ASSERT_TRUE(fams.ok());
-  ASSERT_EQ(fams->size(), 3u);
-  EXPECT_EQ((*fams)[0].name, "disk");
-  EXPECT_EQ((*fams)[0].num_features(), 3u);
-  EXPECT_EQ((*fams)[1].name, "input_rate");
-  EXPECT_EQ((*fams)[1].num_features(), 2u);
-  EXPECT_EQ((*fams)[2].name, "runtime");
-  EXPECT_EQ((*fams)[2].num_features(), 1u);
+  const std::vector<FeatureFamily> fams = ByMetricName();
+  ASSERT_EQ(fams.size(), 3u);
+  EXPECT_EQ(fams[0].name, "input_rate");
+  EXPECT_EQ(fams[0].feature_names,
+            (std::vector<std::string>{"input_rate{type=event-1}",
+                                      "input_rate{type=event-2}"}));
+  EXPECT_EQ(fams[1].name, "runtime");
+  EXPECT_EQ(fams[1].feature_names,
+            (std::vector<std::string>{"runtime{component=pipeline-1}"}));
+  EXPECT_EQ(fams[2].name, "disk");
+  EXPECT_EQ(fams[2].num_features(), 3u);
 }
 
 TEST(FamilyTest, GroupByTagMirrorsPaperExample) {
   // §3.2: grouping by host gives datanode-1, datanode-2, namenode-1, NULL.
-  GroupingOptions opts;
-  opts.key = GroupingKey::kTag;
-  opts.tag_key = "host";
-  auto fams = BuildFamilies(MakeSeries(), opts);
-  ASSERT_TRUE(fams.ok());
-  ASSERT_EQ(fams->size(), 4u);
-  EXPECT_EQ((*fams)[0].name, "*{host=NULL}");
-  EXPECT_EQ((*fams)[0].num_features(), 3u);  // input_rate x2 + runtime
-  EXPECT_EQ((*fams)[1].name, "*{host=datanode-1}");
-  EXPECT_EQ((*fams)[3].name, "*{host=namenode-1}");
+  const std::vector<FeatureFamily> fams = QueryFamilies(
+      "SELECT timestamp AS ts, "
+      "CONCAT('*{host=', COALESCE(tag['host'], 'NULL'), '}') AS name, "
+      "MAP(CONCAT(metric_name, tag), value) AS v FROM tsdb");
+  ASSERT_EQ(fams.size(), 4u);
+  EXPECT_EQ(fams[0].name, "*{host=NULL}");
+  EXPECT_EQ(fams[0].num_features(), 3u);  // input_rate x2 + runtime
+  EXPECT_EQ(fams[1].name, "*{host=datanode-1}");
+  EXPECT_EQ(fams[2].name, "*{host=datanode-2}");
+  EXPECT_EQ(fams[3].name, "*{host=namenode-1}");
+  EXPECT_EQ(fams[3].num_features(), 1u);
 }
 
 TEST(FamilyTest, GroupByPattern) {
   // §3.2: "disk{host=datanode*}" — any datanode activity.
-  GroupingOptions opts;
-  opts.key = GroupingKey::kPattern;
-  opts.patterns = {"disk{host=datanode*}", "runtime*"};
-  auto fams = BuildFamilies(MakeSeries(), opts);
-  ASSERT_TRUE(fams.ok());
-  ASSERT_EQ(fams->size(), 2u);
-  EXPECT_EQ((*fams)[0].name, "disk{host=datanode*}");
-  EXPECT_EQ((*fams)[0].num_features(), 2u);
-  EXPECT_EQ((*fams)[1].name, "runtime*");
-  EXPECT_EQ((*fams)[1].num_features(), 1u);
-}
-
-TEST(FamilyTest, GroupingValidation) {
-  GroupingOptions opts;
-  opts.key = GroupingKey::kTag;
-  EXPECT_FALSE(BuildFamilies(MakeSeries(), opts).ok());  // missing tag_key
-  opts.key = GroupingKey::kPattern;
-  EXPECT_FALSE(BuildFamilies(MakeSeries(), opts).ok());  // missing patterns
-}
-
-TEST(FamilyTest, MisalignedSeriesRejected) {
-  auto series = MakeSeries();
-  series[1].timestamps[0] = 999;
-  GroupingOptions opts;
-  EXPECT_FALSE(BuildFamilies(series, opts).ok());
+  const std::vector<FeatureFamily> fams = QueryFamilies(
+      "SELECT timestamp AS ts, 'disk{host=datanode*}' AS name, "
+      "MAP(CONCAT(metric_name, tag), value) AS v FROM tsdb "
+      "WHERE CONCAT(metric_name, tag) LIKE 'disk{host=datanode%'");
+  ASSERT_EQ(fams.size(), 1u);
+  EXPECT_EQ(fams[0].name, "disk{host=datanode*}");
+  EXPECT_EQ(fams[0].num_features(), 2u);
 }
 
 TEST(FamilyTest, DataMatrixLayout) {
-  GroupingOptions opts;
-  auto fams = BuildFamilies(MakeSeries(), opts);
-  ASSERT_TRUE(fams.ok());
-  const FeatureFamily& disk = (*fams)[0];
+  const std::vector<FeatureFamily> fams = ByMetricName();
+  ASSERT_EQ(fams.size(), 3u);
+  const FeatureFamily& disk = fams[2];
   EXPECT_EQ(disk.num_timestamps(), 3u);
   // Columns ordered by insertion order of matching series.
   EXPECT_EQ(disk.data(0, 0), 1.0);
   EXPECT_EQ(disk.data(0, 1), 2.0);
   EXPECT_EQ(disk.data(0, 2), 3.0);
   EXPECT_EQ(disk.feature_names[0],
-            "disk{host=datanode-1,type=read_latency}");
-  EXPECT_EQ(disk.FindFeature("disk{host=datanode-2,type=read_latency}"), 1);
+            "disk{host=datanode-1, type=read_latency}");
+  EXPECT_EQ(disk.FindFeature("disk{host=datanode-2, type=read_latency}"), 1);
   EXPECT_EQ(disk.FindFeature("nope"), -1);
 }
 
 TEST(FamilyTest, TableRoundTrip) {
-  GroupingOptions opts;
-  auto fams = BuildFamilies(MakeSeries(), opts);
-  ASSERT_TRUE(fams.ok());
-  const FeatureFamily& disk = (*fams)[0];
+  const std::vector<FeatureFamily> fams = ByMetricName();
+  ASSERT_EQ(fams.size(), 3u);
+  const FeatureFamily& disk = fams[2];
   table::Table t = FamilyToTable(disk);
   EXPECT_EQ(t.num_rows(), 3u);
   auto back = FamiliesFromTable(t);
@@ -144,25 +162,22 @@ TEST(FamilyTest, FamiliesFromTableInterpolatesGaps) {
 }
 
 TEST(FamilyTest, SliceFamilyRestrictsRows) {
-  GroupingOptions opts;
-  auto fams = BuildFamilies(MakeSeries(), opts);
-  ASSERT_TRUE(fams.ok());
-  FeatureFamily sliced = SliceFamily((*fams)[0], TimeRange{60, 180});
+  const std::vector<FeatureFamily> fams = ByMetricName();
+  ASSERT_EQ(fams.size(), 3u);
+  FeatureFamily sliced = SliceFamily(fams[2], TimeRange{60, 180});
   EXPECT_EQ(sliced.num_timestamps(), 2u);
   EXPECT_EQ(sliced.timestamps[0], 60);
   EXPECT_EQ(sliced.num_features(), 3u);
 }
 
 TEST(FamilyTest, MergeFamiliesConcatenatesFeatures) {
-  GroupingOptions opts;
-  auto fams = BuildFamilies(MakeSeries(), opts);
-  ASSERT_TRUE(fams.ok());
-  FeatureFamily merged = MergeFamilies(*fams, "all");
+  FeatureFamily merged = MergeFamilies(ByMetricName(), "all");
   EXPECT_EQ(merged.name, "all");
   EXPECT_EQ(merged.num_features(), 6u);
   EXPECT_EQ(merged.num_timestamps(), 3u);
-  EXPECT_EQ(merged.feature_names[0],
-            "disk/disk{host=datanode-1,type=read_latency}");
+  EXPECT_EQ(merged.feature_names[0], "input_rate/input_rate{type=event-1}");
+  EXPECT_EQ(merged.feature_names[5],
+            "disk/disk{host=namenode-1, type=read_latency}");
 }
 
 TEST(FamilyTest, AlignFamiliesOntoUnionGrid) {

@@ -3,12 +3,30 @@
 // feature families -> scoring -> Score Table -> SQL over the Score Table.
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "core/engine.h"
 #include "simulator/case_studies.h"
 #include "sql/executor.h"
 
 namespace explainit {
 namespace {
+
+/// A sub-select over `tsdb` giving one family per metric and one feature
+/// per series (§3.2), restricted by `where`.
+std::string ByMetric(const std::string& where) {
+  return "SELECT timestamp AS ts, metric_name AS name, "
+         "MAP(CONCAT(metric_name, tag), value) AS v FROM tsdb WHERE " +
+         where;
+}
+
+/// The §5 global search as one statement: overall_runtime against every
+/// other metric family.
+std::string NameGroupedExplain(const std::string& scorer) {
+  return "EXPLAIN (" + ByMetric("metric_name = 'overall_runtime'") +
+         ") USING (" + ByMetric("metric_name <> 'overall_runtime'") +
+         ") SCORE BY '" + scorer + "' TOP 20";
+}
 
 class PipelineIntegrationTest : public ::testing::Test {
  protected:
@@ -64,25 +82,21 @@ TEST_F(PipelineIntegrationTest, Listing5HypothesisJoin) {
 
 TEST_F(PipelineIntegrationTest, ScoreTableIsQueryable) {
   // The Score Table of Figure 4 feeds back into SQL, closing the loop.
-  core::Session session(engine_.get(), world_.range);
-  ASSERT_TRUE(session.SetTargetByMetric("overall_runtime").ok());
-  core::GroupingOptions g;
-  g.key = core::GroupingKey::kMetricName;
-  ASSERT_TRUE(session.SetSearchSpaceByGrouping(g).ok());
-  ASSERT_TRUE(session.SetScorer("CorrMax").ok());
-  auto table = session.Run();
-  ASSERT_TRUE(table.ok());
-  engine_->catalog().RegisterTable("scores", table->ToTable());
+  auto result = engine_->Query(NameGroupedExplain("CorrMax"));
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  ASSERT_TRUE(result->score_table.has_value());
+  const core::ScoreTable& table = *result->score_table;
+  engine_->catalog().RegisterTable("scores", result->table);
   auto strong = engine_->Query(
       "SELECT family, score FROM scores WHERE score > 0.5 "
       "ORDER BY score DESC");
   ASSERT_TRUE(strong.ok()) << strong.status().ToString();
   EXPECT_GT(strong->table.num_rows(), 0u);
-  EXPECT_LE(strong->table.num_rows(), table->rows.size());
+  EXPECT_LE(strong->table.num_rows(), table.rows.size());
   auto count = engine_->Query("SELECT COUNT(*) AS n FROM scores");
   ASSERT_TRUE(count.ok());
   EXPECT_EQ(static_cast<size_t>(count->table.At(0, 0).AsInt()),
-            table->rows.size());
+            table.rows.size());
 }
 
 TEST_F(PipelineIntegrationTest, LaggedFeaturesViaSqlLag) {
@@ -114,13 +128,16 @@ TEST_F(PipelineIntegrationTest, FamiliesFromTableFeedEngineRank) {
   ASSERT_TRUE(families.ok()) << families.status().ToString();
   EXPECT_EQ(families->size(), 3u);
   core::RankRequest req;
-  auto target = engine_->FamilyFromMetric("overall_runtime", world_.range,
-                                          "target");
-  ASSERT_TRUE(target.ok());
+  auto target_rows =
+      engine_->Query(ByMetric("metric_name = 'overall_runtime'"));
+  ASSERT_TRUE(target_rows.ok()) << target_rows.status().ToString();
+  auto target =
+      core::FamilyFromRows(std::move(target_rows->table), "target", "target");
+  ASSERT_TRUE(target.ok()) << target.status().ToString();
   req.target = std::move(target).value();
   req.candidates = std::move(families).value();
-  // Query results and store scans share the minute grid, so ranking works
-  // without explicit alignment.
+  // Both queries observe the same minutes, so ranking works without
+  // explicit alignment.
   req.scorer_name = "CorrMax";
   auto table = engine_->Rank(req);
   ASSERT_TRUE(table.ok()) << table.status().ToString();
@@ -135,22 +152,27 @@ TEST_F(PipelineIntegrationTest, SnapshotPreservesAnalysis) {
   auto reloaded = std::make_shared<tsdb::SeriesStore>();
   ASSERT_TRUE(reloaded->LoadSnapshot(path).ok());
   core::Engine engine2(reloaded);
-  auto run = [&](core::Engine& e) {
-    core::Session s(&e, world_.range);
-    EXPECT_TRUE(s.SetTargetByMetric("overall_runtime").ok());
-    core::GroupingOptions g;
-    EXPECT_TRUE(s.SetSearchSpaceByGrouping(g).ok());
-    EXPECT_TRUE(s.SetScorer("CorrMax").ok());
-    auto t = s.Run();
-    EXPECT_TRUE(t.ok());
-    return t.ok() ? std::move(t).value() : core::ScoreTable{};
-  };
-  core::ScoreTable a = run(*engine_);
-  core::ScoreTable b = run(engine2);
-  ASSERT_EQ(a.rows.size(), b.rows.size());
-  for (size_t i = 0; i < a.rows.size(); ++i) {
-    EXPECT_EQ(a.rows[i].family_name, b.rows[i].family_name);
-    EXPECT_DOUBLE_EQ(a.rows[i].score, b.rows[i].score);
+  engine2.RegisterStoreTable("tsdb", world_.range);
+  auto a = engine_->Query(NameGroupedExplain("CorrMax"));
+  auto b = engine2.Query(NameGroupedExplain("CorrMax"));
+  ASSERT_TRUE(a.ok()) << a.status().ToString();
+  ASSERT_TRUE(b.ok()) << b.status().ToString();
+  const table::Table& ta = a->table;
+  const table::Table& tb = b->table;
+  ASSERT_GT(ta.num_rows(), 0u);
+  ASSERT_EQ(ta.schema().ToString(), tb.schema().ToString());
+  ASSERT_EQ(ta.num_rows(), tb.num_rows());
+  for (size_t c = 0; c < ta.num_columns(); ++c) {
+    const std::string& column = ta.schema().field(c).name;
+    if (column == "score_seconds") continue;  // wall time, not analysis
+    for (size_t r = 0; r < ta.num_rows(); ++r) {
+      EXPECT_EQ(ta.At(r, c).ToString(), tb.At(r, c).ToString())
+          << column << " row " << r;
+      if (ta.At(r, c).type() == table::DataType::kDouble) {
+        EXPECT_EQ(ta.At(r, c).AsDouble(), tb.At(r, c).AsDouble())
+            << column << " row " << r;
+      }
+    }
   }
 }
 

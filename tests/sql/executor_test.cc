@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "core/feature_family.h"
 #include "sql/parser.h"
 #include "tsdb/store.h"
 
@@ -344,6 +345,62 @@ TEST_F(ExecutorTest, CustomUdfRegistration) {
   });
   Table t = MustQuery("SELECT DOUBLE_IT(21) AS v");
   EXPECT_EQ(t.At(0, 0).AsDouble(), 42.0);
+}
+
+TEST_F(ExecutorTest, MapBuildsKeyedValues) {
+  Table t = MustQuery("SELECT MAP('a', 1, 'b', 2) AS m");
+  ASSERT_EQ(t.num_rows(), 1u);
+  const table::ValueMap* m = t.At(0, 0).AsMap();
+  ASSERT_NE(m, nullptr);
+  ASSERT_EQ(m->size(), 2u);
+  EXPECT_EQ(m->at("a").AsDouble(), 1.0);
+  EXPECT_EQ(m->at("b").AsDouble(), 2.0);
+}
+
+TEST_F(ExecutorTest, MapKeysAreTheKeyText) {
+  // A non-string key is keyed by its text; CONCAT renders a series as
+  // metric{tag=value}, the §3.2 feature name.
+  Table t = MustQuery(
+      "SELECT MAP(value, 'v', CONCAT(metric_name, tag), value) AS m "
+      "FROM tsdb WHERE value = 14");
+  ASSERT_EQ(t.num_rows(), 1u);
+  const table::ValueMap* m = t.At(0, 0).AsMap();
+  ASSERT_NE(m, nullptr);
+  ASSERT_EQ(m->size(), 2u);
+  EXPECT_EQ(m->at("14.0").AsString(), "v");
+  EXPECT_EQ(m->at("pipeline_runtime{pipeline_name=p1}").AsDouble(), 14.0);
+}
+
+TEST_F(ExecutorTest, MapRepeatedKeyKeepsTheLaterValue) {
+  Table t = MustQuery("SELECT MAP('a', 1, 'a', 2) AS m");
+  const table::ValueMap* m = t.At(0, 0).AsMap();
+  ASSERT_NE(m, nullptr);
+  ASSERT_EQ(m->size(), 1u);
+  EXPECT_EQ(m->at("a").AsDouble(), 2.0);
+}
+
+TEST_F(ExecutorTest, MapRejectsAnOddArgumentCount) {
+  auto res = executor_->Query("SELECT MAP('a', 1, 'b') AS m");
+  ASSERT_FALSE(res.ok());
+  EXPECT_TRUE(res.status().IsInvalidArgument()) << res.status().ToString();
+}
+
+TEST_F(ExecutorTest, MapNullValueIsAMissingFeatureCell) {
+  Table t = MustQuery(
+      "SELECT timestamp AS ts, MAP('x', NULLIF(value, 12)) AS v FROM tsdb "
+      "WHERE metric_name = 'pipeline_runtime' AND tag['pipeline_name'] = 'p1' "
+      "ORDER BY timestamp ASC");
+  ASSERT_EQ(t.num_rows(), 3u);
+  const table::ValueMap* m = t.At(1, 1).AsMap();
+  ASSERT_NE(m, nullptr);
+  EXPECT_TRUE(m->at("x").is_null());
+  // The family builder fills the NULL cell from the nearest observation
+  // (the earlier one on a tie).
+  auto fams = core::FamiliesFromTable(t);
+  ASSERT_TRUE(fams.ok()) << fams.status().ToString();
+  ASSERT_EQ(fams->size(), 1u);
+  EXPECT_EQ((*fams)[0].feature_names, std::vector<std::string>{"x"});
+  EXPECT_EQ((*fams)[0].data, la::Matrix(3, 1, {10, 10, 14}));
 }
 
 TEST_F(ExecutorTest, UnknownTableFails) {

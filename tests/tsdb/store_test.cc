@@ -117,50 +117,6 @@ TEST(StoreTest, ScanValuesRoundTrip) {
   }
 }
 
-TEST(StoreTest, ScanAlignedFillsGrid) {
-  SeriesStore store;
-  TagSet tags{{"h", "a"}};
-  // Observations at minutes 0, 2, 3 only (minute 1, 4 missing).
-  ASSERT_TRUE(store.Write("m", tags, 0, 1.0).ok());
-  ASSERT_TRUE(store.Write("m", tags, 120, 3.0).ok());
-  ASSERT_TRUE(store.Write("m", tags, 180, 4.0).ok());
-  ScanRequest req;
-  req.metric_glob = "m";
-  req.range = {0, 300};
-  auto res = store.ScanAligned(req);
-  ASSERT_TRUE(res.ok());
-  ASSERT_EQ(res->size(), 1u);
-  const auto& s = (*res)[0];
-  ASSERT_EQ(s.values.size(), 5u);
-  EXPECT_EQ(s.values[0], 1.0);
-  EXPECT_EQ(s.values[1], 1.0);  // nearest non-null (tie prefers earlier)
-  EXPECT_EQ(s.values[2], 3.0);
-  EXPECT_EQ(s.values[3], 4.0);
-  EXPECT_EQ(s.values[4], 4.0);  // trailing fill
-  EXPECT_EQ(s.timestamps[4], 240);
-}
-
-TEST(StoreTest, ScanAlignedNoInterpolationLeavesNan) {
-  SeriesStore store;
-  ASSERT_TRUE(store.Write("m", TagSet{}, 0, 1.0).ok());
-  ScanRequest req;
-  req.metric_glob = "m";
-  req.range = {0, 180};
-  GridOptions opts;
-  opts.interpolate_missing = false;
-  auto res = store.ScanAligned(req, opts);
-  ASSERT_TRUE(res.ok());
-  EXPECT_EQ((*res)[0].values[0], 1.0);
-  EXPECT_TRUE(std::isnan((*res)[0].values[1]));
-}
-
-TEST(StoreTest, ScanAlignedRejectsEmptyRange) {
-  SeriesStore store = MakeStore();
-  ScanRequest req;
-  req.range = {100, 100};
-  EXPECT_FALSE(store.ScanAligned(req).ok());
-}
-
 TEST(StoreTest, ScanToTableShape) {
   SeriesStore store = MakeStore();
   ScanRequest req;
