@@ -23,11 +23,10 @@ namespace explainit::core {
 
 /// Engine-wide options.
 struct EngineOptions {
-  size_t top_k = 20;        // paper default
-  size_t num_threads = 0;   // ranking fan-out; 0 = hardware concurrency
-  /// Degree of parallelism of the SQL pipeline (morsel-parallel
-  /// Filter/Project/HashAggregate). 1 = serial streaming operators;
-  /// 0 = hardware concurrency.
+  /// Shard count of the SQL pipeline's operators and of EXPLAIN's ranking
+  /// fan-out; 0 = hardware concurrency. Every level runs the same
+  /// operator algorithms, 1 with one shard inline; only Filter and
+  /// Project keep a streaming path there, for early-stopping LIMITs.
   size_t sql_parallelism = 0;
   /// Shared worker pool the engine's executor (and ranking fan-out)
   /// borrows; null = exec::WorkerPool::Global(). Injection point for

@@ -39,8 +39,8 @@ class RankOperator : public sql::Operator {
  public:
   struct Params {
     std::string scorer_name = "L2-P50";
-    /// Score Table cutoff; 0 = the engine default.
-    size_t top_k = 0;
+    /// Score Table cutoff (TOP k); the paper's default is 20.
+    size_t top_k = 20;
     /// BETWEEN t0 AND t1, converted to a half-open range (Figure 2's
     /// range-to-explain).
     std::optional<TimeRange> explain_range;

@@ -1,8 +1,8 @@
 // Row-at-a-time expression evaluation against a Table or a ColumnBatch.
 // LAG windows see the whole input (rows are time-ordered by convention,
 // matching the paper's "user could specify lagged features ... by using
-// LAG function in SQL"); the planner materialises full-table batches for
-// stages whose expressions contain LAG.
+// LAG function in SQL"); operators evaluate stages whose expressions
+// contain LAG over their whole materialised input.
 #pragma once
 
 #include "common/result.h"

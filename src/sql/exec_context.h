@@ -5,10 +5,12 @@
 // executor's chunked result assembly fan out over, and the query's
 // cancellation token.
 //
-// parallelism == 1 (or a null context/pool) means the pipeline runs the
-// classic streaming operators; > 1 switches eligible operators to their
-// sharded paths. Shard boundaries depend only on (row count, parallelism),
-// never on scheduling, so a given parallelism level is deterministic.
+// parallelism sets only the shard count: operators pick their algorithm
+// from the statement, and at parallelism == 1 (or a null context/pool)
+// run it as one shard inline (Filter and Project without LAG stream
+// batch at a time instead). Shard boundaries depend only on (row count,
+// parallelism), never on scheduling, so a given parallelism level is
+// deterministic.
 //
 // The pool is *borrowed* — by default the process-wide
 // exec::WorkerPool::Global(), shared with every other session, the
@@ -24,7 +26,7 @@
 namespace explainit::sql {
 
 struct ExecContext {
-  /// Degree of parallelism operators shard to. 1 = serial pipeline.
+  /// Degree of parallelism operators shard to. 1 = one shard, inline.
   size_t parallelism = 1;
   /// Shared worker pool for sharded execution (borrowed, typically
   /// exec::WorkerPool::Global()). Non-null whenever parallelism > 1.

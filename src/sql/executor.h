@@ -8,14 +8,15 @@
 // Time-range, metric and tag predicates push down into hint-aware
 // catalog providers (tsdb::SeriesStore scans) — on both sides of joins.
 //
-// Parallelism: set_parallelism(n) switches Filter/Project/HashAggregate
-// to their morsel-parallel paths, HashJoin to its partitioned
-// build/probe, SortLimit to its sharded sort, and the final drain to
-// chunked column assembly — all over a *borrowed* worker pool, by
-// default the process-wide exec::WorkerPool::Global() shared with every
-// other executor, store scan and ranking fan-out (n == 1 keeps the
-// streaming single-threaded operators; n == 0 means hardware
-// concurrency). Join, sort and materialisation output is
+// Parallelism: set_parallelism(n) shards Filter/Project/HashAggregate
+// morsels, HashJoin's partitioned build/probe, SortLimit's sort and the
+// final drain's chunked column assembly n ways — all over a *borrowed*
+// worker pool, by default the process-wide exec::WorkerPool::Global()
+// shared with every other executor, store scan and ranking fan-out.
+// n == 1 runs the same operator algorithms with one shard inline, except
+// that Filter/Project without LAG stream batch at a time and the final
+// drain appends batch by batch; n == 0 means hardware
+// concurrency. Join, sort and materialisation output is
 // byte-identical across levels; aggregation is identical up to
 // floating-point summation order. The differential suite pins both.
 #pragma once
@@ -51,8 +52,8 @@ class Executor {
     set_parallelism(parallelism);
   }
 
-  /// Sets the degree of parallelism for subsequent queries. 1 = serial
-  /// streaming pipeline; 0 = hardware concurrency.
+  /// Sets the degree of parallelism for subsequent queries. 1 = one
+  /// shard per stage, inline; 0 = hardware concurrency.
   void set_parallelism(size_t parallelism);
   size_t parallelism() const { return parallelism_; }
 

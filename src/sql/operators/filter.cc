@@ -11,13 +11,15 @@ FilterOperator::FilterOperator(std::unique_ptr<Operator> input,
                                const ExecContext* ctx)
     : predicate_(std::move(predicate)), functions_(functions), ctx_(ctx) {
   input_ = AddChild(std::move(input));
-  materialize_ = predicate_ != nullptr && ContainsLag(*predicate_);
-  parallel_ = !materialize_ && ctx_ != nullptr && ctx_->parallel();
+  // A LAG predicate reads the neighbouring row of the whole input, which
+  // the sharded path's Evaluator spans at any shard count.
+  sharded_ = (predicate_ != nullptr && ContainsLag(*predicate_)) ||
+             (ctx_ != nullptr && ctx_->parallel());
 }
 
 Status FilterOperator::OpenImpl() {
   EXPLAINIT_RETURN_IF_ERROR(input_->Open());
-  use_matchers_ = !materialize_ && CompileMatchers();
+  use_matchers_ = CompileMatchers();
   return Status::OK();
 }
 
@@ -120,21 +122,20 @@ Result<bool> FilterOperator::MatchRow(const std::vector<Matcher>& matchers,
   return !null_seen;
 }
 
-Result<ColumnBatch> FilterOperator::ParallelNext(bool* eof) {
+Result<ColumnBatch> FilterOperator::ShardedNext(bool* eof) {
   if (!sharded_done_) {
     sharded_done_ = true;
     // Morsel source: the child's backing table when it is already
     // materialised with the same schema object (a catalog scan outside a
     // join), else a one-time drain.
-    const table::Table* source = input_->MaterializedTable();
-    if (source == nullptr ||
-        &source->schema() != &input_->output_schema()) {
+    const table::Table* source = input_->BorrowMaterializedTable();
+    if (source == nullptr) {
       drained_ = table::Table(input_->output_schema());
       EXPLAINIT_RETURN_IF_ERROR(Drain(input_, &drained_));
       source = &drained_;
     }
     const std::vector<RowRange> shards =
-        ShardRows(source->num_rows(), ctx_->parallelism);
+        ShardRows(source->num_rows(), EffectiveParallelism(ctx_));
     std::vector<ColumnBatch> outputs(shards.size());
     EXPLAINIT_RETURN_IF_ERROR(RunSharded(
         ctx_, shards.size(), [&](size_t s) -> Status {
@@ -184,28 +185,7 @@ Result<ColumnBatch> FilterOperator::ParallelNext(bool* eof) {
 }
 
 Result<ColumnBatch> FilterOperator::NextImpl(bool* eof) {
-  if (parallel_) return ParallelNext(eof);
-  if (materialize_) {
-    // LAG window: one pass over the fully materialised input.
-    if (materialized_done_) {
-      *eof = true;
-      return ColumnBatch{};
-    }
-    materialized_ = table::Table(input_->output_schema());
-    EXPLAINIT_RETURN_IF_ERROR(Drain(input_, &materialized_));
-    materialized_done_ = true;
-    Evaluator ev(&materialized_, functions_);
-    std::vector<uint32_t> selected;
-    for (size_t r = 0; r < materialized_.num_rows(); ++r) {
-      EXPLAINIT_ASSIGN_OR_RETURN(Value v, ev.Eval(*predicate_, r));
-      if (!v.is_null() && v.AsBool()) {
-        selected.push_back(static_cast<uint32_t>(r));
-      }
-    }
-    *eof = false;
-    return ColumnBatch::View(materialized_, 0, materialized_.num_rows())
-        .Gather(selected);
-  }
+  if (sharded_) return ShardedNext(eof);
   // Vectorised path: evaluate the predicate over each pulled batch and
   // gather the surviving rows; fully filtered batches are skipped. The
   // compiled-conjunct fast path skips the Evaluator entirely.

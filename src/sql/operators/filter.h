@@ -1,13 +1,16 @@
 // Filter: vectorised predicate evaluation over batches, compacting the
-// survivors. Predicates containing LAG (which reads neighbouring rows)
-// first materialise the whole input so the window sees the full relation.
+// survivors.
 //
-// With a parallel ExecContext the filter becomes morsel-parallel: the
-// input is materialised once (borrowing the child's backing table when it
-// is already materialised, e.g. a catalog scan), contiguous row shards
-// are evaluated across the pool, and per-shard survivors are emitted in
-// shard order — all-pass shards as zero-copy views, partial shards as
-// owned compactions — so output order matches the serial pipeline.
+// With a parallel ExecContext, or a predicate containing LAG, the filter
+// takes its sharded path: the input is materialised once (borrowing the
+// child's backing table when it is already materialised, e.g. a catalog
+// scan), contiguous row shards are evaluated across the pool (inline at
+// parallelism 1), and per-shard survivors are emitted in shard order —
+// all-pass shards as zero-copy views, partial shards as owned
+// compactions — so output order matches the streaming path. Each shard's
+// Evaluator spans the whole source, so LAG reads its true neighbour.
+// The streaming path stays for everything else at parallelism 1: it is
+// the one that stops pulling early under a LIMIT.
 // When every top-level WHERE conjunct is a simple comparison
 // (`col OP literal`, `tag['k'] OP literal`, `col [NOT] BETWEEN lit AND
 // lit`), the predicate compiles to a vector of flat matchers evaluated
@@ -36,7 +39,7 @@ class FilterOperator : public Operator {
   }
   std::string name() const override { return "Filter"; }
   bool StableBatches() const override {
-    return materialize_ || parallel_ || input_->StableBatches();
+    return sharded_ || input_->StableBatches();
   }
 
  protected:
@@ -54,7 +57,7 @@ class FilterOperator : public Operator {
     table::Value hi;       // BETWEEN hi
   };
 
-  Result<table::ColumnBatch> ParallelNext(bool* eof);
+  Result<table::ColumnBatch> ShardedNext(bool* eof);
   /// Tries to compile+bind the whole predicate; fills matchers_ and
   /// returns true only when every conjunct compiled.
   bool CompileMatchers();
@@ -66,13 +69,9 @@ class FilterOperator : public Operator {
   ExprPtr predicate_;
   const FunctionRegistry* functions_;
   const ExecContext* ctx_;
-  bool materialize_ = false;  // LAG present: evaluate over the whole input
-  bool parallel_ = false;     // sharded morsel path
+  bool sharded_ = false;  // sharded morsel path (parallel ctx or LAG)
 
-  table::Table materialized_;
-  bool materialized_done_ = false;
-
-  // Parallel path state: the morsel source (borrowed child table or the
+  // Sharded path state: the morsel source (borrowed child table or the
   // drained copy), per-shard survivor batches, and the emit cursor.
   table::Table drained_;
   std::vector<table::ColumnBatch> shard_output_;

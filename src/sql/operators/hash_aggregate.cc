@@ -156,7 +156,7 @@ Result<Value> EvalInGroup(const Expr& e, const Evaluator& ev,
 
 /// Collects the topmost aggregate call nodes of an expression tree (the
 /// granularity EvalGroupExpr substitutes at; nested aggregates inside an
-/// argument are the serial path's runtime error to report).
+/// argument are index mode's runtime error to report).
 void CollectTopAggregates(const Expr& e, std::vector<const Expr*>* out) {
   if (e.kind == ExprKind::kFunction && IsAggregateFunction(e.function_name)) {
     out->push_back(&e);
@@ -193,6 +193,15 @@ bool IsDecomposable(const Expr& agg) {
   return false;
 }
 
+/// A global aggregate item's value over an empty input: COUNT yields 0,
+/// everything else NULL.
+Value EmptyInputValue(const Expr& e) {
+  const bool count = e.kind == ExprKind::kFunction &&
+                     (e.function_name == "COUNT" ||
+                      e.function_name == "__SUM_COUNT");
+  return count ? Value::Int(0) : Value::Null();
+}
+
 }  // namespace
 
 HashAggregateOperator::HashAggregateOperator(
@@ -206,24 +215,27 @@ HashAggregateOperator::HashAggregateOperator(
 
 Status HashAggregateOperator::OpenImpl() {
   EXPLAINIT_RETURN_IF_ERROR(input_->Open());
+  bool lag_anywhere = false;
   for (const SelectItem& item : stmt_->items) {
     if (item.is_star) {
       return Status::InvalidArgument("SELECT * with GROUP BY is not allowed");
     }
     schema_.AddField(Field{ItemName(item), DataType::kNull});
-    if (ContainsLag(*item.expr)) lag_anywhere_ = true;
+    if (ContainsLag(*item.expr)) lag_anywhere = true;
     CollectTopAggregates(*item.expr, &agg_nodes_);
   }
   for (const ExprPtr& g : stmt_->group_by) {
-    if (ContainsLag(*g)) lag_anywhere_ = true;
+    if (ContainsLag(*g)) lag_anywhere = true;
   }
   if (stmt_->having != nullptr) {
-    if (ContainsLag(*stmt_->having)) lag_anywhere_ = true;
+    if (ContainsLag(*stmt_->having)) lag_anywhere = true;
     CollectTopAggregates(*stmt_->having, &agg_nodes_);
   }
-  partial_ok_ = std::all_of(
-      agg_nodes_.begin(), agg_nodes_.end(),
-      [](const Expr* a) { return IsDecomposable(*a); });
+  // Partial states fold batch by batch, which LAG (a read of the
+  // neighbouring row of the whole input) cannot survive.
+  partial_ok_ = !lag_anywhere &&
+                std::all_of(agg_nodes_.begin(), agg_nodes_.end(),
+                            [](const Expr* a) { return IsDecomposable(*a); });
   for (size_t i = 0; i < agg_nodes_.size(); ++i) slot_of_[agg_nodes_[i]] = i;
 
   // Kernel eligibility: group keys and aggregate arguments that are all
@@ -263,11 +275,7 @@ Result<ColumnBatch> HashAggregateOperator::NextImpl(bool* eof) {
     return ColumnBatch{};
   }
   done_ = true;
-  const bool parallel =
-      ctx_ != nullptr && ctx_->parallel() && !lag_anywhere_;
-  if (!parallel) return SerialNext(eof);
-  if (partial_ok_) return PartialNext(eof);
-  return IndexNext(eof);
+  return partial_ok_ ? PartialNext(eof) : IndexNext(eof);
 }
 
 table::ColumnBatch HashAggregateOperator::EmitRows(
@@ -282,7 +290,7 @@ Status HashAggregateOperator::MaterializeInputShards() {
   retained_ptr_ = &acc_;
   morsels_.clear();
   for (const RowRange& range :
-       ShardRows(acc_.num_rows(), ctx_->parallelism)) {
+       ShardRows(acc_.num_rows(), EffectiveParallelism(ctx_))) {
     if (range.size() == 0) continue;
     morsels_.push_back(
         ColumnBatch::View(acc_, range.begin, range.size()));
@@ -291,7 +299,7 @@ Status HashAggregateOperator::MaterializeInputShards() {
 }
 
 // ---------------------------------------------------------------------------
-// Parallel partial-aggregation mode
+// Partial-aggregation mode
 // ---------------------------------------------------------------------------
 
 Status HashAggregateOperator::PartialAccumulateGeneric(
@@ -336,7 +344,7 @@ Status HashAggregateOperator::PartialAccumulateGeneric(
       if (!st.error.ok()) continue;
       Result<Value> rv = ev.Eval(*agg.args[0], r);
       if (!rv.ok()) {
-        // Deferred like the serial path: only surfaces if the group
+        // Deferred like index mode: only surfaces if the group
         // survives HAVING and the slot is consulted.
         st.error = rv.status();
         continue;
@@ -471,14 +479,7 @@ Result<ColumnBatch> HashAggregateOperator::PartialNext(bool* eof) {
     // Global aggregate over an empty input: aggregates yield NULL/0.
     std::vector<std::vector<Value>> cols(schema_.num_fields());
     for (size_t i = 0; i < stmt_->items.size(); ++i) {
-      const SelectItem& item = stmt_->items[i];
-      if (item.expr->kind == ExprKind::kFunction &&
-          (item.expr->function_name == "COUNT" ||
-           item.expr->function_name == "__SUM_COUNT")) {
-        cols[i].push_back(Value::Int(0));
-      } else {
-        cols[i].push_back(Value::Null());
-      }
+      cols[i].push_back(EmptyInputValue(*stmt_->items[i].expr));
     }
     *eof = false;
     stats_.detail = "1 group (partial)";
@@ -489,7 +490,7 @@ Result<ColumnBatch> HashAggregateOperator::PartialNext(bool* eof) {
   // assignment depends only on the batch layout and the parallelism knob,
   // so merges happen in a deterministic order.
   const size_t want_shards = std::max<size_t>(
-      1, std::min<size_t>(ctx_->parallelism,
+      1, std::min<size_t>(EffectiveParallelism(ctx_),
                           std::max<size_t>(1, total_rows / 1024)));
   std::vector<std::pair<size_t, size_t>> runs;  // [batch_begin, batch_end)
   {
@@ -534,7 +535,7 @@ Result<ColumnBatch> HashAggregateOperator::PartialNext(bool* eof) {
 
   // Merge stage: combine per-shard partials in shard order (shard order
   // is row order, so first-appearance order and first-error-wins both
-  // match the serial pipeline).
+  // match index mode).
   const size_t num_slots = agg_nodes_.size();
   size_t total_groups = 0;
   for (const ShardGroups& local : shards) total_groups += local.groups.size();
@@ -643,7 +644,7 @@ Result<ColumnBatch> HashAggregateOperator::PartialNext(bool* eof) {
   }
 
   const std::vector<RowRange> group_shards =
-      ShardRows(num_groups, ctx_->parallelism);
+      ShardRows(num_groups, EffectiveParallelism(ctx_));
   EXPLAINIT_RETURN_IF_ERROR(RunSharded(
       ctx_, group_shards.size(), [&](size_t s) -> Status {
         for (size_t gi = group_shards[s].begin; gi < group_shards[s].end;
@@ -715,13 +716,13 @@ Result<ColumnBatch> HashAggregateOperator::PartialNext(bool* eof) {
 }
 
 // ---------------------------------------------------------------------------
-// Parallel index mode (non-decomposable aggregates)
+// Index mode (non-decomposable aggregates, or LAG anywhere)
 // ---------------------------------------------------------------------------
 
 Result<ColumnBatch> HashAggregateOperator::IndexNext(bool* eof) {
   EXPLAINIT_RETURN_IF_ERROR(MaterializeInputShards());
   const std::vector<RowRange> shards =
-      ShardRows(acc_.num_rows(), ctx_->parallelism);
+      ShardRows(acc_.num_rows(), EffectiveParallelism(ctx_));
 
   // Phase 1: per-shard grouping of row indices (ascending within a
   // shard); the order vector borrows the map's node-stable keys.
@@ -730,6 +731,8 @@ Result<ColumnBatch> HashAggregateOperator::IndexNext(bool* eof) {
     std::vector<const std::string*> order;
   };
   std::vector<ShardIndex> locals(shards.size());
+  std::unordered_map<std::string, std::vector<size_t>> groups;
+  std::vector<std::string> group_order;
   if (!stmt_->group_by.empty()) {
     EXPLAINIT_RETURN_IF_ERROR(RunSharded(
         ctx_, shards.size(), [&](size_t s) -> Status {
@@ -750,13 +753,13 @@ Result<ColumnBatch> HashAggregateOperator::IndexNext(bool* eof) {
           return Status::OK();
         }));
     // Merge in shard order: concatenation keeps row indices ascending and
-    // first-appearance order identical to the serial pipeline.
+    // first-appearance order identical to the seed's row order.
     for (ShardIndex& local : locals) {
       for (const std::string* k : local.order) {
         std::vector<size_t>& rows = local.groups.at(*k);
-        auto [it, inserted] = groups_.try_emplace(*k);
+        auto [it, inserted] = groups.try_emplace(*k);
         if (inserted) {
-          group_order_.push_back(*k);
+          group_order.push_back(*k);
           it->second = std::move(rows);
         } else {
           it->second.insert(it->second.end(), rows.begin(), rows.end());
@@ -766,23 +769,23 @@ Result<ColumnBatch> HashAggregateOperator::IndexNext(bool* eof) {
   } else {
     std::vector<size_t> all(acc_.num_rows());
     std::iota(all.begin(), all.end(), size_t{0});
-    groups_[""] = std::move(all);
-    group_order_.push_back("");
+    groups[""] = std::move(all);
+    group_order.push_back("");
   }
 
-  // Phase 2: the serial per-group evaluation, fanned out across groups.
+  // Phase 2: per-group evaluation, fanned out across groups.
   Evaluator ev(&acc_, functions_);
-  const size_t num_groups = group_order_.size();
+  const size_t num_groups = group_order.size();
   std::vector<char> keep(num_groups, 1);
   std::vector<std::vector<Value>> values(schema_.num_fields());
   for (auto& col : values) col.resize(num_groups);
   const std::vector<RowRange> group_shards =
-      ShardRows(num_groups, ctx_->parallelism);
+      ShardRows(num_groups, EffectiveParallelism(ctx_));
   EXPLAINIT_RETURN_IF_ERROR(RunSharded(
       ctx_, group_shards.size(), [&](size_t s) -> Status {
         for (size_t gi = group_shards[s].begin; gi < group_shards[s].end;
              ++gi) {
-          const std::vector<size_t>& rows = groups_.at(group_order_[gi]);
+          const std::vector<size_t>& rows = groups.at(group_order[gi]);
           if (rows.empty() && !stmt_->group_by.empty()) {
             keep[gi] = 0;
             continue;
@@ -798,13 +801,7 @@ Result<ColumnBatch> HashAggregateOperator::IndexNext(bool* eof) {
           if (rows.empty()) {
             // Global aggregate over an empty table: NULL/0 per item.
             for (size_t i = 0; i < stmt_->items.size(); ++i) {
-              const SelectItem& item = stmt_->items[i];
-              values[i][gi] =
-                  item.expr->kind == ExprKind::kFunction &&
-                          (item.expr->function_name == "COUNT" ||
-                           item.expr->function_name == "__SUM_COUNT")
-                      ? Value::Int(0)
-                      : Value::Null();
+              values[i][gi] = EmptyInputValue(*stmt_->items[i].expr);
             }
             continue;
           }
@@ -834,105 +831,6 @@ Result<ColumnBatch> HashAggregateOperator::IndexNext(bool* eof) {
     ++out_rows;
   }
   return EmitRows(std::move(cols), out_rows);
-}
-
-// ---------------------------------------------------------------------------
-// Serial mode (parallelism 1, or LAG anywhere in the grouped stages)
-// ---------------------------------------------------------------------------
-
-Result<ColumnBatch> HashAggregateOperator::SerialNext(bool* eof) {
-  // Phase 1: consume batches, grouping rows incrementally. Keys are
-  // evaluated against each batch; row payloads accumulate column-wise.
-  // Keys containing LAG read neighbouring rows, so they are evaluated
-  // only after the whole input has accumulated.
-  retained_ptr_ = &acc_;
-  bool lag_in_keys = false;
-  for (const ExprPtr& g : stmt_->group_by) {
-    if (ContainsLag(*g)) lag_in_keys = true;
-  }
-  bool child_eof = false;
-  while (true) {
-    EXPLAINIT_ASSIGN_OR_RETURN(ColumnBatch batch, input_->Next(&child_eof));
-    if (child_eof) break;
-    if (!stmt_->group_by.empty() && !lag_in_keys) {
-      Evaluator ev(&batch, functions_);
-      const size_t base = acc_.num_rows();
-      std::vector<Value> key;
-      for (size_t r = 0; r < batch.num_rows(); ++r) {
-        key.clear();
-        for (const ExprPtr& g : stmt_->group_by) {
-          EXPLAINIT_ASSIGN_OR_RETURN(Value v, ev.Eval(*g, r));
-          key.push_back(std::move(v));
-        }
-        const std::string encoded = EncodeKey(key, nullptr);
-        auto [it, inserted] = groups_.try_emplace(encoded);
-        if (inserted) group_order_.push_back(encoded);
-        it->second.push_back(base + r);
-      }
-    }
-    batch.AppendTo(&acc_);
-  }
-  if (lag_in_keys) {
-    Evaluator full_ev(&acc_, functions_);
-    std::vector<Value> key;
-    for (size_t r = 0; r < acc_.num_rows(); ++r) {
-      key.clear();
-      for (const ExprPtr& g : stmt_->group_by) {
-        EXPLAINIT_ASSIGN_OR_RETURN(Value v, full_ev.Eval(*g, r));
-        key.push_back(std::move(v));
-      }
-      const std::string encoded = EncodeKey(key, nullptr);
-      auto [it, inserted] = groups_.try_emplace(encoded);
-      if (inserted) group_order_.push_back(encoded);
-      it->second.push_back(r);
-    }
-  }
-  if (stmt_->group_by.empty()) {
-    // Global aggregate: one group with every row (even zero rows).
-    std::vector<size_t> all(acc_.num_rows());
-    std::iota(all.begin(), all.end(), size_t{0});
-    groups_[""] = std::move(all);
-    group_order_.push_back("");
-  }
-
-  // Phase 2: evaluate the select list per group.
-  Evaluator ev(&acc_, functions_);
-  std::vector<std::vector<Value>> out_cols(schema_.num_fields());
-  size_t out_rows = 0;
-  for (const std::string& key : group_order_) {
-    const std::vector<size_t>& rows = groups_[key];
-    if (rows.empty() && !stmt_->group_by.empty()) continue;
-    // HAVING runs in group context so it can reference aggregates that are
-    // not in the select list.
-    if (stmt_->having != nullptr && !rows.empty()) {
-      EXPLAINIT_ASSIGN_OR_RETURN(Value keep,
-                                 EvalInGroup(*stmt_->having, ev, rows));
-      if (keep.is_null() || !keep.AsBool()) continue;
-    }
-    if (rows.empty()) {
-      // Global aggregate over an empty table: aggregates yield NULL/0.
-      for (size_t i = 0; i < stmt_->items.size(); ++i) {
-        const SelectItem& item = stmt_->items[i];
-        if (item.expr->kind == ExprKind::kFunction &&
-            (item.expr->function_name == "COUNT" ||
-             item.expr->function_name == "__SUM_COUNT")) {
-          out_cols[i].push_back(Value::Int(0));
-        } else {
-          out_cols[i].push_back(Value::Null());
-        }
-      }
-    } else {
-      for (size_t i = 0; i < stmt_->items.size(); ++i) {
-        EXPLAINIT_ASSIGN_OR_RETURN(
-            Value v, EvalInGroup(*stmt_->items[i].expr, ev, rows));
-        out_cols[i].push_back(std::move(v));
-      }
-    }
-    ++out_rows;
-  }
-  *eof = false;
-  stats_.detail = std::to_string(group_order_.size()) + " groups";
-  return EmitRows(std::move(out_cols), out_rows);
 }
 
 }  // namespace explainit::sql

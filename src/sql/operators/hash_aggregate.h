@@ -1,26 +1,26 @@
-// HashAggregate: incremental hash grouping over input batches (group keys
-// are evaluated vectorised per batch), then per-group evaluation of the
-// select list / HAVING. A pipeline breaker: groups can only close once
-// the input is exhausted.
+// HashAggregate: hash grouping of the whole input, then per-group
+// evaluation of the select list / HAVING. A pipeline breaker: groups can
+// only close once the input is exhausted.
 //
-// With a parallel ExecContext the operator is morsel-parallel. Two modes:
+// The statement picks one of two modes; the ExecContext only sets how
+// many shards each runs (one shard, inline, at parallelism 1 or with a
+// null context):
 //
 //  * partial mode — every aggregate call decomposes (COUNT/SUM/MIN/MAX/
-//    AVG): workers build per-shard hash tables of flat partial states
-//    (sum, non-null count, min, max, row count), a merge stage combines
-//    partials in shard order (so a given parallelism level is
-//    deterministic), and finalisation substitutes merged values for the
-//    aggregate nodes. Input morsels are the child's own batches when the
-//    child emits stable storage (no re-materialisation), else row shards
-//    of a one-time drain.
+//    AVG) and no stage contains LAG: shards build hash tables of flat
+//    partial states (sum, non-null count, min, max, row count), a merge
+//    stage combines partials in shard order (so a given parallelism
+//    level is deterministic), and finalisation substitutes merged values
+//    for the aggregate nodes. Input morsels are the child's own batches
+//    when the child emits stable storage (no re-materialisation), else
+//    row shards of a one-time drain.
 //  * index mode — non-decomposable aggregates (STDDEV, PERCENTILE, or
-//    malformed calls whose error messages the serial path owns): workers
-//    group row indices per shard, the merge concatenates them in shard
-//    order (preserving ascending row order), and the serial per-group
-//    evaluation runs in parallel across groups.
-//
-// Stages whose expressions contain LAG stay on the serial materialised
-// path: LAG reads neighbouring rows of the whole relation.
+//    malformed calls whose error messages this mode owns), or LAG in a
+//    key, item or HAVING: the input is drained, shards group row indices,
+//    the merge concatenates them in shard order (preserving ascending row
+//    order), and per-group evaluation runs across groups. Keys, HAVING
+//    and items evaluate over the whole drained input, so LAG reads its
+//    true neighbour at any shard count.
 #pragma once
 
 #include <algorithm>
@@ -49,7 +49,7 @@ class HashAggregateOperator : public Operator {
   /// The accumulated input rows (the aggregate materialises its input
   /// on every path that retains); ORDER BY's last-resort resolution path
   /// reads them. Null when constructed with retain_input == false and
-  /// the parallel partial path skipped materialisation.
+  /// partial mode skipped materialisation.
   const table::Table* retained_input() const override {
     return retained_ptr_;
   }
@@ -61,8 +61,8 @@ class HashAggregateOperator : public Operator {
  private:
   /// Flat partial state of one decomposable aggregate in one group.
   /// Argument-evaluation errors are captured per slot instead of failing
-  /// the whole phase: the serial pipeline only surfaces them when the
-  /// group survives HAVING, so eager partial evaluation must too.
+  /// the whole phase: index mode only surfaces them when the group
+  /// survives HAVING, so eager partial evaluation must too.
   struct PartialState {
     double sum = 0.0;
     double min = 0.0;
@@ -112,7 +112,6 @@ class HashAggregateOperator : public Operator {
     std::vector<PartialState> slots;        // groups.size() * num_slots
   };
 
-  Result<table::ColumnBatch> SerialNext(bool* eof);
   Result<table::ColumnBatch> PartialNext(bool* eof);
   Result<table::ColumnBatch> IndexNext(bool* eof);
   /// Generic per-batch partial accumulation (Evaluator-based).
@@ -126,7 +125,8 @@ class HashAggregateOperator : public Operator {
                                        uint32_t batch_index,
                                        ShardGroups* local);
   /// Drains the input into acc_ and exposes it as one view batch per row
-  /// shard (the morsel source for the drained parallel variants).
+  /// shard (the morsel source of index mode and of partial mode over
+  /// unstable batches).
   Status MaterializeInputShards();
   /// Builds the final output batch given per-group item/HAVING values.
   table::ColumnBatch EmitRows(std::vector<std::vector<table::Value>> cols,
@@ -139,14 +139,11 @@ class HashAggregateOperator : public Operator {
   bool retain_input_;
 
   table::Schema schema_;
-  table::Table acc_;  // all input rows, grouped by row index
+  table::Table acc_;  // the drained input (index mode, or unstable batches)
   const table::Table* retained_ptr_ = nullptr;
-  std::unordered_map<std::string, std::vector<size_t>> groups_;
-  std::vector<std::string> group_order_;
   bool done_ = false;
 
-  // Parallel-mode state, resolved at Open().
-  bool lag_anywhere_ = false;
+  // Mode state, resolved at Open().
   bool partial_ok_ = false;
   std::vector<const Expr*> agg_nodes_;  // topmost aggregate calls
   std::unordered_map<const Expr*, size_t> slot_of_;

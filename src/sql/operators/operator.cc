@@ -37,6 +37,16 @@ Result<table::ColumnBatch> Operator::Next(bool* eof) {
   return r;
 }
 
+const table::Table* Operator::BorrowMaterializedTable() {
+  const table::Table* t = MaterializedTable();
+  if (t == nullptr || &t->schema() != &output_schema()) return nullptr;
+  if (t->num_rows() > 0) {
+    stats_.rows_output += t->num_rows();
+    ++stats_.batches_output;
+  }
+  return t;
+}
+
 void Operator::CollectStats(std::vector<OperatorStats>* out) const {
   stats_.name = name();
   out->push_back(stats_);

@@ -99,12 +99,12 @@ class Operator {
   virtual const table::Schema& output_schema() const = 0;
   virtual std::string name() const = 0;
 
-  /// The operator's complete output as one materialised table, when it has
-  /// one (catalog scans). Valid after Open(); null otherwise. Parallel
-  /// consumers shard directly over this storage instead of re-draining
-  /// the batch stream. The schema is the operator's *unqualified* backing
-  /// schema; callers pair it with output_schema() when they match.
-  virtual const table::Table* MaterializedTable() const { return nullptr; }
+  /// The operator's complete output as one materialised table, when it
+  /// has one (catalog scans outside joins), else null. Valid after Open().
+  /// Sharded consumers read this storage in place instead of draining
+  /// the batch stream. The borrowed rows count as this operator's output
+  /// (one batch), so its counters read the same either way.
+  const table::Table* BorrowMaterializedTable();
 
   /// True when every batch this operator emits stays valid until the
   /// operator is destroyed (owned storage or views into long-lived
@@ -147,6 +147,11 @@ class Operator {
  protected:
   virtual Status OpenImpl() = 0;
   virtual Result<table::ColumnBatch> NextImpl(bool* eof) = 0;
+
+  /// The backing table behind this operator's batches, if any (valid
+  /// after Open()). Its schema is the *unqualified* backing schema;
+  /// BorrowMaterializedTable lends it only when that is output_schema().
+  virtual const table::Table* MaterializedTable() const { return nullptr; }
 
   Operator* AddChild(std::unique_ptr<Operator> child) {
     children_.push_back(std::move(child));

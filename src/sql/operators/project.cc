@@ -21,6 +21,7 @@ ProjectOperator::ProjectOperator(std::unique_ptr<Operator> input,
 Status ProjectOperator::OpenImpl() {
   EXPLAINIT_RETURN_IF_ERROR(input_->Open());
   const table::Schema& in = input_->output_schema();
+  bool has_lag = false;
   for (const SelectItem& item : stmt_->items) {
     if (item.is_star) {
       for (size_t c = 0; c < in.num_fields(); ++c) {
@@ -31,32 +32,29 @@ Status ProjectOperator::OpenImpl() {
     }
     schema_.AddField(Field{ItemName(item), DataType::kNull});
     columns_.push_back(OutputColumn{item.expr.get(), 0});
-    if (ContainsLag(*item.expr)) materialize_ = true;
+    if (ContainsLag(*item.expr)) has_lag = true;
   }
-  parallel_ = !materialize_ && ctx_ != nullptr && ctx_->parallel();
-  // The parallel path may also drain into retained_ (its fallback morsel
+  // A LAG item reads the neighbouring row of the whole input, which the
+  // sharded path's Evaluator spans at any shard count.
+  sharded_ = has_lag || (ctx_ != nullptr && ctx_->parallel());
+  // The sharded path may also drain into retained_ (its fallback morsel
   // source when the child's storage is not borrowable).
-  if (retain_input_ || materialize_ || parallel_) {
-    retained_ = table::Table(in);
-  }
+  if (retain_input_ || sharded_) retained_ = table::Table(in);
   return Status::OK();
 }
 
-Result<ColumnBatch> ProjectOperator::ProjectRows(
-    const Evaluator& ev, size_t rows, const ColumnBatch* borrow) {
-  ColumnBatch out(&schema_, rows);
+Result<ColumnBatch> ProjectOperator::ProjectRows(const ColumnBatch& in,
+                                                 RowRange range) const {
+  ColumnBatch out(&schema_, range.size());
+  Evaluator ev(&in, functions_);
   for (const OutputColumn& col : columns_) {
     if (col.expr == nullptr) {
-      if (borrow != nullptr) {
-        out.AddBorrowedColumn(borrow->column(col.pass_through));
-      } else {
-        out.AddBorrowedColumn(retained_.column(col.pass_through).data());
-      }
+      out.AddBorrowedColumn(in.column(col.pass_through) + range.begin);
       continue;
     }
     std::vector<Value> values;
-    values.reserve(rows);
-    for (size_t r = 0; r < rows; ++r) {
+    values.reserve(range.size());
+    for (size_t r = range.begin; r < range.end; ++r) {
       EXPLAINIT_ASSIGN_OR_RETURN(Value v, ev.Eval(*col.expr, r));
       values.push_back(std::move(v));
     }
@@ -65,42 +63,25 @@ Result<ColumnBatch> ProjectOperator::ProjectRows(
   return out;
 }
 
-Result<ColumnBatch> ProjectOperator::ParallelNext(bool* eof) {
+Result<ColumnBatch> ProjectOperator::ShardedNext(bool* eof) {
   if (!done_) {
     done_ = true;
     // Morsel source: borrow the child's materialised table when its
     // schema object is the child's output schema, else drain once. The
     // source doubles as the retained pre-projection rows (1:1).
-    const table::Table* source = input_->MaterializedTable();
-    if (source == nullptr ||
-        &source->schema() != &input_->output_schema()) {
+    const table::Table* source = input_->BorrowMaterializedTable();
+    if (source == nullptr) {
       EXPLAINIT_RETURN_IF_ERROR(Drain(input_, &retained_));
       source = &retained_;
     }
     retained_ptr_ = source;
+    const ColumnBatch whole = ColumnBatch::View(*source, 0, source->num_rows());
     const std::vector<RowRange> shards =
-        ShardRows(source->num_rows(), ctx_->parallelism);
+        ShardRows(source->num_rows(), EffectiveParallelism(ctx_));
     std::vector<ColumnBatch> outputs(shards.size());
     EXPLAINIT_RETURN_IF_ERROR(RunSharded(
         ctx_, shards.size(), [&](size_t s) -> Status {
-          const RowRange& range = shards[s];
-          ColumnBatch out(&schema_, range.size());
-          Evaluator ev(source, functions_);
-          for (const OutputColumn& col : columns_) {
-            if (col.expr == nullptr) {
-              out.AddBorrowedColumn(
-                  source->column(col.pass_through).data() + range.begin);
-              continue;
-            }
-            std::vector<Value> values;
-            values.reserve(range.size());
-            for (size_t r = range.begin; r < range.end; ++r) {
-              EXPLAINIT_ASSIGN_OR_RETURN(Value v, ev.Eval(*col.expr, r));
-              values.push_back(std::move(v));
-            }
-            out.AddOwnedColumn(std::move(values));
-          }
-          outputs[s] = std::move(out);
+          EXPLAINIT_ASSIGN_OR_RETURN(outputs[s], ProjectRows(whole, shards[s]));
           return Status::OK();
         }));
     shard_output_ = std::move(outputs);
@@ -118,20 +99,7 @@ Result<ColumnBatch> ProjectOperator::ParallelNext(bool* eof) {
 }
 
 Result<ColumnBatch> ProjectOperator::NextImpl(bool* eof) {
-  if (parallel_) return ParallelNext(eof);
-  if (materialize_) {
-    // LAG window: evaluate over the whole input at once. The retained
-    // table doubles as the materialised input.
-    if (done_) {
-      *eof = true;
-      return ColumnBatch{};
-    }
-    done_ = true;
-    EXPLAINIT_RETURN_IF_ERROR(Drain(input_, &retained_));
-    Evaluator ev(&retained_, functions_);
-    *eof = false;
-    return ProjectRows(ev, retained_.num_rows(), nullptr);
-  }
+  if (sharded_) return ShardedNext(eof);
   bool child_eof = false;
   EXPLAINIT_ASSIGN_OR_RETURN(ColumnBatch batch, input_->Next(&child_eof));
   if (child_eof) {
@@ -140,9 +108,8 @@ Result<ColumnBatch> ProjectOperator::NextImpl(bool* eof) {
   }
   if (retain_input_) batch.AppendTo(&retained_);
   current_input_ = std::move(batch);
-  Evaluator ev(&current_input_, functions_);
   *eof = false;
-  return ProjectRows(ev, current_input_.num_rows(), &current_input_);
+  return ProjectRows(current_input_, RowRange{0, current_input_.num_rows()});
 }
 
 }  // namespace explainit::sql

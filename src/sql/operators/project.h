@@ -1,14 +1,18 @@
 // Project: evaluates the select list over batches. `SELECT *` columns
 // pass through as borrowed (zero-copy) columns; computed items become
-// owned columns. Items containing LAG materialise the whole input first.
-// When ORDER BY may reference unprojected columns, the operator also
-// retains its input rows (1:1 with the output) for the sort to consult.
+// owned columns. When ORDER BY may reference unprojected columns, the
+// operator also retains its input rows (1:1 with the output) for the
+// sort to consult.
 //
-// With a parallel ExecContext the projection is morsel-parallel: the
-// input is materialised once (borrowed from an already-materialised
-// child when possible), row shards evaluate the computed columns across
-// the pool, and per-shard batches are emitted in shard order with
-// pass-through columns still borrowed from the source table.
+// With a parallel ExecContext, or an item containing LAG, the projection
+// takes its sharded path: the input is materialised once (borrowed from
+// an already-materialised child when possible), row shards evaluate the
+// computed columns across the pool (inline at parallelism 1), and
+// per-shard batches are emitted in shard order with pass-through columns
+// still borrowed from the source table. Each shard's Evaluator spans the
+// whole source, so LAG reads its true neighbour. The streaming path stays
+// for everything else at parallelism 1: it is the one that stops pulling
+// early under a LIMIT.
 #pragma once
 
 #include "sql/evaluator.h"
@@ -25,7 +29,7 @@ class ProjectOperator : public Operator {
 
   const table::Schema& output_schema() const override { return schema_; }
   std::string name() const override { return "Project"; }
-  bool StableBatches() const override { return materialize_ || parallel_; }
+  bool StableBatches() const override { return sharded_; }
 
   /// The retained pre-projection rows (valid after execution, only when
   /// constructed with retain_input). Rows map 1:1 to output rows.
@@ -43,22 +47,23 @@ class ProjectOperator : public Operator {
     size_t pass_through = 0;     // input column index when expr == null
   };
 
-  Result<table::ColumnBatch> ProjectRows(const Evaluator& ev, size_t rows,
-                                         const table::ColumnBatch* borrow);
-  Result<table::ColumnBatch> ParallelNext(bool* eof);
+  /// Projects rows `range` of `in`: pass-through columns borrow `in`'s
+  /// storage; items evaluate over all of `in`, so LAG may read a row
+  /// before the range.
+  Result<table::ColumnBatch> ProjectRows(const table::ColumnBatch& in,
+                                         RowRange range) const;
+  Result<table::ColumnBatch> ShardedNext(bool* eof);
 
   Operator* input_;
   const SelectStatement* stmt_;
   const FunctionRegistry* functions_;
   bool retain_input_;
   const ExecContext* ctx_;
-  bool materialize_ = false;  // LAG in a select item
-  bool parallel_ = false;     // sharded morsel path
+  bool sharded_ = false;  // sharded morsel path (parallel ctx or LAG)
 
   table::Schema schema_;
   std::vector<OutputColumn> columns_;
   table::ColumnBatch current_input_;  // keeps pass-through storage alive
-  table::Table materialized_;
   table::Table retained_;
   const table::Table* retained_ptr_ = &retained_;
   bool done_ = false;

@@ -37,12 +37,12 @@ class CatalogScanOperator : public Operator {
     stats->rows_scanned += table_.num_rows();
     if (hints_.min_step_seconds > 0) ++stats->rollup_hinted_scans;
   }
-  /// The scan's batches are views into table_, which lives as long as
-  /// the operator; parallel consumers shard over it directly.
-  const table::Table* MaterializedTable() const override { return &table_; }
   bool StableBatches() const override { return true; }
 
  protected:
+  /// The scan's batches are views into table_, which lives as long as
+  /// the operator; sharded consumers read it in place.
+  const table::Table* MaterializedTable() const override { return &table_; }
   Status OpenImpl() override;
   Result<table::ColumnBatch> NextImpl(bool* eof) override;
 

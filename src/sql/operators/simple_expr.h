@@ -7,8 +7,8 @@
 //
 // Semantics exactly mirror Evaluator::Eval for the covered shapes —
 // including "subscript on non-map value" errors and missing-key NULLs —
-// so kernels built on these accessors cannot diverge from the serial
-// pipeline. Anything that fails to compile or bind falls back to the
+// so kernels built on these accessors cannot diverge from the generic
+// Evaluator path. Anything that fails to compile or bind falls back to the
 // generic path.
 #pragma once
 

@@ -326,6 +326,36 @@ TEST(EngineTest, ExplainStatementProducesScoreTable) {
   EXPECT_EQ(result->stats.operators[0].name, "Rank");
 }
 
+TEST(EngineTest, ExplainWithoutTopKeepsThePaperDefault) {
+  // 25 candidate families: with no TOP clause the Score Table stops at
+  // the paper's default of 20 rows; TOP 25 shows the cut was the
+  // default's, not the search space's.
+  auto store = std::make_shared<tsdb::SeriesStore>();
+  Rng rng(25);
+  for (int64_t i = 0; i < 60; ++i) {
+    const tsdb::TagSet tags{{"host", "h0"}};
+    ASSERT_TRUE(store->Write("target", tags, i * 60, rng.Normal()).ok());
+    for (int m = 0; m < 25; ++m) {
+      ASSERT_TRUE(store
+                      ->Write("m" + std::to_string(m), tags, i * 60,
+                              rng.Normal())
+                      .ok());
+    }
+  }
+  Engine engine(store);
+  engine.RegisterStoreTable("tsdb", kRange);
+  const std::string stmt = "EXPLAIN (" + ByMetric("metric_name = 'target'") +
+                           ") USING (" +
+                           ByMetric("metric_name <> 'target'") +
+                           ") SCORE BY 'CorrMax'";
+  auto by_default = engine.Query(stmt);
+  ASSERT_TRUE(by_default.ok()) << by_default.status().ToString();
+  EXPECT_EQ(by_default->table.num_rows(), 20u);
+  auto top25 = engine.Query(stmt + " TOP 25");
+  ASSERT_TRUE(top25.ok()) << top25.status().ToString();
+  EXPECT_EQ(top25->table.num_rows(), 25u);
+}
+
 TEST(EngineTest, ExplainScoreTableComposesWithSql) {
   // The EXPLAIN result is an ordinary table: register it and re-query.
   Engine engine(MakeStore(150, 23));

@@ -132,11 +132,22 @@ const char* const kCorpus[] = {
     "SELECT COUNT(*) AS n FROM tsdb q JOIN tsdb q "
     "ON q.timestamp = q.timestamp "
     "WHERE q.metric_name = 'cpu' AND q.timestamp < 180",
-    // --- LAG (stays serial at every parallelism) --------------------------
+    // --- LAG: each stage's Evaluator spans the whole input ---------------
     "SELECT timestamp, value - LAG(value, 1) AS d FROM tsdb "
     "WHERE metric_name = 'cpu' AND tag['host'] = 'h0'",
     "SELECT timestamp FROM tsdb WHERE metric_name = 'cpu' "
     "AND tag['host'] = 'h0' AND LAG(value, 1) < value",
+    // LAG under aggregation (index mode at every parallelism): inside an
+    // aggregate argument, in HAVING, and beside a non-decomposable
+    // aggregate.
+    "SELECT tag['host'] AS h, SUM(value - LAG(value)) AS s FROM tsdb "
+    "WHERE metric_name = 'cpu' GROUP BY tag['host']",
+    "SELECT tag['host'] AS h, COUNT(*) AS n FROM tsdb "
+    "WHERE metric_name = 'mem' GROUP BY tag['host'] "
+    "HAVING MIN(value - LAG(value)) > 0",
+    "SELECT tag['dc'] AS dc, STDDEV(value) AS sd, "
+    "AVG(LAG(value, 2)) AS a FROM tsdb WHERE metric_name = 'cpu' "
+    "GROUP BY tag['dc']",
     // --- UNION ALL / ORDER BY / LIMIT / subqueries ------------------------
     "SELECT 'cpu' AS m, AVG(value) AS v FROM tsdb WHERE metric_name = 'cpu' "
     "UNION ALL "

@@ -14,6 +14,9 @@
 //   * The partitioned join, sharded sort and parallel materialisation
 //     produce byte-identical output at parallelism 1 vs 4, and record
 //     their fan-out in ExecStats.
+//   * HashAggregate's mode follows the statement, not the parallelism:
+//     decomposable aggregates run partial mode and STDDEV or LAG run
+//     index mode at parallelism 1, with a null context and at 4 alike.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -21,6 +24,7 @@
 #include <vector>
 
 #include "sql/executor.h"
+#include "sql/operators/hash_aggregate.h"
 #include "sql/operators/hash_join.h"
 #include "sql/operators/scan.h"
 #include "sql/parser.h"
@@ -327,6 +331,79 @@ TEST_F(OperatorsTest, ParallelMaterialisationAssemblesChunks) {
   }
   EXPECT_GE(parallel.last_stats().materialize_chunks, 2u);
   EXPECT_EQ(serial.last_stats().materialize_chunks, 1u);
+}
+
+// ---------------------------------------------------------------------------
+// HashAggregate: the statement picks the mode at every parallelism level
+// ---------------------------------------------------------------------------
+
+TEST_F(OperatorsTest, AggregateModeFollowsTheStatement) {
+  // Several batches and several shards' worth of rows; multiples of 0.25
+  // keep every SUM exact whatever the summation order.
+  constexpr int kRows = 5000;
+  Table agg(Schema{{{"k", DataType::kInt64}, {"v", DataType::kDouble}}});
+  for (int i = 0; i < kRows; ++i) {
+    agg.AppendRow({Value::Int(i % 37), Value::Double((i % 101) * 0.25)});
+  }
+  catalog_.RegisterTable("agg", std::move(agg));
+
+  struct Case {
+    const char* query;
+    bool partial;
+  };
+  const Case cases[] = {
+      {"SELECT k, SUM(v) AS s FROM agg GROUP BY k", true},
+      {"SELECT k, STDDEV(v) AS s FROM agg GROUP BY k", false},
+      {"SELECT LAG(k) AS p, COUNT(*) AS n FROM agg GROUP BY LAG(k)", false},
+  };
+  auto detail_of = [](const ExecStats& stats) {
+    for (const OperatorStats& op : stats.operators) {
+      if (op.name == "HashAggregate") return op.detail;
+    }
+    return std::string("<no HashAggregate>");
+  };
+  Executor serial(&catalog_, &functions_, 1);
+  Executor parallel(&catalog_, &functions_, 4);
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.query);
+    auto r1 = serial.Query(c.query);
+    auto r4 = parallel.Query(c.query);
+    ASSERT_TRUE(r1.ok()) << r1.status().ToString();
+    ASSERT_TRUE(r4.ok()) << r4.status().ToString();
+    const std::string d1 = detail_of(serial.last_stats());
+    const std::string d4 = detail_of(parallel.last_stats());
+    EXPECT_EQ(d1.find("(partial") != std::string::npos, c.partial) << d1;
+    EXPECT_EQ(d4.find("(partial") != std::string::npos, c.partial) << d4;
+
+    // The operator alone, with no context at all.
+    auto stmt = Parse(c.query);
+    ASSERT_TRUE(stmt.ok()) << stmt.status().ToString();
+    HashAggregateOperator op(
+        std::make_unique<CatalogScanOperator>(
+            &catalog_, "agg", tsdb::ScanHints{}, "", std::nullopt),
+        stmt->get(), &functions_, /*ctx=*/nullptr);
+    Table r0 = DrainAll(&op);
+    EXPECT_EQ(op.stats().detail.find("(partial") != std::string::npos,
+              c.partial)
+        << op.stats().detail;
+
+    // Same groups in the same first-appearance order, same values.
+    auto same = [](const Value& a, const Value& b) {
+      return a.is_null() || b.is_null() ? a.is_null() && b.is_null()
+                                        : a.Equals(b);
+    };
+    ASSERT_GT(r4->num_rows(), 1u);
+    ASSERT_EQ(r1->num_rows(), r4->num_rows());
+    ASSERT_EQ(r0.num_rows(), r4->num_rows());
+    for (size_t r = 0; r < r4->num_rows(); ++r) {
+      for (size_t col = 0; col < r4->num_columns(); ++col) {
+        EXPECT_TRUE(same(r1->At(r, col), r4->At(r, col)))
+            << "row " << r << " col " << col;
+        EXPECT_TRUE(same(r0.At(r, col), r4->At(r, col)))
+            << "row " << r << " col " << col;
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -164,6 +164,30 @@ TEST_F(PlannerTest, GroupByLagSpansBatches) {
   EXPECT_EQ(out.num_rows(), kRows);  // NULL + 1029 distinct predecessors
 }
 
+TEST_F(PlannerTest, LagFilterAndProjectSpanBatches) {
+  // A LAG filter or projection at parallelism 1 must read the true
+  // predecessor across the 1024-row batch boundary, as it does at 4.
+  Schema s({{"v", DataType::kInt64}});
+  Table t(s);
+  constexpr size_t kRows = 1030;  // spans two batches
+  for (size_t i = 0; i < kRows; ++i) {
+    t.AppendRow({Value::Int(static_cast<int64_t>(i))});
+  }
+  catalog_.RegisterTable("lagged", std::move(t));
+  for (size_t parallelism : {1, 4}) {
+    SCOPED_TRACE(parallelism);
+    executor_->set_parallelism(parallelism);
+    Table kept = MustQuery("SELECT v FROM lagged WHERE LAG(v) < v");
+    EXPECT_EQ(kept.num_rows(), kRows - 1);  // all but the first row
+    Table diffs = MustQuery("SELECT v - LAG(v) AS d FROM lagged");
+    ASSERT_EQ(diffs.num_rows(), kRows);
+    EXPECT_TRUE(diffs.At(0, 0).is_null());
+    for (size_t r = 1; r < kRows; ++r) {
+      ASSERT_EQ(diffs.At(r, 0).AsInt(), 1) << "row " << r;
+    }
+  }
+}
+
 TEST_F(PlannerTest, LagDisablesPushdown) {
   // LAG reads neighbouring rows, so the scanned row set must not shrink:
   // the first row inside the window still sees its true predecessor...
@@ -260,6 +284,35 @@ TEST_F(PlannerTest, PerOperatorCountersReportRows) {
   ASSERT_NE(agg, nullptr);
   EXPECT_EQ(agg->rows_output, 4u);
   EXPECT_NE(agg->detail.find("4 groups"), std::string::npos) << agg->detail;
+}
+
+TEST_F(PlannerTest, BorrowedScanTableReportsItsRows) {
+  // A sharded Filter or Project reads the scan's table in place instead
+  // of pulling its batches; the rows still count as the scan's output.
+  auto check = [this](const std::string& q, const char* borrower) {
+    SCOPED_TRACE(q);
+    MustQuery(q);
+    const OperatorStats* scan = FindOperator("Scan");
+    ASSERT_NE(scan, nullptr);
+    EXPECT_GT(scan->rows_output, 0u);
+    EXPECT_EQ(scan->rows_output, executor_->last_stats().rows_scanned);
+    EXPECT_GT(scan->batches_output, 0u);
+    // The borrower took its sharded path (it reports a shard count).
+    const OperatorStats* op = FindOperator(borrower);
+    ASSERT_NE(op, nullptr);
+    EXPECT_NE(op->detail.find("shards"), std::string::npos) << op->detail;
+  };
+  executor_->set_parallelism(4);
+  check("SELECT tag['host'] AS h, AVG(value) AS v FROM tsdb "
+        "WHERE metric_name = 'cpu' AND value > 150 GROUP BY tag['host']",
+        "Filter");
+  check("SELECT value + 1 AS v FROM tsdb", "Project");
+  // LAG stages shard at parallelism 1 too.
+  executor_->set_parallelism(1);
+  check("SELECT timestamp FROM tsdb WHERE metric_name = 'cpu' "
+        "AND tag['host'] = 'h0' AND LAG(value, 1) < value",
+        "Filter");
+  check("SELECT value - LAG(value) AS d FROM tsdb", "Project");
 }
 
 TEST_F(PlannerTest, CumulativeVersusLastStats) {
