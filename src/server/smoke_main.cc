@@ -1,8 +1,9 @@
 // explainit_server_smoke: concurrent-client smoke against a RUNNING
 // explainit_serverd (ci/check.sh starts the daemon, parses its printed
-// port, and points this at it). Each session pings, runs a SELECT and
-// the declarative EXPLAIN, and validates the replies; any failure exits
-// non-zero.
+// port, and points this at it). Each session pings, sends a statement
+// nested past the parser's cap (which must come back as a ParseError, not
+// a dead server), pings again, runs a SELECT and the declarative EXPLAIN,
+// and validates the replies; any failure exits non-zero.
 //
 //   explainit_server_smoke --port=PORT [--host=127.0.0.1] [--sessions=8]
 #include <atomic>
@@ -14,6 +15,7 @@
 #include <vector>
 
 #include "server/client.h"
+#include "sql/parser.h"
 
 using namespace explainit;
 
@@ -81,6 +83,18 @@ int main(int argc, char** argv) {
       if (Status st = client->Ping(); !st.ok()) {
         std::fprintf(stderr, "session %ld ping: %s\n", s,
                      st.ToString().c_str());
+        failures.fetch_add(1);
+        return;
+      }
+      const size_t deep = 20 * sql::kMaxNestingDepth;
+      auto over_cap = client->Query(
+          "SELECT " + std::string(deep, '(') + "1" + std::string(deep, ')'));
+      if (over_cap.ok() || !over_cap.status().IsParseError() ||
+          !client->Ping().ok()) {
+        std::fprintf(stderr,
+                     "session %ld over-cap statement: %s (want ParseError "
+                     "and a live session)\n",
+                     s, over_cap.status().ToString().c_str());
         failures.fetch_add(1);
         return;
       }

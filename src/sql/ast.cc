@@ -11,6 +11,10 @@ bool IsAggregateFunction(std::string_view upper_name) {
          upper_name == "__SUM_COUNT";
 }
 
+bool IsAggregateCall(const Expr& e) {
+  return e.kind == ExprKind::kFunction && IsAggregateFunction(e.function_name);
+}
+
 namespace {
 const char* BinaryOpText(BinaryOp op) {
   switch (op) {
@@ -54,9 +58,12 @@ std::string Expr::ToString() const {
     case ExprKind::kBinary:
       return "(" + left->ToString() + BinaryOpText(binary_op) +
              right->ToString() + ")";
-    case ExprKind::kUnary:
-      return unary_op == UnaryOp::kNot ? "NOT " + left->ToString()
-                                       : "-" + left->ToString();
+    case ExprKind::kUnary: {
+      const std::string operand = left->ToString();
+      if (unary_op == UnaryOp::kNot) return "NOT " + operand;
+      // A space keeps "- -x" from printing as a "--" line comment.
+      return (operand[0] == '-' ? "- " : "-") + operand;
+    }
     case ExprKind::kSubscript:
       return left->ToString() + "[" + right->ToString() + "]";
     case ExprKind::kInList: {
@@ -85,53 +92,56 @@ std::string Expr::ToString() const {
   return "?";
 }
 
-bool Expr::ContainsAggregate() const {
-  if (kind == ExprKind::kFunction && IsAggregateFunction(function_name)) {
-    return true;
-  }
-  auto check = [](const ExprPtr& e) {
-    return e != nullptr && e->ContainsAggregate();
-  };
-  if (check(left) || check(right) || check(between_lo) || check(between_hi) ||
-      check(case_else)) {
-    return true;
-  }
-  for (const ExprPtr& a : args) {
-    if (check(a)) return true;
-  }
-  for (const ExprPtr& a : list) {
-    if (check(a)) return true;
-  }
-  for (const CaseBranch& b : case_branches) {
-    if (check(b.condition) || check(b.result)) return true;
-  }
-  return false;
-}
+bool Expr::ContainsAggregate() const { return AnyNode(*this, IsAggregateCall); }
 
 ExprPtr Expr::Clone() const {
+  return MapChildren(*this, [](const Expr& c) -> Result<ExprPtr> {
+           return c.Clone();
+         }).value();
+}
+
+Result<ExprPtr> MapChildren(
+    const Expr& e, const std::function<Result<ExprPtr>(const Expr&)>& f) {
   auto out = std::make_unique<Expr>();
-  out->kind = kind;
-  out->literal = literal;
-  out->qualifier = qualifier;
-  out->column = column;
-  out->function_name = function_name;
-  for (const ExprPtr& a : args) out->args.push_back(a->Clone());
-  out->binary_op = binary_op;
-  out->unary_op = unary_op;
-  if (left) out->left = left->Clone();
-  if (right) out->right = right->Clone();
-  for (const ExprPtr& a : list) out->list.push_back(a->Clone());
-  if (between_lo) out->between_lo = between_lo->Clone();
-  if (between_hi) out->between_hi = between_hi->Clone();
-  out->negated = negated;
-  for (const CaseBranch& b : case_branches) {
-    CaseBranch nb;
-    nb.condition = b.condition->Clone();
-    nb.result = b.result->Clone();
-    out->case_branches.push_back(std::move(nb));
-  }
-  if (case_else) out->case_else = case_else->Clone();
+  out->kind = e.kind;
+  out->literal = e.literal;
+  out->qualifier = e.qualifier;
+  out->column = e.column;
+  out->function_name = e.function_name;
+  out->binary_op = e.binary_op;
+  out->unary_op = e.unary_op;
+  out->negated = e.negated;
+  out->args.resize(e.args.size());
+  out->list.resize(e.list.size());
+  out->case_branches.resize(e.case_branches.size());
+  Status status;
+  internal::ForEachSlot(
+      [&](const ExprPtr& from, ExprPtr& to) {
+        if (from == nullptr || !status.ok()) return;
+        Result<ExprPtr> mapped = f(*from);
+        if (mapped.ok()) {
+          to = std::move(mapped).value();
+        } else {
+          status = mapped.status();
+        }
+      },
+      e, *out);
+  if (!status.ok()) return status;
   return out;
+}
+
+bool ContainsLag(const Expr& e) {
+  return AnyNode(e, [](const Expr& n) {
+    return n.kind == ExprKind::kFunction && n.function_name == "LAG";
+  });
+}
+
+void CollectAggregates(const Expr& e, std::vector<const Expr*>* out) {
+  if (IsAggregateCall(e)) {
+    out->push_back(&e);
+    return;
+  }
+  ForEachChild(e, [out](const Expr& c) { CollectAggregates(c, out); });
 }
 
 namespace {

@@ -2,11 +2,13 @@
 // by the planner/executor.
 #pragma once
 
+#include <functional>
 #include <memory>
 #include <optional>
 #include <string>
 #include <vector>
 
+#include "common/result.h"
 #include "table/value.h"
 
 namespace explainit::sql {
@@ -91,6 +93,73 @@ struct CaseBranch {
 /// internal __SUM_COUNT (a COUNT partial: sums its argument, finalises
 /// as an integer — never produced by the parser).
 bool IsAggregateFunction(std::string_view upper_name);
+
+/// True when `e` is itself an aggregate function call.
+bool IsAggregateCall(const Expr& e);
+
+// ---------------------------------------------------------------------------
+// Traversal: the one list of an Expr's child slots every walker builds on
+// ---------------------------------------------------------------------------
+
+namespace internal {
+
+/// The child slots of `e` (ExprPtrs, possibly null) in visit order: left,
+/// right, between_lo, between_hi, case_else, args, list, then each CASE
+/// branch's condition and result. `f` receives each slot of `e` together
+/// with the same slot of every node in `twins`, which must share e's
+/// shape. CollectAggregates numbers aggregate slots in this order, so
+/// plan text and results depend on it.
+template <typename F, typename E, typename... Twins>
+void ForEachSlot(F&& f, E& e, Twins&... twins) {
+  f(e.left, twins.left...);
+  f(e.right, twins.right...);
+  f(e.between_lo, twins.between_lo...);
+  f(e.between_hi, twins.between_hi...);
+  f(e.case_else, twins.case_else...);
+  for (size_t i = 0; i < e.args.size(); ++i) f(e.args[i], twins.args[i]...);
+  for (size_t i = 0; i < e.list.size(); ++i) f(e.list[i], twins.list[i]...);
+  for (size_t i = 0; i < e.case_branches.size(); ++i) {
+    f(e.case_branches[i].condition, twins.case_branches[i].condition...);
+    f(e.case_branches[i].result, twins.case_branches[i].result...);
+  }
+}
+
+}  // namespace internal
+
+/// Calls f(child) on every non-null direct child of `e` (an Expr or a
+/// const Expr; children come with the same constness), in slot order.
+template <typename E, typename F>
+void ForEachChild(E& e, F&& f) {
+  internal::ForEachSlot(
+      [&f](auto& c) {
+        if (c != nullptr) f(static_cast<E&>(*c));
+      },
+      e);
+}
+
+/// A copy of `e`'s own fields whose every non-null child is f(child);
+/// the first failing f fails the copy.
+Result<ExprPtr> MapChildren(
+    const Expr& e, const std::function<Result<ExprPtr>(const Expr&)>& f);
+
+/// True when `pred` holds for `e` or any node below it (pre-order; stops
+/// descending at the first hit).
+template <typename Pred>
+bool AnyNode(const Expr& e, const Pred& pred) {
+  if (pred(e)) return true;
+  bool found = false;
+  ForEachChild(e, [&](const Expr& c) { found = found || AnyNode(c, pred); });
+  return found;
+}
+
+/// True when the tree contains a LAG call (which must see the whole
+/// input, so batching is disabled for that stage).
+bool ContainsLag(const Expr& e);
+
+/// Appends the topmost aggregate calls of the tree in slot order
+/// (aggregates cannot nest; a nested one inside an argument is index
+/// mode's runtime error to report).
+void CollectAggregates(const Expr& e, std::vector<const Expr*>* out);
 
 // Convenience constructors used by the parser and tests.
 ExprPtr MakeLiteral(table::Value v);

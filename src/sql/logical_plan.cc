@@ -14,20 +14,7 @@ void LowercaseRefs(Expr* e) {
     e->qualifier = ToLower(e->qualifier);
     e->column = ToLower(e->column);
   }
-  auto walk = [&](const ExprPtr& c) {
-    if (c != nullptr) LowercaseRefs(c.get());
-  };
-  walk(e->left);
-  walk(e->right);
-  walk(e->between_lo);
-  walk(e->between_hi);
-  walk(e->case_else);
-  for (const ExprPtr& a : e->args) walk(a);
-  for (const ExprPtr& a : e->list) walk(a);
-  for (CaseBranch& b : e->case_branches) {
-    walk(b.condition);
-    walk(b.result);
-  }
+  ForEachChild(*e, [](Expr& c) { LowercaseRefs(&c); });
 }
 
 TableRef CloneTableRef(const TableRef& ref) {

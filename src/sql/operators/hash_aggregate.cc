@@ -103,47 +103,15 @@ using AggEvalFn = std::function<Result<Value>(const Expr&)>;
 // recursively rebuilds around aggregate leaves.
 Result<Value> EvalGroupExpr(const Expr& e, const Evaluator& ev,
                             size_t rep_row, const AggEvalFn& agg_eval) {
-  if (e.kind == ExprKind::kFunction && IsAggregateFunction(e.function_name)) {
-    return agg_eval(e);
-  }
-  if (!e.ContainsAggregate()) {
-    return ev.Eval(e, rep_row);
-  }
-  Expr copy;
-  copy.kind = e.kind;
-  copy.binary_op = e.binary_op;
-  copy.unary_op = e.unary_op;
-  copy.negated = e.negated;
-  copy.function_name = e.function_name;
-  copy.qualifier = e.qualifier;
-  copy.column = e.column;
-  copy.literal = e.literal;
-  auto lift = [&](const ExprPtr& child) -> Result<ExprPtr> {
-    if (child == nullptr) return ExprPtr{};
+  if (IsAggregateCall(e)) return agg_eval(e);
+  if (!e.ContainsAggregate()) return ev.Eval(e, rep_row);
+  auto lift = [&](const Expr& child) -> Result<ExprPtr> {
     EXPLAINIT_ASSIGN_OR_RETURN(Value v,
-                               EvalGroupExpr(*child, ev, rep_row, agg_eval));
+                               EvalGroupExpr(child, ev, rep_row, agg_eval));
     return MakeLiteral(std::move(v));
   };
-  EXPLAINIT_ASSIGN_OR_RETURN(copy.left, lift(e.left));
-  EXPLAINIT_ASSIGN_OR_RETURN(copy.right, lift(e.right));
-  EXPLAINIT_ASSIGN_OR_RETURN(copy.between_lo, lift(e.between_lo));
-  EXPLAINIT_ASSIGN_OR_RETURN(copy.between_hi, lift(e.between_hi));
-  EXPLAINIT_ASSIGN_OR_RETURN(copy.case_else, lift(e.case_else));
-  for (const ExprPtr& a : e.args) {
-    EXPLAINIT_ASSIGN_OR_RETURN(ExprPtr la, lift(a));
-    copy.args.push_back(std::move(la));
-  }
-  for (const ExprPtr& a : e.list) {
-    EXPLAINIT_ASSIGN_OR_RETURN(ExprPtr la, lift(a));
-    copy.list.push_back(std::move(la));
-  }
-  for (const CaseBranch& b : e.case_branches) {
-    CaseBranch nb;
-    EXPLAINIT_ASSIGN_OR_RETURN(nb.condition, lift(b.condition));
-    EXPLAINIT_ASSIGN_OR_RETURN(nb.result, lift(b.result));
-    copy.case_branches.push_back(std::move(nb));
-  }
-  return ev.Eval(copy, rep_row);
+  EXPLAINIT_ASSIGN_OR_RETURN(ExprPtr lifted, MapChildren(e, lift));
+  return ev.Eval(*lifted, rep_row);
 }
 
 // Evaluates a select-item expression over the rows of one group.
@@ -152,30 +120,6 @@ Result<Value> EvalInGroup(const Expr& e, const Evaluator& ev,
   return EvalGroupExpr(e, ev, rows[0], [&](const Expr& agg) {
     return ComputeAggregate(agg, ev, rows);
   });
-}
-
-/// Collects the topmost aggregate call nodes of an expression tree (the
-/// granularity EvalGroupExpr substitutes at; nested aggregates inside an
-/// argument are index mode's runtime error to report).
-void CollectTopAggregates(const Expr& e, std::vector<const Expr*>* out) {
-  if (e.kind == ExprKind::kFunction && IsAggregateFunction(e.function_name)) {
-    out->push_back(&e);
-    return;
-  }
-  auto walk = [&](const ExprPtr& c) {
-    if (c != nullptr) CollectTopAggregates(*c, out);
-  };
-  walk(e.left);
-  walk(e.right);
-  walk(e.between_lo);
-  walk(e.between_hi);
-  walk(e.case_else);
-  for (const ExprPtr& a : e.args) walk(a);
-  for (const ExprPtr& a : e.list) walk(a);
-  for (const CaseBranch& b : e.case_branches) {
-    walk(b.condition);
-    walk(b.result);
-  }
 }
 
 /// True when the aggregate call decomposes into flat partial states whose
@@ -222,14 +166,14 @@ Status HashAggregateOperator::OpenImpl() {
     }
     schema_.AddField(Field{ItemName(item), DataType::kNull});
     if (ContainsLag(*item.expr)) lag_anywhere = true;
-    CollectTopAggregates(*item.expr, &agg_nodes_);
+    CollectAggregates(*item.expr, &agg_nodes_);
   }
   for (const ExprPtr& g : stmt_->group_by) {
     if (ContainsLag(*g)) lag_anywhere = true;
   }
   if (stmt_->having != nullptr) {
     if (ContainsLag(*stmt_->having)) lag_anywhere = true;
-    CollectTopAggregates(*stmt_->having, &agg_nodes_);
+    CollectAggregates(*stmt_->having, &agg_nodes_);
   }
   // Partial states fold batch by batch, which LAG (a read of the
   // neighbouring row of the whole input) cannot survive.

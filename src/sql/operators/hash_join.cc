@@ -15,35 +15,12 @@ namespace {
 /// morsel default grain (1024) would never split them.
 constexpr size_t kProbeShardMinRows = 128;
 
+/// An expression "belongs" to a side when every column it references
+/// resolves there.
 bool ResolvesAgainst(const Expr& e, const Evaluator& ev) {
-  // An expression "belongs" to a side when every column it references
-  // resolves there.
-  switch (e.kind) {
-    case ExprKind::kColumnRef:
-      return ev.ResolveColumn(e).ok();
-    case ExprKind::kLiteral:
-    case ExprKind::kStar:
-      return true;
-    default: {
-      auto check = [&](const ExprPtr& c) {
-        return c == nullptr || ResolvesAgainst(*c, ev);
-      };
-      if (!check(e.left) || !check(e.right) || !check(e.between_lo) ||
-          !check(e.between_hi) || !check(e.case_else)) {
-        return false;
-      }
-      for (const ExprPtr& a : e.args) {
-        if (!check(a)) return false;
-      }
-      for (const ExprPtr& a : e.list) {
-        if (!check(a)) return false;
-      }
-      for (const CaseBranch& b : e.case_branches) {
-        if (!check(b.condition) || !check(b.result)) return false;
-      }
-      return true;
-    }
-  }
+  return !AnyNode(e, [&ev](const Expr& n) {
+    return n.kind == ExprKind::kColumnRef && !ev.ResolveColumn(n).ok();
+  });
 }
 
 }  // namespace
@@ -123,15 +100,8 @@ Status HashJoinOperator::OpenImpl() {
   Evaluator left_ev(&ls, functions_);
   Evaluator right_ev(&rs, functions_);
   keys_ = SplitJoinCondition(join_->condition.get(), left_ev, right_ev);
-  for (const Expr* e : keys_.residual) {
-    if (ContainsLag(*e)) lag_in_condition_ = true;
-  }
-  for (const Expr* e : keys_.left_exprs) {
-    if (ContainsLag(*e)) lag_in_condition_ = true;
-  }
-  for (const Expr* e : keys_.right_exprs) {
-    if (ContainsLag(*e)) lag_in_condition_ = true;
-  }
+  lag_in_condition_ =
+      join_->condition != nullptr && ContainsLag(*join_->condition);
 
   // Materialise and index the build side. Empty key lists (no resolvable
   // equi conjunct) hash everything under one key: a cross product with

@@ -139,27 +139,6 @@ bool HasEqualityConjunct(const Expr* condition) {
   return false;
 }
 
-bool ContainsLag(const Expr& e) {
-  if (e.kind == ExprKind::kFunction && e.function_name == "LAG") return true;
-  auto check = [](const ExprPtr& c) {
-    return c != nullptr && ContainsLag(*c);
-  };
-  if (check(e.left) || check(e.right) || check(e.between_lo) ||
-      check(e.between_hi) || check(e.case_else)) {
-    return true;
-  }
-  for (const ExprPtr& a : e.args) {
-    if (check(a)) return true;
-  }
-  for (const ExprPtr& a : e.list) {
-    if (check(a)) return true;
-  }
-  for (const CaseBranch& b : e.case_branches) {
-    if (check(b.condition) || check(b.result)) return true;
-  }
-  return false;
-}
-
 std::string ItemName(const SelectItem& item) {
   if (!item.alias.empty()) return item.alias;
   return item.expr->ToString();

@@ -209,10 +209,6 @@ inline size_t EffectiveParallelism(const ExecContext* ctx) {
   return ctx != nullptr && ctx->parallel() ? ctx->parallelism : 1;
 }
 
-/// True when the expression tree contains a LAG call (which must see the
-/// whole input, so batching is disabled for that stage).
-bool ContainsLag(const Expr& e);
-
 /// Flattens an AND tree into its conjuncts (any other node is one
 /// conjunct). Order is evaluation (left-to-right) order.
 void CollectConjuncts(const Expr* e, std::vector<const Expr*>* out);

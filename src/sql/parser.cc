@@ -1,5 +1,6 @@
 #include "sql/parser.h"
 
+#include <algorithm>
 #include <charconv>
 #include <cmath>
 #include <stdexcept>
@@ -10,6 +11,13 @@
 namespace explainit::sql {
 
 namespace {
+
+/// Edges on the longest path below `e`.
+size_t Height(const Expr& e) {
+  size_t h = 0;
+  ForEachChild(e, [&h](const Expr& c) { h = std::max(h, Height(c) + 1); });
+  return h;
+}
 
 /// Token-stream cursor with the grammar's productions as methods.
 class Parser {
@@ -97,6 +105,34 @@ class Parser {
         std::to_string(tok.position) + ", token '" + tok.text + "')");
   }
 
+  Status TooDeep() const {
+    return Err("statement nests deeper than " +
+               std::to_string(kMaxNestingDepth) + " levels");
+  }
+
+  /// Runs `production` one nesting level down. `paren` marks grouping
+  /// parentheses: the node directly inside them shares their level, as
+  /// the printer parenthesises every binary node.
+  template <typename T>
+  Result<T> Nested(Result<T> (Parser::*production)(), bool paren = false) {
+    if (depth_ == kMaxNestingDepth) return TooDeep();
+    const bool outer_paren = paren_;
+    ++depth_;
+    paren_ = paren;
+    Result<T> out = (this->*production)();
+    paren_ = outer_paren;
+    --depth_;
+    return out;
+  }
+
+  /// `e`, built at the current level without descending one (a fold,
+  /// comparison or postfix form), if it stays within the nesting cap.
+  Result<ExprPtr> Bounded(ExprPtr e) const {
+    const size_t level = paren_ ? depth_ - 1 : depth_;
+    if (level + Height(*e) > kMaxNestingDepth) return TooDeep();
+    return e;
+  }
+
   Status ExpectEnd(const char* what) {
     if (Current().type != TokenType::kEnd) {
       return Err("unexpected trailing input after " + std::string(what));
@@ -135,7 +171,7 @@ class Parser {
       const char* clause) {
     if (Current().IsOperator("(")) {
       Advance();
-      EXPLAINIT_ASSIGN_OR_RETURN(auto sel, ParseSelectChain());
+      EXPLAINIT_ASSIGN_OR_RETURN(auto sel, Nested(&Parser::ParseSelectChain));
       if (!Current().IsOperator(")")) {
         return Err("expected ')' closing the " + std::string(clause) +
                    " clause's subquery");
@@ -147,7 +183,7 @@ class Parser {
       return Err("expected a SELECT (optionally parenthesised) in the " +
                  std::string(clause) + " clause");
     }
-    return ParseSelectChain();
+    return Nested(&Parser::ParseSelectChain);
   }
 
   /// Signed integer literal for statement-level TOP / BETWEEN operands.
@@ -396,7 +432,7 @@ class Parser {
     TableRef ref;
     if (Current().IsOperator("(")) {
       Advance();
-      EXPLAINIT_ASSIGN_OR_RETURN(auto sub, ParseSelectChain());
+      EXPLAINIT_ASSIGN_OR_RETURN(auto sub, Nested(&Parser::ParseSelectChain));
       EXPLAINIT_RETURN_IF_ERROR(Expect(TokenType::kOperator, ")"));
       ref.subquery = std::move(sub);
     } else if (CurrentIsIdentifierLike()) {
@@ -433,7 +469,9 @@ class Parser {
     while (Current().IsKeyword("OR")) {
       Advance();
       EXPLAINIT_ASSIGN_OR_RETURN(ExprPtr rhs, ParseAnd());
-      lhs = MakeBinary(BinaryOp::kOr, std::move(lhs), std::move(rhs));
+      EXPLAINIT_ASSIGN_OR_RETURN(
+          lhs, Bounded(MakeBinary(BinaryOp::kOr, std::move(lhs),
+                                  std::move(rhs))));
     }
     return lhs;
   }
@@ -443,7 +481,9 @@ class Parser {
     while (Current().IsKeyword("AND")) {
       Advance();
       EXPLAINIT_ASSIGN_OR_RETURN(ExprPtr rhs, ParseNot());
-      lhs = MakeBinary(BinaryOp::kAnd, std::move(lhs), std::move(rhs));
+      EXPLAINIT_ASSIGN_OR_RETURN(
+          lhs, Bounded(MakeBinary(BinaryOp::kAnd, std::move(lhs),
+                                  std::move(rhs))));
     }
     return lhs;
   }
@@ -451,10 +491,11 @@ class Parser {
   Result<ExprPtr> ParseNot() {
     if (Current().IsKeyword("NOT")) {
       Advance();
-      EXPLAINIT_ASSIGN_OR_RETURN(ExprPtr operand, ParseNot());
+      EXPLAINIT_ASSIGN_OR_RETURN(ExprPtr operand, Nested(&Parser::ParseNot));
       return MakeUnary(UnaryOp::kNot, std::move(operand));
     }
-    return ParseComparison();
+    EXPLAINIT_ASSIGN_OR_RETURN(ExprPtr e, ParseComparison());
+    return Bounded(std::move(e));
   }
 
   Result<ExprPtr> ParseComparison() {
@@ -500,7 +541,7 @@ class Parser {
       e->left = std::move(lhs);
       e->negated = negated;
       while (true) {
-        EXPLAINIT_ASSIGN_OR_RETURN(ExprPtr item, ParseExpr());
+        EXPLAINIT_ASSIGN_OR_RETURN(ExprPtr item, Nested(&Parser::ParseExpr));
         e->list.push_back(std::move(item));
         if (!Current().IsOperator(",")) break;
         Advance();
@@ -541,7 +582,8 @@ class Parser {
           Current().IsOperator("+") ? BinaryOp::kAdd : BinaryOp::kSub;
       Advance();
       EXPLAINIT_ASSIGN_OR_RETURN(ExprPtr rhs, ParseMultiplicative());
-      lhs = MakeBinary(op, std::move(lhs), std::move(rhs));
+      EXPLAINIT_ASSIGN_OR_RETURN(
+          lhs, Bounded(MakeBinary(op, std::move(lhs), std::move(rhs))));
     }
     return lhs;
   }
@@ -555,7 +597,8 @@ class Parser {
       if (Current().IsOperator("%")) op = BinaryOp::kMod;
       Advance();
       EXPLAINIT_ASSIGN_OR_RETURN(ExprPtr rhs, ParseUnary());
-      lhs = MakeBinary(op, std::move(lhs), std::move(rhs));
+      EXPLAINIT_ASSIGN_OR_RETURN(
+          lhs, Bounded(MakeBinary(op, std::move(lhs), std::move(rhs))));
     }
     return lhs;
   }
@@ -563,7 +606,8 @@ class Parser {
   Result<ExprPtr> ParseUnary() {
     if (Current().IsOperator("-")) {
       Advance();
-      EXPLAINIT_ASSIGN_OR_RETURN(ExprPtr operand, ParseUnary());
+      EXPLAINIT_ASSIGN_OR_RETURN(ExprPtr operand,
+                                 Nested(&Parser::ParseUnary));
       return MakeUnary(UnaryOp::kNegate, std::move(operand));
     }
     return ParsePostfix();
@@ -573,9 +617,10 @@ class Parser {
     EXPLAINIT_ASSIGN_OR_RETURN(ExprPtr e, ParsePrimary());
     while (Current().IsOperator("[")) {
       Advance();
-      EXPLAINIT_ASSIGN_OR_RETURN(ExprPtr index, ParseExpr());
+      EXPLAINIT_ASSIGN_OR_RETURN(ExprPtr index, Nested(&Parser::ParseExpr));
       EXPLAINIT_RETURN_IF_ERROR(Expect(TokenType::kOperator, "]"));
-      e = MakeSubscript(std::move(e), std::move(index));
+      EXPLAINIT_ASSIGN_OR_RETURN(
+          e, Bounded(MakeSubscript(std::move(e), std::move(index))));
     }
     return e;
   }
@@ -584,7 +629,8 @@ class Parser {
     const Token& tok = Current();
     if (tok.IsOperator("(")) {
       Advance();
-      EXPLAINIT_ASSIGN_OR_RETURN(ExprPtr e, ParseExpr());
+      EXPLAINIT_ASSIGN_OR_RETURN(ExprPtr e,
+                                 Nested(&Parser::ParseExpr, /*paren=*/true));
       EXPLAINIT_RETURN_IF_ERROR(Expect(TokenType::kOperator, ")"));
       return e;
     }
@@ -655,15 +701,16 @@ class Parser {
       while (Current().IsKeyword("WHEN")) {
         Advance();
         CaseBranch branch;
-        EXPLAINIT_ASSIGN_OR_RETURN(branch.condition, ParseExpr());
+        EXPLAINIT_ASSIGN_OR_RETURN(branch.condition,
+                                   Nested(&Parser::ParseExpr));
         EXPLAINIT_RETURN_IF_ERROR(Expect(TokenType::kKeyword, "THEN"));
-        EXPLAINIT_ASSIGN_OR_RETURN(branch.result, ParseExpr());
+        EXPLAINIT_ASSIGN_OR_RETURN(branch.result, Nested(&Parser::ParseExpr));
         e->case_branches.push_back(std::move(branch));
       }
       if (e->case_branches.empty()) return Err("CASE requires WHEN branches");
       if (Current().IsKeyword("ELSE")) {
         Advance();
-        EXPLAINIT_ASSIGN_OR_RETURN(e->case_else, ParseExpr());
+        EXPLAINIT_ASSIGN_OR_RETURN(e->case_else, Nested(&Parser::ParseExpr));
       }
       EXPLAINIT_RETURN_IF_ERROR(Expect(TokenType::kKeyword, "END"));
       return e;
@@ -684,7 +731,7 @@ class Parser {
           Advance();
         } else if (!Current().IsOperator(")")) {
           while (true) {
-            EXPLAINIT_ASSIGN_OR_RETURN(ExprPtr a, ParseExpr());
+            EXPLAINIT_ASSIGN_OR_RETURN(ExprPtr a, Nested(&Parser::ParseExpr));
             args.push_back(std::move(a));
             if (!Current().IsOperator(",")) break;
             Advance();
@@ -714,6 +761,8 @@ class Parser {
 
   std::vector<Token> tokens_;
   size_t pos_ = 0;
+  size_t depth_ = 0;     // nesting levels entered (see kMaxNestingDepth)
+  bool paren_ = false;   // the innermost level is grouping parentheses
 };
 
 }  // namespace

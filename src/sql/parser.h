@@ -9,6 +9,14 @@
 
 namespace explainit::sql {
 
+/// Deepest nesting a statement may reach: along any path, sub-selects
+/// plus expression levels (operators, calls, CASE, IN lists, NOT, unary
+/// minus, subscripts) plus redundant parentheses. Deeper input is a
+/// ParseError, which bounds every recursive walk of the parsed tree
+/// (planner, evaluator, printer, destructor). Printing never deepens a
+/// statement, so ToSql output of an accepted statement parses again.
+inline constexpr size_t kMaxNestingDepth = 256;
+
 /// Parses a full statement: a SELECT (with optional UNION ALL chain) or
 /// an EXPLAIN statement. Fails with ParseError carrying the offending
 /// token's line/column.

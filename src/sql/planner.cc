@@ -167,8 +167,6 @@ tsdb::ScanHints ExtractHints(const Expr* where) {
   return HintsFromConjuncts(conjuncts);
 }
 
-void CollectColumnRefs(const Expr& e, std::set<std::string>* out);
-
 // ---------------------------------------------------------------------------
 // Rollup resolution hints
 // ---------------------------------------------------------------------------
@@ -228,6 +226,14 @@ int64_t GridStepSeconds(const Expr& e) {
   return 0;
 }
 
+/// A reference to the time or value column, which rollup tiers only
+/// carry at bucket resolution.
+bool ReadsRawColumn(const Expr& e) {
+  if (e.kind != ExprKind::kColumnRef) return false;
+  const std::string lower = ToLower(e.column);
+  return lower == "ts" || lower == "timestamp" || lower == "value";
+}
+
 /// Detects the rollup shape of one statement: records the grid steps and
 /// the (single) aggregate kind, and rejects any raw-resolution use of the
 /// time or value column outside those shapes.
@@ -244,8 +250,7 @@ struct RollupShapeDetector {
       grid_steps.push_back(step);
       return;  // the grid expression consumes its ts reference
     }
-    if (e.kind == ExprKind::kFunction &&
-        IsAggregateFunction(e.function_name)) {
+    if (IsAggregateCall(e)) {
       tsdb::RollupAggregate kind;
       if (e.function_name == "SUM") {
         kind = tsdb::RollupAggregate::kSum;
@@ -278,27 +283,11 @@ struct RollupShapeDetector {
       agg = kind;
       return;
     }
-    if (e.kind == ExprKind::kColumnRef) {
-      const std::string lower = ToLower(e.column);
-      if (lower == "ts" || lower == "timestamp" || lower == "value") {
-        valid = false;  // raw-resolution read outside a recognised shape
-      }
+    if (ReadsRawColumn(e)) {
+      valid = false;  // raw-resolution read outside a recognised shape
       return;
     }
-    auto walk = [&](const ExprPtr& c) {
-      if (c != nullptr) Walk(*c);
-    };
-    walk(e.left);
-    walk(e.right);
-    walk(e.between_lo);
-    walk(e.between_hi);
-    walk(e.case_else);
-    for (const ExprPtr& a : e.args) walk(a);
-    for (const ExprPtr& a : e.list) walk(a);
-    for (const CaseBranch& b : e.case_branches) {
-      walk(b.condition);
-      walk(b.result);
-    }
+    ForEachChild(e, [this](const Expr& c) { Walk(c); });
   }
 };
 
@@ -339,10 +328,7 @@ bool ConjunctRollupInvariant(const Expr& c, int64_t tier_step) {
       }
     }
   }
-  std::set<std::string> refs;
-  CollectColumnRefs(c, &refs);
-  return refs.count("ts") == 0 && refs.count("timestamp") == 0 &&
-         refs.count("value") == 0;
+  return !AnyNode(c, ReadsRawColumn);
 }
 
 /// Sets hints->min_step_seconds / hints->rollup when the statement is a
@@ -399,20 +385,7 @@ void ReplaceCountNodes(Expr* e) {
     e->args.push_back(std::move(arg));
     return;
   }
-  auto walk = [&](const ExprPtr& c) {
-    if (c != nullptr) ReplaceCountNodes(c.get());
-  };
-  walk(e->left);
-  walk(e->right);
-  walk(e->between_lo);
-  walk(e->between_hi);
-  walk(e->case_else);
-  for (const ExprPtr& a : e->args) walk(a);
-  for (const ExprPtr& a : e->list) walk(a);
-  for (CaseBranch& b : e->case_branches) {
-    walk(b.condition);
-    walk(b.result);
-  }
+  ForEachChild(*e, [](Expr& c) { ReplaceCountNodes(&c); });
 }
 
 std::unique_ptr<SelectStatement> RewriteCountAggregates(
@@ -432,46 +405,8 @@ std::unique_ptr<SelectStatement> RewriteCountAggregates(
 }
 
 // ---------------------------------------------------------------------------
-// Projection pruning
+// Statement reference analysis
 // ---------------------------------------------------------------------------
-
-void CollectColumnRefs(const Expr& e, std::set<std::string>* out) {
-  if (e.kind == ExprKind::kColumnRef) {
-    out->insert(ToLower(e.column));
-  }
-  auto walk = [&](const ExprPtr& c) {
-    if (c != nullptr) CollectColumnRefs(*c, out);
-  };
-  walk(e.left);
-  walk(e.right);
-  walk(e.between_lo);
-  walk(e.between_hi);
-  walk(e.case_else);
-  for (const ExprPtr& a : e.args) walk(a);
-  for (const ExprPtr& a : e.list) walk(a);
-  for (const CaseBranch& b : e.case_branches) {
-    walk(b.condition);
-    walk(b.result);
-  }
-}
-
-/// Columns a single-table statement reads. nullopt when pruning is unsafe
-/// (SELECT *).
-std::optional<std::vector<std::string>> PrunedColumns(
-    const SelectStatement& stmt) {
-  std::set<std::string> refs;
-  for (const SelectItem& item : stmt.items) {
-    if (item.is_star) return std::nullopt;
-    CollectColumnRefs(*item.expr, &refs);
-  }
-  if (stmt.where != nullptr) CollectColumnRefs(*stmt.where, &refs);
-  for (const ExprPtr& g : stmt.group_by) CollectColumnRefs(*g, &refs);
-  if (stmt.having != nullptr) CollectColumnRefs(*stmt.having, &refs);
-  for (const OrderByItem& o : stmt.order_by) {
-    CollectColumnRefs(*o.expr, &refs);
-  }
-  return std::vector<std::string>(refs.begin(), refs.end());
-}
 
 bool StatementContainsLag(const SelectStatement& stmt) {
   for (const SelectItem& item : stmt.items) {
@@ -481,9 +416,21 @@ bool StatementContainsLag(const SelectStatement& stmt) {
   return false;
 }
 
-// ---------------------------------------------------------------------------
-// Join-aware pushdown helpers
-// ---------------------------------------------------------------------------
+/// Calls f on every expression of the statement's own clauses: select
+/// items, WHERE, join conditions, GROUP BY, HAVING and ORDER BY.
+template <typename F>
+void ForEachClauseExpr(const SelectStatement& stmt, F&& f) {
+  for (const SelectItem& item : stmt.items) {
+    if (item.expr != nullptr) f(*item.expr);
+  }
+  if (stmt.where != nullptr) f(*stmt.where);
+  for (const JoinClause& join : stmt.joins) {
+    if (join.condition != nullptr) f(*join.condition);
+  }
+  for (const ExprPtr& g : stmt.group_by) f(*g);
+  if (stmt.having != nullptr) f(*stmt.having);
+  for (const OrderByItem& o : stmt.order_by) f(*o.expr);
+}
 
 /// Collects (lowercased qualifier, lowercased column) pairs of every
 /// column reference in the expression tree.
@@ -492,20 +439,7 @@ void CollectQualifiedRefs(
   if (e.kind == ExprKind::kColumnRef) {
     out->insert({ToLower(e.qualifier), ToLower(e.column)});
   }
-  auto walk = [&](const ExprPtr& c) {
-    if (c != nullptr) CollectQualifiedRefs(*c, out);
-  };
-  walk(e.left);
-  walk(e.right);
-  walk(e.between_lo);
-  walk(e.between_hi);
-  walk(e.case_else);
-  for (const ExprPtr& a : e.args) walk(a);
-  for (const ExprPtr& a : e.list) walk(a);
-  for (const CaseBranch& b : e.case_branches) {
-    walk(b.condition);
-    walk(b.result);
-  }
+  ForEachChild(e, [out](const Expr& c) { CollectQualifiedRefs(c, out); });
 }
 
 /// Every column reference the whole statement makes, qualified-aware.
@@ -514,23 +448,27 @@ void CollectStatementRefs(
     const SelectStatement& stmt, bool* star,
     std::set<std::pair<std::string, std::string>>* refs) {
   for (const SelectItem& item : stmt.items) {
-    if (item.is_star) {
-      *star = true;
-      continue;
-    }
-    CollectQualifiedRefs(*item.expr, refs);
+    if (item.is_star) *star = true;
   }
-  if (stmt.where != nullptr) CollectQualifiedRefs(*stmt.where, refs);
-  for (const JoinClause& join : stmt.joins) {
-    if (join.condition != nullptr) {
-      CollectQualifiedRefs(*join.condition, refs);
-    }
+  ForEachClauseExpr(stmt,
+                    [refs](const Expr& e) { CollectQualifiedRefs(e, refs); });
+}
+
+/// Columns the statement reads from the relation qualified `q`
+/// (lowercased): references under `q` plus every unqualified one, which
+/// may bind there. An empty `q` (a single-table statement) keeps every
+/// reference. nullopt when a SELECT-list * makes pruning unsafe.
+std::optional<std::vector<std::string>> ReferencedColumns(
+    const SelectStatement& stmt, const std::string& q) {
+  bool star = false;
+  std::set<std::pair<std::string, std::string>> refs;
+  CollectStatementRefs(stmt, &star, &refs);
+  if (star) return std::nullopt;
+  std::set<std::string> cols;
+  for (const auto& [rq, col] : refs) {
+    if (q.empty() || rq == q || rq.empty()) cols.insert(col);
   }
-  for (const ExprPtr& g : stmt.group_by) CollectQualifiedRefs(*g, refs);
-  if (stmt.having != nullptr) CollectQualifiedRefs(*stmt.having, refs);
-  for (const OrderByItem& o : stmt.order_by) {
-    CollectQualifiedRefs(*o.expr, refs);
-  }
+  return std::vector<std::string>(cols.begin(), cols.end());
 }
 
 /// Clears the qualifier of every column reference qualified with
@@ -541,20 +479,8 @@ void StripQualifier(Expr* e, const std::string& qualifier_lower) {
       ToLower(e->qualifier) == qualifier_lower) {
     e->qualifier.clear();
   }
-  auto walk = [&](const ExprPtr& c) {
-    if (c != nullptr) StripQualifier(c.get(), qualifier_lower);
-  };
-  walk(e->left);
-  walk(e->right);
-  walk(e->between_lo);
-  walk(e->between_hi);
-  walk(e->case_else);
-  for (const ExprPtr& a : e->args) walk(a);
-  for (const ExprPtr& a : e->list) walk(a);
-  for (CaseBranch& b : e->case_branches) {
-    walk(b.condition);
-    walk(b.result);
-  }
+  ForEachChild(*e,
+               [&](Expr& c) { StripQualifier(&c, qualifier_lower); });
 }
 
 // ---------------------------------------------------------------------------
@@ -575,42 +501,16 @@ void CollectRefInfo(const Expr& e, RefInfo* out) {
       out->quals.insert(ToLower(e.qualifier));
     }
   }
-  auto walk = [&](const ExprPtr& c) {
-    if (c != nullptr) CollectRefInfo(*c, out);
-  };
-  walk(e.left);
-  walk(e.right);
-  walk(e.between_lo);
-  walk(e.between_hi);
-  walk(e.case_else);
-  for (const ExprPtr& a : e.args) walk(a);
-  for (const ExprPtr& a : e.list) walk(a);
-  for (const CaseBranch& b : e.case_branches) {
-    walk(b.condition);
-    walk(b.result);
-  }
+  ForEachChild(e, [out](const Expr& c) { CollectRefInfo(c, out); });
 }
 
-/// Topmost aggregate calls of the tree (aggregates cannot nest).
-void CollectAggregates(const Expr& e, std::vector<const Expr*>* out) {
-  if (e.kind == ExprKind::kFunction && IsAggregateFunction(e.function_name)) {
-    out->push_back(&e);
-    return;
-  }
-  auto walk = [&](const ExprPtr& c) {
-    if (c != nullptr) CollectAggregates(*c, out);
-  };
-  walk(e.left);
-  walk(e.right);
-  walk(e.between_lo);
-  walk(e.between_hi);
-  walk(e.case_else);
-  for (const ExprPtr& a : e.args) walk(a);
-  for (const ExprPtr& a : e.list) walk(a);
-  for (const CaseBranch& b : e.case_branches) {
-    walk(b.condition);
-    walk(b.result);
-  }
+/// True when the expression is aggregate-free and reads columns of the
+/// relation qualified `qual_lower` only.
+bool ReadsOnly(const Expr& e, const std::string& qual_lower) {
+  RefInfo info;
+  CollectRefInfo(e, &info);
+  return !info.unqualified && info.quals.size() == 1 &&
+         *info.quals.begin() == qual_lower && !e.ContainsAggregate();
 }
 
 /// The left-deep join region of one single-select subtree.
@@ -701,26 +601,13 @@ bool OrderKeyNamesOutputColumn(const Expr& e,
 /// group, so grouped statements are only optimised when no expression
 /// depends on that representative.
 bool GroupDetermined(const Expr& e, const std::set<std::string>& group_texts) {
-  if (e.kind == ExprKind::kFunction && IsAggregateFunction(e.function_name)) {
-    return true;
-  }
+  if (IsAggregateCall(e)) return true;
   if (group_texts.count(NormalizedExprText(e)) > 0) return true;
   if (e.kind == ExprKind::kColumnRef) return false;
   bool ok = true;
-  auto walk = [&](const ExprPtr& c) {
-    if (c != nullptr && !GroupDetermined(*c, group_texts)) ok = false;
-  };
-  walk(e.left);
-  walk(e.right);
-  walk(e.between_lo);
-  walk(e.between_hi);
-  walk(e.case_else);
-  for (const ExprPtr& a : e.args) walk(a);
-  for (const ExprPtr& a : e.list) walk(a);
-  for (const CaseBranch& b : e.case_branches) {
-    walk(b.condition);
-    walk(b.result);
-  }
+  ForEachChild(e, [&](const Expr& c) {
+    ok = ok && GroupDetermined(c, group_texts);
+  });
   return ok;
 }
 
@@ -753,20 +640,12 @@ bool StatementShapeOptimizable(const SelectStatement& stmt,
   if (star) return false;
   // CollectStatementRefs covers ORDER BY too; output-name references are
   // re-admitted below.
-  auto lag_in = [](const Expr* e) { return e != nullptr && ContainsLag(*e); };
-  for (const SelectItem& item : stmt.items) {
-    if (lag_in(item.expr.get())) return false;
-  }
-  if (lag_in(stmt.where.get()) || lag_in(stmt.having.get())) return false;
-  for (const JoinClause& join : stmt.joins) {
-    if (lag_in(join.condition.get())) return false;
-  }
-  for (const ExprPtr& g : stmt.group_by) {
-    if (lag_in(g.get())) return false;
-  }
+  bool lag = false;
+  ForEachClauseExpr(stmt,
+                    [&lag](const Expr& e) { lag = lag || ContainsLag(e); });
+  if (lag) return false;
   for (const OrderByItem& o : stmt.order_by) {
-    if (lag_in(o.expr.get())) return false;
-    if (o.expr != nullptr && o.expr->ContainsAggregate()) return false;
+    if (o.expr->ContainsAggregate()) return false;
     if (aggregated && !OrderKeyNamesOutputColumn(*o.expr, stmt.items)) {
       return false;
     }
@@ -1026,7 +905,7 @@ bool BuildAggRewrites(const std::vector<const Expr*>& aggs, PushdownCtx* ctx,
 ExprPtr RewriteAbovePushdown(const Expr& e, PushdownCtx* ctx,
                              bool allow_new_keys, bool* ok) {
   if (!*ok) return nullptr;
-  if (e.kind == ExprKind::kFunction && IsAggregateFunction(e.function_name)) {
+  if (IsAggregateCall(e)) {
     auto it = ctx->agg_repl.find(NormalizedExprText(e));
     if (it == ctx->agg_repl.end()) {
       *ok = false;  // aggregate outside the rewritten set (e.g. in WHERE)
@@ -1036,10 +915,8 @@ ExprPtr RewriteAbovePushdown(const Expr& e, PushdownCtx* ctx,
   }
   RefInfo info;
   CollectRefInfo(e, &info);
-  const bool r_only = !info.unqualified && info.quals.size() == 1 &&
-                      *info.quals.begin() == ctx->r_lower &&
-                      !e.ContainsAggregate();
-  if (r_only) {
+  if (info.quals.count(ctx->r_lower) == 0) return e.Clone();
+  if (ReadsOnly(e, ctx->r_lower)) {
     const std::string norm = NormalizedExprText(e);
     auto it = ctx->key_map.find(norm);
     if (it != ctx->key_map.end()) return KeyRef(*ctx, it->second);
@@ -1049,26 +926,10 @@ ExprPtr RewriteAbovePushdown(const Expr& e, PushdownCtx* ctx,
     }
     return KeyRef(*ctx, AddKey(ctx, e));
   }
-  if (info.quals.count(ctx->r_lower) == 0) return e.Clone();
   // Mixed: rebuild this node with rewritten children.
-  ExprPtr out = e.Clone();
-  auto rw = [&](ExprPtr* slot, const ExprPtr& src) {
-    if (src != nullptr) {
-      *slot = RewriteAbovePushdown(*src, ctx, allow_new_keys, ok);
-    }
-  };
-  rw(&out->left, e.left);
-  rw(&out->right, e.right);
-  rw(&out->between_lo, e.between_lo);
-  rw(&out->between_hi, e.between_hi);
-  rw(&out->case_else, e.case_else);
-  for (size_t i = 0; i < e.args.size(); ++i) rw(&out->args[i], e.args[i]);
-  for (size_t i = 0; i < e.list.size(); ++i) rw(&out->list[i], e.list[i]);
-  for (size_t i = 0; i < e.case_branches.size(); ++i) {
-    rw(&out->case_branches[i].condition, e.case_branches[i].condition);
-    rw(&out->case_branches[i].result, e.case_branches[i].result);
-  }
-  return out;
+  return MapChildren(e, [&](const Expr& c) -> Result<ExprPtr> {
+           return RewriteAbovePushdown(c, ctx, allow_new_keys, ok);
+         }).value();
 }
 
 ExprPtr AndChain(std::vector<ExprPtr> conjuncts) {
@@ -1131,16 +992,7 @@ tsdb::ScanHints Planner::JoinInputHints(const SelectStatement& stmt,
 
   // Projection pruning: this input needs the columns referenced under its
   // qualifier plus every unqualified reference (which may bind here).
-  bool star = false;
-  std::set<std::pair<std::string, std::string>> refs;
-  CollectStatementRefs(stmt, &star, &refs);
-  if (!star) {
-    std::set<std::string> cols;
-    for (const auto& [rq, col] : refs) {
-      if (rq == q || rq.empty()) cols.insert(col);
-    }
-    hints.projection.assign(cols.begin(), cols.end());
-  }
+  if (auto cols = ReferencedColumns(stmt, q)) hints.projection = *cols;
   return hints;
 }
 
@@ -1194,7 +1046,7 @@ Result<std::unique_ptr<LogicalNode>> Planner::BuildFrom(
     // Single-table scan: attach pushdown hints and projection pruning.
     auto node = std::make_unique<LogicalNode>(LogicalOp::kScan);
     node->table_name = ref.table_name;
-    node->projection = PrunedColumns(stmt);
+    node->projection = ReferencedColumns(stmt, /*q=*/"");
     tsdb::ScanHints hints = std::move(base_hints);
     if (node->projection.has_value()) hints.projection = *node->projection;
     const std::optional<size_t> rows =
@@ -1573,13 +1425,7 @@ void Planner::PushdownAggregate(LogicalNode* root,
   // Partial group keys, phase 1: R-only GROUP BY expressions. (Join and
   // residual conjuncts add theirs during rewriting below.)
   for (const ExprPtr& g : stmt.group_by) {
-    if (g == nullptr) continue;
-    RefInfo info;
-    CollectRefInfo(*g, &info);
-    if (!info.unqualified && info.quals.size() == 1 &&
-        *info.quals.begin() == ctx.r_lower && !g->ContainsAggregate()) {
-      AddKey(&ctx, *g);
-    }
+    if (g != nullptr && ReadsOnly(*g, ctx.r_lower)) AddKey(&ctx, *g);
   }
   std::vector<SelectItem> partial_aggs;
   if (!BuildAggRewrites(aggs, &ctx, &partial_aggs)) return;
@@ -1613,12 +1459,7 @@ void Planner::PushdownAggregate(LogicalNode* root,
     std::vector<const Expr*> parts;
     CollectConjuncts(stmt.where.get(), &parts);
     for (const Expr* c : parts) {
-      RefInfo info;
-      CollectRefInfo(*c, &info);
-      const bool r_only = !info.unqualified && info.quals.size() == 1 &&
-                          *info.quals.begin() == ctx.r_lower &&
-                          !c->ContainsAggregate();
-      if (r_only) {
+      if (ReadsOnly(*c, ctx.r_lower)) {
         moved_parts.push_back(c->Clone());
       } else {
         kept_parts.push_back(

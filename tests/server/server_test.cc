@@ -182,6 +182,24 @@ TEST_F(ServerTest, ParseErrorsCarryPosition) {
       << reply.status().message();
 }
 
+TEST_F(ServerTest, OverDeepStatementIsParseErrorAndSessionSurvives) {
+  StartServer();
+  Client client = Connect();
+  // 10,008 bytes of nested parentheses: past the parser's nesting cap.
+  const std::string deep =
+      "SELECT " + std::string(5000, '(') + "1" + std::string(5000, ')');
+  auto reply = client.Query(deep);
+  ASSERT_FALSE(reply.ok());
+  EXPECT_TRUE(reply.status().IsParseError()) << reply.status().ToString();
+  EXPECT_NE(reply.status().message().find("line 1"), std::string::npos)
+      << reply.status().message();
+  // The same connection keeps answering.
+  EXPECT_TRUE(client.Ping().ok());
+  auto one = client.Query(kSelect);
+  ASSERT_TRUE(one.ok()) << one.status().ToString();
+  EXPECT_GT(one->rows_output, 0u);
+}
+
 TEST_F(ServerTest, SessionCapRejectsWithBusy) {
   ServerOptions options;
   options.max_sessions = 1;

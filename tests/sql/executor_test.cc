@@ -403,6 +403,39 @@ TEST_F(ExecutorTest, MapNullValueIsAMissingFeatureCell) {
   EXPECT_EQ((*fams)[0].data, la::Matrix(3, 1, {10, 10, 14}));
 }
 
+// The parser's nesting cap bounds every recursive walk downstream:
+// statements exactly at the cap plan, execute and tear down (the ASan
+// build runs this with its larger frames).
+TEST_F(ExecutorTest, StatementsAtTheNestingCapExecute) {
+  auto repeat = [](const std::string& s, size_t n) {
+    std::string out;
+    for (size_t i = 0; i < n; ++i) out += s;
+    return out;
+  };
+  const size_t n = kMaxNestingDepth;
+  Table sum = MustQuery("SELECT 1" + repeat(" + 1", n) + " AS s");
+  ASSERT_EQ(sum.num_rows(), 1u);
+  EXPECT_EQ(sum.At(0, 0).AsDouble(), static_cast<double>(n + 1));
+  Table nots = MustQuery("SELECT " + repeat("NOT ", n) + "TRUE AS b");
+  ASSERT_EQ(nots.num_rows(), 1u);
+  EXPECT_EQ(nots.At(0, 0).ToString(), Value::Bool(n % 2 == 0).ToString());
+  Table cases = MustQuery("SELECT " + repeat("CASE WHEN TRUE THEN ", n) +
+                          "7" + repeat(" END", n) + " AS c");
+  ASSERT_EQ(cases.num_rows(), 1u);
+  EXPECT_EQ(cases.At(0, 0).AsDouble(), 7.0);
+  Table nested = MustQuery(repeat("SELECT * FROM (", n) +
+                           "SELECT value FROM tsdb" + repeat(")", n));
+  EXPECT_EQ(nested.num_rows(), 7u);
+  // Grouped: aggregate lifting, aggregate collection and group checks.
+  Table grouped = MustQuery("SELECT metric_name, SUM(value)" +
+                            repeat(" + 1", n - 1) +
+                            " AS s FROM tsdb GROUP BY metric_name "
+                            "ORDER BY metric_name");
+  ASSERT_EQ(grouped.num_rows(), 2u);
+  EXPECT_EQ(grouped.At(0, 1).AsDouble(), 210.0 + static_cast<double>(n - 1));
+  EXPECT_EQ(grouped.At(1, 1).AsDouble(), 78.0 + static_cast<double>(n - 1));
+}
+
 TEST_F(ExecutorTest, UnknownTableFails) {
   auto res = executor_->Query("SELECT * FROM missing");
   EXPECT_FALSE(res.ok());

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
+
+#include "sql/logical_plan.h"
+
 namespace explainit::sql {
 namespace {
 
@@ -396,6 +400,182 @@ TEST(ParserTest, ExprCloneDeepCopies) {
   ExprPtr clone = (*e)->Clone();
   EXPECT_EQ(clone->ToString(), (*e)->ToString());
   EXPECT_NE(clone.get(), e->get());
+}
+
+// A probe holding a LAG call, an aggregate and a mixed-case column
+// reference, placed in each child slot of an Expr in turn: every walker
+// built on ast.h's traversal must find it there.
+TEST(ParserTest, EveryChildSlotIsWalked) {
+  const std::string probe = "SUM(LAG(Q.MixedCol))";
+  struct Placement {
+    const char* slot;
+    std::string sql;
+    std::function<const Expr*(const Expr&)> find;
+  };
+  const std::vector<Placement> placements = {
+      {"left", probe + " + 1", [](const Expr& e) { return e.left.get(); }},
+      {"right", "1 + " + probe, [](const Expr& e) { return e.right.get(); }},
+      {"between_lo", "1 BETWEEN " + probe + " AND 2",
+       [](const Expr& e) { return e.between_lo.get(); }},
+      {"between_hi", "1 BETWEEN 0 AND " + probe,
+       [](const Expr& e) { return e.between_hi.get(); }},
+      {"case_else", "CASE WHEN 1 THEN 2 ELSE " + probe + " END",
+       [](const Expr& e) { return e.case_else.get(); }},
+      {"args", "COALESCE(1, " + probe + ")",
+       [](const Expr& e) { return e.args[1].get(); }},
+      {"list", "1 IN (2, " + probe + ")",
+       [](const Expr& e) { return e.list[1].get(); }},
+      {"case condition", "CASE WHEN " + probe + " THEN 1 END",
+       [](const Expr& e) { return e.case_branches[0].condition.get(); }},
+      {"case result", "CASE WHEN 1 THEN " + probe + " END",
+       [](const Expr& e) { return e.case_branches[0].result.get(); }},
+  };
+  // First the traversal itself, so a dropped slot fails here rather than
+  // crashing a walker that relies on it.
+  std::vector<ExprPtr> hosts;
+  for (const Placement& p : placements) {
+    SCOPED_TRACE(p.slot);
+    auto parsed = ParseExpression(p.sql);
+    ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+    Expr& host = **parsed;
+    const Expr* target = p.find(host);
+    ASSERT_NE(target, nullptr);
+    ASSERT_EQ(target->ToString(), probe);
+    bool reached = false;
+    ForEachChild(static_cast<const Expr&>(host),
+                 [&](const Expr& c) { reached = reached || &c == target; });
+    EXPECT_TRUE(reached);
+    bool reached_mutable = false;
+    ForEachChild(host, [&](Expr& c) {
+      reached_mutable = reached_mutable || &c == target;
+    });
+    EXPECT_TRUE(reached_mutable);
+    hosts.push_back(std::move(parsed).value());
+  }
+  ASSERT_FALSE(::testing::Test::HasFailure());
+  for (size_t i = 0; i < placements.size(); ++i) {
+    SCOPED_TRACE(placements[i].slot);
+    const Expr& host = *hosts[i];
+    EXPECT_TRUE(ContainsLag(host));
+    EXPECT_TRUE(host.ContainsAggregate());
+    std::vector<const Expr*> aggs;
+    CollectAggregates(host, &aggs);
+    ASSERT_EQ(aggs.size(), 1u);
+    EXPECT_EQ(aggs[0], placements[i].find(host));
+    EXPECT_EQ(host.Clone()->ToString(), host.ToString());
+    const std::string normalized = NormalizedExprText(host);
+    EXPECT_NE(normalized.find("q.mixedcol"), std::string::npos) << normalized;
+    EXPECT_EQ(normalized.find("MixedCol"), std::string::npos) << normalized;
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Statement nesting cap
+// ---------------------------------------------------------------------------
+
+std::string Repeat(const std::string& s, size_t n) {
+  std::string out;
+  for (size_t i = 0; i < n; ++i) out += s;
+  return out;
+}
+
+/// Every way a statement nests, as a function writing one n levels deep.
+struct NestingShape {
+  const char* name;
+  std::function<std::string(size_t)> build;
+};
+
+std::vector<NestingShape> NestingShapes() {
+  return {
+      {"parentheses",
+       [](size_t n) {
+         return "SELECT " + Repeat("(", n) + "1" + Repeat(")", n);
+       }},
+      {"function arguments",
+       [](size_t n) {
+         return "SELECT " + Repeat("ABS(", n) + "1" + Repeat(")", n);
+       }},
+      {"CASE",
+       [](size_t n) {
+         return "SELECT " + Repeat("CASE WHEN 1 THEN ", n) + "1" +
+                Repeat(" END", n);
+       }},
+      {"IN lists",
+       [](size_t n) {
+         return "SELECT " + Repeat("1 IN (", n) + "1" + Repeat(")", n);
+       }},
+      {"NOT", [](size_t n) { return "SELECT " + Repeat("NOT ", n) + "TRUE"; }},
+      {"unary minus",
+       [](size_t n) { return "SELECT " + Repeat("- ", n) + "1"; }},
+      {"OR fold",
+       [](size_t n) { return "SELECT TRUE" + Repeat(" OR TRUE", n); }},
+      {"AND fold",
+       [](size_t n) { return "SELECT TRUE" + Repeat(" AND TRUE", n); }},
+      {"comparisons",
+       [](size_t n) {
+         return "SELECT " + Repeat("(", n - 1) + "1" + Repeat(" = 1)", n - 1) +
+                " = 1";
+       }},
+      {"+ fold", [](size_t n) { return "SELECT 1" + Repeat(" + 1", n); }},
+      {"* fold", [](size_t n) { return "SELECT 1" + Repeat(" * 1", n); }},
+      {"subscripts",
+       [](size_t n) { return "SELECT tag" + Repeat("['k']", n); }},
+      {"sub-selects",
+       [](size_t n) {
+         return Repeat("SELECT * FROM (", n) + "SELECT 1" + Repeat(")", n);
+       }},
+      {"EXPLAIN sub-selects",
+       [](size_t n) {
+         return "EXPLAIN (" + Repeat("SELECT * FROM (", n - 1) + "SELECT 1" +
+                Repeat(")", n - 1) + ") USING (SELECT 1)";
+       }},
+  };
+}
+
+TEST(ParserTest, StatementsAtTheNestingCapParseAndRoundTrip) {
+  for (const NestingShape& shape : NestingShapes()) {
+    SCOPED_TRACE(shape.name);
+    auto stmt = ParseStatement(shape.build(kMaxNestingDepth));
+    ASSERT_TRUE(stmt.ok()) << stmt.status().ToString();
+    // A standing monitor deep-copies its statement through ToSql, so the
+    // printed form of an accepted statement must be accepted again.
+    const std::string printed = ToSql(**stmt);
+    auto reparsed = ParseStatement(printed);
+    ASSERT_TRUE(reparsed.ok()) << reparsed.status().ToString();
+    EXPECT_EQ(ToSql(**reparsed), printed);
+  }
+}
+
+TEST(ParserTest, StatementsPastTheNestingCapArePositionedParseErrors) {
+  for (const NestingShape& shape : NestingShapes()) {
+    SCOPED_TRACE(shape.name);
+    auto stmt = ParseStatement(shape.build(kMaxNestingDepth + 1));
+    ASSERT_FALSE(stmt.ok());
+    EXPECT_TRUE(stmt.status().IsParseError()) << stmt.status().ToString();
+    EXPECT_NE(stmt.status().message().find("nests deeper than 256 levels"),
+              std::string::npos)
+        << stmt.status().message();
+    EXPECT_NE(stmt.status().message().find("line 1, column"),
+              std::string::npos)
+        << stmt.status().message();
+  }
+}
+
+TEST(ParserTest, HostileNestingIsAParseErrorNotACrash) {
+  const std::vector<std::string> hostile = {
+      "SELECT " + Repeat("(", 5000) + "1" + Repeat(")", 5000),
+      "SELECT 1" + Repeat("+1", 50000),
+      "SELECT " + Repeat("NOT ", 5000) + "TRUE",
+      Repeat("SELECT * FROM (", 5000) + "SELECT 1" + Repeat(")", 5000),
+  };
+  for (const std::string& sql : hostile) {
+    auto stmt = ParseStatement(sql);
+    ASSERT_FALSE(stmt.ok());
+    EXPECT_TRUE(stmt.status().IsParseError()) << stmt.status().ToString();
+  }
+  // Wide is not deep: a long IN list stays one level.
+  auto wide = ParseStatement("SELECT 1 IN (" + Repeat("1, ", 50000) + "1)");
+  EXPECT_TRUE(wide.ok()) << wide.status().ToString();
 }
 
 // ---------------------------------------------------------------------------
