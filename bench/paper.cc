@@ -455,9 +455,10 @@ bool Table2CostModel() {
 //     scoring over dynamically-typed table cells (the row-store path a
 //     naive implementation would use) against the dense matrix path.
 //  2. Broadcast/hash join vs nested loop for the hypothesis join of
-//     Appendix C: the same equi-join executed via the hash path and via a
-//     semantically equivalent non-equi condition that forces the
-//     nested-loop fallback.
+//     Appendix C: the same equi-join executed with an equi key and via a
+//     semantically equivalent non-equi condition, which HashJoin runs as
+//     its zero-key case — every pair a candidate, the nested loop's
+//     O(n·m).
 
 // Correlation computed directly off the Figure 4 Feature Family Table
 // (one row per timestamp, features in a string-keyed map) — the path a
@@ -566,7 +567,7 @@ bool AblationOptimisations() {
   const double hash_sec = MonotonicSeconds() - t0;
   t0 = MonotonicSeconds();
   // <= AND >= is the same predicate but not extractable as an equi-key:
-  // the executor falls back to the nested loop.
+  // the join runs with zero keys, pairing every row with every row.
   auto loop = executor.Query(
       "SELECT FF.ts, FF.v, Target.v FROM FF "
       "JOIN Target ON FF.ts <= Target.ts AND FF.ts >= Target.ts");

@@ -10,6 +10,9 @@
 //       first, the fact scan last) -> aggregate — the cost-based
 //       planner's join-reordering showcase, timed with the optimizer off
 //       vs on
+//   Q5  one-key join with a selective residual: every probe row shares
+//       one key value, so HashJoin's bounded candidate runs carry the
+//       whole join
 // Seed-vs-pipeline result parity is verified for every configuration
 // *before* any timing is recorded; mismatches fail the bench. Emits
 // BENCH_sql_pipeline.json so the perf trajectory is recorded. On hosts
@@ -70,7 +73,7 @@ const char* kQ3 =
 // Q4: a star join written in the worst statement order — both dimension
 // tables first (their cross product has 12x the host count in rows), the
 // fact scan last. Statement order materialises the hosts x slots cross
-// product through a nested-loop join before the fact table prunes it;
+// product through a zero-key HashJoin before the fact table prunes it;
 // the cost-based planner starts from the fact-connected dimension
 // instead. The time window is slot-aligned, so the ON condition, not the
 // window, does the pruning.
@@ -80,6 +83,16 @@ const char* kQ4 =
     "JOIN tsdb f ON f.tag['host'] = h.host AND f.timestamp = sl.b "
     "WHERE f.metric_name = 'latency' AND f.timestamp BETWEEN 240 AND 360 "
     "GROUP BY h.grp ORDER BY g";
+
+// Q5: the 12 slots, all keyed 'g0', against the hosts table on the
+// host group — one key value, so each probe slot's candidates are every
+// g0 host (an eighth of the hosts; the sub-select hides the slots' size
+// from the planner, which builds on hosts). The residual keeps one slot
+// and the hosts ending in 6: one candidate in 60.
+const char* kQ5 =
+    "SELECT h.host AS host, LENGTH(h.host) AS len "
+    "FROM (SELECT b, 'g0' AS g FROM slots) sl "
+    "JOIN hosts h ON sl.g = h.grp AND h.host LIKE '%6' AND sl.b > 600";
 
 std::shared_ptr<tsdb::SeriesStore> BuildStore(size_t num_series) {
   auto store = std::make_shared<tsdb::SeriesStore>();
@@ -163,13 +176,13 @@ bool Matches(const QueryResult& seed, const QueryResult& pipe) {
 
 struct ParallelReport {
   size_t parallelism;
-  QueryResult q1, q2, q3;
+  QueryResult q1, q2, q3, q5;
   double q1_agg_self_sec = 1e300;  // HashAggregate self time in Q1
 };
 
 struct ScaleReport {
   size_t series;
-  QueryResult q1_seed, q2_seed, q3_seed;
+  QueryResult q1_seed, q2_seed, q3_seed, q5_seed;
   std::vector<ParallelReport> pipeline;  // one entry per parallelism level
   bool match = true;
   /// Whole-query q1 at parallelism 1 over the best parallel level.
@@ -240,13 +253,15 @@ ScaleReport RunScale(size_t num_series) {
   const QueryResult q1_ref = Run(seed, kQ1);
   const QueryResult q2_ref = Run(seed, kQ2);
   const QueryResult q3_ref = Run(seed, kQ3);
+  const QueryResult q5_ref = Run(seed, kQ5);
   for (size_t p : ParallelismSweep()) {
     pipeline.set_parallelism(p);
     const QueryResult q1 = Run(pipeline, kQ1);
     const QueryResult q2 = Run(pipeline, kQ2);
     const QueryResult q3 = Run(pipeline, kQ3);
+    const QueryResult q5 = Run(pipeline, kQ5);
     if (!Matches(q1_ref, q1) || !Matches(q2_ref, q2) ||
-        !Matches(q3_ref, q3)) {
+        !Matches(q3_ref, q3) || !Matches(q5_ref, q5)) {
       std::fprintf(stderr,
                    "parity FAILED at %zu series, parallelism %zu\n",
                    num_series, p);
@@ -281,13 +296,14 @@ ScaleReport RunScale(size_t num_series) {
   // best-of-rounds damps scheduler noise on busy hosts.
   constexpr int kRounds = 3;
   const std::vector<size_t> sweep = ParallelismSweep();
-  rep.q1_seed.seconds = rep.q2_seed.seconds = rep.q3_seed.seconds = 1e300;
+  rep.q1_seed.seconds = rep.q2_seed.seconds = rep.q3_seed.seconds =
+      rep.q5_seed.seconds = 1e300;
   rep.q4_seed.seconds = rep.q4_off.seconds = rep.q4_on.seconds = 1e300;
   rep.pipeline.resize(sweep.size());
   for (size_t j = 0; j < sweep.size(); ++j) {
     rep.pipeline[j].parallelism = sweep[j];
     rep.pipeline[j].q1.seconds = rep.pipeline[j].q2.seconds =
-        rep.pipeline[j].q3.seconds = 1e300;
+        rep.pipeline[j].q3.seconds = rep.pipeline[j].q5.seconds = 1e300;
   }
   for (int round = 0; round < kRounds; ++round) {
     KeepMin(&rep.q1_seed, Run(seed, kQ1));
@@ -307,6 +323,11 @@ ScaleReport RunScale(size_t num_series) {
     for (size_t j = 0; j < sweep.size(); ++j) {
       pipeline.set_parallelism(sweep[j]);
       KeepMin(&rep.pipeline[j].q3, Run(pipeline, kQ3));
+    }
+    KeepMin(&rep.q5_seed, Run(seed, kQ5));
+    for (size_t j = 0; j < sweep.size(); ++j) {
+      pipeline.set_parallelism(sweep[j]);
+      KeepMin(&rep.pipeline[j].q5, Run(pipeline, kQ5));
     }
     // Q4 off/on back to back within the round, parallelism 1 (the
     // reorder win is plan-level, not thread-level).
@@ -337,16 +358,18 @@ ScaleReport RunScale(size_t num_series) {
 void PrintScale(const ScaleReport& r) {
   std::printf(
       "%8zu series | Q1 seed %8.4fs | Q2 seed %8.4fs | Q3 seed %8.4fs "
-      "| results %s\n",
+      "| Q5 seed %8.4fs | results %s\n",
       r.series, r.q1_seed.seconds, r.q2_seed.seconds, r.q3_seed.seconds,
-      r.match ? "match" : "MISMATCH");
+      r.q5_seed.seconds, r.match ? "match" : "MISMATCH");
   for (const ParallelReport& pr : r.pipeline) {
     std::printf(
         "          p=%zu | Q1 %8.4fs (%5.1fx seed) | Q2 %8.4fs "
-        "(%5.1fx seed) | Q3 %8.4fs (%5.1fx seed)\n",
+        "(%5.1fx seed) | Q3 %8.4fs (%5.1fx seed) | Q5 %8.4fs "
+        "(%5.1fx seed)\n",
         pr.parallelism, pr.q1.seconds, r.q1_seed.seconds / pr.q1.seconds,
         pr.q2.seconds, r.q2_seed.seconds / pr.q2.seconds, pr.q3.seconds,
-        r.q3_seed.seconds / pr.q3.seconds);
+        r.q3_seed.seconds / pr.q3.seconds, pr.q5.seconds,
+        r.q5_seed.seconds / pr.q5.seconds);
   }
   std::printf(
       "          parallel-vs-serial-pipeline speedups: Q1 %.2fx "
@@ -406,10 +429,10 @@ int Main(int argc, char** argv) {
         f,
         "    {\"series\": %zu, \"points\": %zu,\n"
         "     \"q1_seed_sec\": %.6f, \"q2_seed_sec\": %.6f, "
-        "\"q3_seed_sec\": %.6f,\n"
+        "\"q3_seed_sec\": %.6f, \"q5_seed_sec\": %.6f,\n"
         "     \"pipeline\": [\n",
         r.series, r.series * kPointsPerSeries, r.q1_seed.seconds,
-        r.q2_seed.seconds, r.q3_seed.seconds);
+        r.q2_seed.seconds, r.q3_seed.seconds, r.q5_seed.seconds);
     for (size_t j = 0; j < r.pipeline.size(); ++j) {
       const ParallelReport& pr = r.pipeline[j];
       std::fprintf(
@@ -420,11 +443,14 @@ int Main(int argc, char** argv) {
           "\"q2_sec\": %.6f, \"q2_rows\": %zu, "
           "\"q2_speedup_vs_seed\": %.2f, "
           "\"q3_sec\": %.6f, \"q3_rows\": %zu, "
-          "\"q3_speedup_vs_seed\": %.2f}%s\n",
+          "\"q3_speedup_vs_seed\": %.2f, "
+          "\"q5_sec\": %.6f, \"q5_rows\": %zu, "
+          "\"q5_speedup_vs_seed\": %.2f}%s\n",
           pr.parallelism, pr.q1.seconds, pr.q1.rows,
           r.q1_seed.seconds / pr.q1.seconds, pr.q1_agg_self_sec,
           pr.q2.seconds, pr.q2.rows, r.q2_seed.seconds / pr.q2.seconds,
           pr.q3.seconds, pr.q3.rows, r.q3_seed.seconds / pr.q3.seconds,
+          pr.q5.seconds, pr.q5.rows, r.q5_seed.seconds / pr.q5.seconds,
           j + 1 < r.pipeline.size() ? "," : "");
     }
     std::fprintf(

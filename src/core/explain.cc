@@ -86,16 +86,6 @@ Status RankOperator::OpenImpl() {
   return Status::OK();
 }
 
-void RankOperator::AccumulateExecStats(sql::ExecStats* stats) const {
-  const RankStageStats& s = score_table_.stage;
-  stats->rank_gram_ns += s.gram_ns;
-  stats->rank_factor_ns += s.factor_ns;
-  stats->rank_solve_ns += s.solve_ns;
-  stats->rank_predict_ns += s.predict_ns;
-  stats->rank_cache_hits += s.total_hits();
-  stats->rank_cache_misses += s.total_misses();
-}
-
 Result<table::ColumnBatch> RankOperator::NextImpl(bool* eof) {
   if (pos_ >= result_.num_rows()) {
     *eof = true;

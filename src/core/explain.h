@@ -66,10 +66,6 @@ class RankOperator : public sql::Operator {
   /// Open): sparklines, RankOf() and the rank-stage wall time.
   const ScoreTable& score_table() const { return score_table_; }
 
-  /// Publishes the ranking-stage timing breakdown and scoring-cache
-  /// counters into the executor's ExecStats.
-  void AccumulateExecStats(sql::ExecStats* stats) const override;
-
  protected:
   Status OpenImpl() override;
   Result<table::ColumnBatch> NextImpl(bool* eof) override;

@@ -130,12 +130,6 @@ Result<table::Table> Executor::ExecuteTree(Operator* root) {
       std::max(stats_.sort_shards, last_stats_.sort_shards);
   stats_.materialize_chunks =
       std::max(stats_.materialize_chunks, last_stats_.materialize_chunks);
-  stats_.rank_gram_ns += last_stats_.rank_gram_ns;
-  stats_.rank_factor_ns += last_stats_.rank_factor_ns;
-  stats_.rank_solve_ns += last_stats_.rank_solve_ns;
-  stats_.rank_predict_ns += last_stats_.rank_predict_ns;
-  stats_.rank_cache_hits += last_stats_.rank_cache_hits;
-  stats_.rank_cache_misses += last_stats_.rank_cache_misses;
   stats_.joins_reordered += last_stats_.joins_reordered;
   stats_.agg_pushdowns += last_stats_.agg_pushdowns;
   stats_.count_rollup_rewrites += last_stats_.count_rollup_rewrites;

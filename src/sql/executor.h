@@ -2,9 +2,11 @@
 // physical operator tree (sql/operators/) and drives the pull-based,
 // vectorised pipeline to a materialised result table.
 //
-// Join strategy mirrors §4.2's "broadcast join" optimisation: equi-join
-// conditions execute as hash joins with the build (broadcast) side chosen
-// as the smaller input; non-equi conditions fall back to nested loops.
+// Join strategy mirrors §4.2's "broadcast join" optimisation: every join
+// is a HashJoin whose build (broadcast) side is the smaller input.
+// Equality conjuncts become hash keys; a join without one (or a CROSS
+// JOIN) is the zero-key case, every build row a candidate, joined in
+// bounded candidate runs.
 // Time-range, metric and tag predicates push down into hint-aware
 // catalog providers (tsdb::SeriesStore scans) — on both sides of joins.
 //

@@ -74,7 +74,7 @@ void PrintNode(const LogicalNode& node, int depth, std::ostringstream* out) {
       }
       break;
     case LogicalOp::kJoin: {
-      *out << (node.equi ? "HashJoin" : "NestedLoopJoin");
+      *out << "HashJoin";
       const char* type = "inner";
       if (node.join != nullptr) {
         switch (node.join->type) {
@@ -88,7 +88,7 @@ void PrintNode(const LogicalNode& node, int depth, std::ostringstream* out) {
       if (node.join != nullptr && node.join->condition != nullptr) {
         *out << " on " << node.join->condition->ToString();
       }
-      if (node.equi) *out << " build=" << (node.build_left ? "left" : "right");
+      *out << " build=" << (node.build_left ? "left" : "right");
       break;
     }
     case LogicalOp::kAggregate: {

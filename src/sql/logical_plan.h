@@ -77,7 +77,6 @@ struct LogicalNode {
   // kJoin: operators read only join->type and join->condition; synthesised
   // clauses (plan arena) leave join->right defaulted.
   const JoinClause* join = nullptr;
-  bool equi = false;        // hash join vs nested loop
   bool build_left = false;  // hash join build side
   bool reordered = false;   // this join was moved off statement order
 

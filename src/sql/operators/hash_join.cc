@@ -11,8 +11,9 @@ using table::Value;
 
 namespace {
 
-/// Probe batches are at most table::kDefaultBatchRows rows, so the
-/// morsel default grain (1024) would never split them.
+/// Grain of the per-batch shards (probe lookups and candidate pairs):
+/// probe batches are at most table::kDefaultBatchRows rows, so the
+/// morsel default grain (1024) would rarely split them.
 constexpr size_t kProbeShardMinRows = 128;
 
 /// An expression "belongs" to a side when every column it references
@@ -72,40 +73,27 @@ bool HashJoinOperator::NeedsProbePads() const {
          (join_->type == JoinType::kLeft && !build_left_);
 }
 
-void HashJoinOperator::AppendCandidate(
-    std::vector<std::vector<Value>>* cols, const ColumnBatch& batch,
-    size_t i, size_t j) const {
-  for (size_t c = 0; c < build_width_; ++c) {
-    (*cols)[build_offset_ + c].push_back(build_table_.At(j, c));
-  }
-  for (size_t c = 0; c < probe_width_; ++c) {
-    (*cols)[probe_offset_ + c].push_back(batch.At(i, c));
-  }
-}
-
 Status HashJoinOperator::OpenImpl() {
   EXPLAINIT_RETURN_IF_ERROR(left_->Open());
   EXPLAINIT_RETURN_IF_ERROR(right_->Open());
   const Schema& ls = left_->output_schema();
   const Schema& rs = right_->output_schema();
-  left_width_ = ls.num_fields();
-  right_width_ = rs.num_fields();
+  const size_t left_width = ls.num_fields();
+  const size_t right_width = rs.num_fields();
   for (const Field& f : ls.fields()) schema_.AddField(f);
   for (const Field& f : rs.fields()) schema_.AddField(f);
-  build_offset_ = build_left_ ? 0 : left_width_;
-  probe_offset_ = build_left_ ? left_width_ : 0;
-  build_width_ = build_left_ ? left_width_ : right_width_;
-  probe_width_ = build_left_ ? right_width_ : left_width_;
+  build_offset_ = build_left_ ? 0 : left_width;
+  probe_offset_ = build_left_ ? left_width : 0;
+  build_width_ = build_left_ ? left_width : right_width;
+  probe_width_ = build_left_ ? right_width : left_width;
 
   Evaluator left_ev(&ls, functions_);
   Evaluator right_ev(&rs, functions_);
   keys_ = SplitJoinCondition(join_->condition.get(), left_ev, right_ev);
-  lag_in_condition_ =
-      join_->condition != nullptr && ContainsLag(*join_->condition);
 
-  // Materialise and index the build side. Empty key lists (no resolvable
-  // equi conjunct) hash everything under one key: a cross product with
-  // the whole condition as residual.
+  // Materialise and index the build side. Empty key lists (zero-key
+  // joins) hash every build row under one key: each probe row's
+  // candidates are the whole build side.
   Operator* build = build_left_ ? left_ : right_;
   build_table_ = table::Table(build->output_schema());
   EXPLAINIT_RETURN_IF_ERROR(Drain(build, &build_table_));
@@ -114,12 +102,9 @@ Status HashJoinOperator::OpenImpl() {
   probe_exprs_ = build_left_ ? keys_.right_exprs : keys_.left_exprs;
 
   const size_t n = build_table_.num_rows();
-  parallel_ = ctx_ != nullptr && ctx_->parallel() && !lag_in_condition_;
-  const bool parallel = parallel_;
-  num_partitions_ = parallel ? std::max<size_t>(
-                                   1, std::min(ctx_->parallelism,
-                                               std::max<size_t>(1, n / 1024)))
-                             : 1;
+  parallelism_ = EffectiveParallelism(ctx_);
+  num_partitions_ = std::max<size_t>(
+      1, std::min(parallelism_, std::max<size_t>(1, n / 1024)));
 
   // Phase 1: encode every build row's key (sharded; shards write
   // disjoint ranges) and bucket non-null rows by partition per shard.
@@ -127,9 +112,7 @@ Status HashJoinOperator::OpenImpl() {
   // results.
   std::vector<std::string> keys(n);
   std::vector<char> null_key(n, 0);
-  const std::vector<RowRange> shards = ShardRows(n, parallel
-                                                        ? ctx_->parallelism
-                                                        : 1);
+  const std::vector<RowRange> shards = ShardRows(n, parallelism_);
   // buckets[s][p]: this shard's rows for partition p, ascending.
   std::vector<std::vector<std::vector<size_t>>> buckets(
       num_partitions_ > 1 ? shards.size() : 0);
@@ -183,7 +166,8 @@ Status HashJoinOperator::OpenImpl() {
   build_matched_.assign(n, 0);
   stats_.detail = std::string("build=") + (build_left_ ? "left" : "right") +
                   " rows=" + std::to_string(n) +
-                  " parts=" + std::to_string(num_partitions_);
+                  " parts=" + std::to_string(num_partitions_) +
+                  " keys=" + std::to_string(keys_.left_exprs.size());
   return Status::OK();
 }
 
@@ -222,152 +206,203 @@ Result<ColumnBatch> HashJoinOperator::FinishBuildPads(bool* eof) {
   return out;
 }
 
-Result<ColumnBatch> HashJoinOperator::NextImpl(bool* eof) {
-  if (probe_done_) {
-    if (NeedsBuildPads() && !pads_emitted_) {
-      return FinishBuildPads(eof);
-    }
-    *eof = true;
-    return ColumnBatch{};
-  }
+Status HashJoinOperator::PullProbeBatch() {
   Operator* probe = build_left_ ? right_ : left_;
-  while (true) {
-    bool probe_eof = false;
-    EXPLAINIT_ASSIGN_OR_RETURN(ColumnBatch batch, probe->Next(&probe_eof));
-    if (probe_eof) {
-      probe_done_ = true;
-      if (NeedsBuildPads() && !pads_emitted_) {
-        return FinishBuildPads(eof);
+  EXPLAINIT_ASSIGN_OR_RETURN(probe_batch_, probe->Next(&probe_done_));
+  probe_pos_ = 0;
+  if (probe_done_) return Status::OK();
+  // Look up every probe row's match list once, in contiguous row shards
+  // (disjoint writes). A null key never matches.
+  const size_t rows = probe_batch_.num_rows();
+  probe_matches_.assign(rows, nullptr);
+  const std::vector<RowRange> shards =
+      ShardRows(rows, parallelism_, kProbeShardMinRows);
+  return RunSharded(ctx_, shards.size(), [&](size_t s) -> Status {
+    Evaluator probe_ev(&probe_batch_, functions_);
+    std::vector<Value> kv;
+    for (size_t i = shards[s].begin; i < shards[s].end; ++i) {
+      kv.clear();
+      bool has_null = false;
+      for (const Expr* e : probe_exprs_) {
+        EXPLAINIT_ASSIGN_OR_RETURN(Value v, probe_ev.Eval(*e, i));
+        kv.push_back(std::move(v));
       }
-      *eof = true;
-      return ColumnBatch{};
+      const std::string key = EncodeKey(kv, &has_null);
+      if (has_null) continue;
+      const size_t p =
+          num_partitions_ > 1
+              ? std::hash<std::string>{}(key) % num_partitions_
+              : 0;
+      const auto it = partitions_[p].index.find(key);
+      if (it != partitions_[p].index.end()) probe_matches_[i] = &it->second;
     }
+    return Status::OK();
+  });
+}
 
-    // Shard the probe batch into contiguous row ranges. Each shard
-    // assembles its candidate rows, applies the residual, and records
-    // its matches locally; shard-order merge then reproduces the serial
-    // order (ascending probe row, matches ascending by build row).
-    const size_t rows = batch.num_rows();
-    const std::vector<RowRange> shards =
-        ShardRows(rows, parallel_ ? ctx_->parallelism : 1,
-                  kProbeShardMinRows);
-    struct ProbeShard {
-      ColumnBatch out;                    // kept candidates, owned
-      std::vector<size_t> matched_build;  // build rows kept by residual
-    };
-    std::vector<ProbeShard> locals(shards.size());
-    std::vector<char> probe_matched(rows, 0);  // disjoint writes per shard
-    EXPLAINIT_RETURN_IF_ERROR(RunSharded(
-        ctx_, shards.size(), [&](size_t s) -> Status {
-          ProbeShard& local = locals[s];
-          Evaluator probe_ev(&batch, functions_);
-          std::vector<std::vector<Value>> cand(schema_.num_fields());
-          std::vector<uint32_t> cand_probe;
-          std::vector<size_t> cand_build;
-          std::vector<Value> kv;
-          for (size_t i = shards[s].begin; i < shards[s].end; ++i) {
-            kv.clear();
-            bool has_null = false;
-            for (const Expr* e : probe_exprs_) {
-              EXPLAINIT_ASSIGN_OR_RETURN(Value v, probe_ev.Eval(*e, i));
-              kv.push_back(std::move(v));
-            }
-            const std::string key = EncodeKey(kv, &has_null);
-            if (has_null) continue;
-            const size_t p =
-                num_partitions_ > 1
-                    ? std::hash<std::string>{}(key) % num_partitions_
-                    : 0;
-            const auto it = partitions_[p].index.find(key);
-            if (it == partitions_[p].index.end()) continue;
-            for (const size_t j : it->second) {
-              AppendCandidate(&cand, batch, i, j);
-              cand_probe.push_back(static_cast<uint32_t>(i));
-              cand_build.push_back(j);
-            }
-          }
-          ColumnBatch cand_batch(&schema_, cand_probe.size());
-          for (auto& col : cand) cand_batch.AddOwnedColumn(std::move(col));
+Result<ColumnBatch> HashJoinOperator::JoinRun() {
+  // Extend the run while its candidates stay within the cap. A probe row
+  // without candidates weighs one (it may pad), so a run's output stays
+  // within the cap too unless one probe row alone exceeds it.
+  // offsets[r] is the first pair of the run's r-th row; offsets.back()
+  // is the run's pair count.
+  const size_t begin = probe_pos_;
+  const size_t rows = probe_batch_.num_rows();
+  std::vector<size_t> offsets{0};
+  size_t end = begin;
+  size_t weight = 0;
+  while (end < rows) {
+    const size_t n =
+        probe_matches_[end] == nullptr ? 0 : probe_matches_[end]->size();
+    const size_t w = std::max<size_t>(n, 1);
+    if (end > begin && weight + w > kMaxRunCandidates) break;
+    weight += w;
+    offsets.push_back(offsets.back() + n);
+    ++end;
+  }
+  probe_pos_ = end;
+  const size_t run_rows = end - begin;
 
-          // Residual conjuncts filter the candidates; only passing rows
-          // count as matches.
-          if (keys_.residual.empty()) {
-            for (size_t k = 0; k < cand_probe.size(); ++k) {
-              probe_matched[cand_probe[k]] = 1;
-              local.matched_build.push_back(cand_build[k]);
-            }
-            local.out = std::move(cand_batch);
-            return Status::OK();
+  // Shard the run's (probe row, build row) pairs into contiguous ranges.
+  // Each shard gathers its candidates column-wise, applies the residual
+  // and records its matches locally; shard-order merge then reproduces
+  // pair order.
+  const std::vector<RowRange> shards =
+      ShardRows(offsets.back(), parallelism_, kProbeShardMinRows);
+  struct PairShard {
+    ColumnBatch out;                    // kept candidates, owned
+    std::vector<size_t> matched_build;  // build rows kept by residual
+    std::vector<size_t> matched_probe;  // run rows kept, ascending
+  };
+  std::vector<PairShard> locals(shards.size());
+  EXPLAINIT_RETURN_IF_ERROR(RunSharded(
+      ctx_, shards.size(), [&](size_t s) -> Status {
+        PairShard& local = locals[s];
+        const size_t lo = shards[s].begin;
+        const size_t hi = shards[s].end;
+        std::vector<uint32_t> cand_row;  // run row of each candidate
+        std::vector<size_t> cand_build;
+        cand_row.reserve(hi - lo);
+        cand_build.reserve(hi - lo);
+        size_t r = static_cast<size_t>(
+            std::upper_bound(offsets.begin(), offsets.end(), lo) -
+            offsets.begin() - 1);
+        for (; r < run_rows && offsets[r] < hi; ++r) {
+          const size_t from = std::max(lo, offsets[r]);
+          const size_t to = std::min(hi, offsets[r + 1]);
+          if (from >= to) continue;
+          const std::vector<size_t>& matches = *probe_matches_[begin + r];
+          for (size_t p = from; p < to; ++p) {
+            cand_row.push_back(static_cast<uint32_t>(r));
+            cand_build.push_back(matches[p - offsets[r]]);
           }
-          std::vector<uint32_t> kept;
-          Evaluator cand_ev(&cand_batch, functions_);
-          for (size_t k = 0; k < cand_batch.num_rows(); ++k) {
-            bool ok = true;
-            for (const Expr* r : keys_.residual) {
-              EXPLAINIT_ASSIGN_OR_RETURN(Value v, cand_ev.Eval(*r, k));
-              if (v.is_null() || !v.AsBool()) {
-                ok = false;
-                break;
-              }
-            }
-            if (!ok) continue;
-            kept.push_back(static_cast<uint32_t>(k));
-            probe_matched[cand_probe[k]] = 1;
-            local.matched_build.push_back(cand_build[k]);
+        }
+        std::vector<std::vector<Value>> cand(schema_.num_fields());
+        for (size_t c = 0; c < build_width_; ++c) {
+          std::vector<Value>& col = cand[build_offset_ + c];
+          col.reserve(cand_build.size());
+          for (const size_t j : cand_build) {
+            col.push_back(build_table_.At(j, c));
           }
+        }
+        for (size_t c = 0; c < probe_width_; ++c) {
+          std::vector<Value>& col = cand[probe_offset_ + c];
+          col.reserve(cand_row.size());
+          for (const uint32_t k : cand_row) {
+            col.push_back(probe_batch_.At(begin + k, c));
+          }
+        }
+        ColumnBatch cand_batch(&schema_, cand_row.size());
+        for (auto& col : cand) cand_batch.AddOwnedColumn(std::move(col));
+
+        // Residual conjuncts filter the candidates; only passing rows
+        // count as matches.
+        std::vector<uint32_t> kept;
+        Evaluator cand_ev(&cand_batch, functions_);
+        for (size_t k = 0; k < cand_batch.num_rows(); ++k) {
+          bool ok = true;
+          for (const Expr* e : keys_.residual) {
+            EXPLAINIT_ASSIGN_OR_RETURN(Value v, cand_ev.Eval(*e, k));
+            if (v.is_null() || !v.AsBool()) {
+              ok = false;
+              break;
+            }
+          }
+          if (!ok) continue;
+          kept.push_back(static_cast<uint32_t>(k));
+          local.matched_build.push_back(cand_build[k]);
+          if (local.matched_probe.empty() ||
+              local.matched_probe.back() != cand_row[k]) {
+            local.matched_probe.push_back(cand_row[k]);
+          }
+        }
+        if (kept.size() == cand_batch.num_rows()) {
+          local.out = std::move(cand_batch);
+        } else {
           local.out = cand_batch.Gather(kept);
           local.out.set_schema(&schema_);
-          return Status::OK();
-        }));
-
-    // Merge match bookkeeping in shard order (deterministic, and the
-    // only writer of build_matched_ once the shards have joined).
-    size_t match_rows = 0;
-    for (ProbeShard& local : locals) {
-      for (const size_t j : local.matched_build) build_matched_[j] = 1;
-      match_rows += local.out.num_rows();
-    }
-
-    // Pad unmatched probe rows for LEFT (probe = left) / FULL OUTER:
-    // probe values on the probe side's columns, nulls on the build
-    // side's.
-    std::vector<std::vector<Value>> pad(schema_.num_fields());
-    size_t pad_rows = 0;
-    if (NeedsProbePads()) {
-      for (size_t i = 0; i < rows; ++i) {
-        if (probe_matched[i]) continue;
-        for (size_t c = 0; c < probe_width_; ++c) {
-          pad[probe_offset_ + c].push_back(batch.At(i, c));
         }
-        for (size_t c = 0; c < build_width_; ++c) {
-          pad[build_offset_ + c].push_back(Value::Null());
-        }
-        ++pad_rows;
-      }
-    }
+        return Status::OK();
+      }));
 
-    const size_t out_rows = match_rows + pad_rows;
-    if (out_rows == 0) continue;  // fully filtered batch: pull more
-    if (locals.size() == 1 && pad_rows == 0) {
-      *eof = false;
-      return std::move(locals[0].out);
-    }
-    std::vector<std::vector<Value>> merged(schema_.num_fields());
-    for (size_t c = 0; c < schema_.num_fields(); ++c) {
-      merged[c].reserve(out_rows);
-      for (const ProbeShard& local : locals) {
-        if (local.out.num_rows() == 0) continue;
-        const Value* src = local.out.column(c);
-        merged[c].insert(merged[c].end(), src,
-                         src + local.out.num_rows());
-      }
-      for (auto& v : pad[c]) merged[c].push_back(std::move(v));
-    }
-    ColumnBatch out(&schema_, out_rows);
-    for (auto& col : merged) out.AddOwnedColumn(std::move(col));
-    *eof = false;
-    return out;
+  // Merge match bookkeeping in shard order (deterministic, and the only
+  // writer of build_matched_ once the shards have joined).
+  std::vector<char> probe_matched(run_rows, 0);
+  size_t match_rows = 0;
+  for (const PairShard& local : locals) {
+    for (const size_t j : local.matched_build) build_matched_[j] = 1;
+    for (const size_t r : local.matched_probe) probe_matched[r] = 1;
+    match_rows += local.out.num_rows();
   }
+
+  // Pad the run's unmatched probe rows for LEFT (probe = left) / FULL
+  // OUTER: probe values on the probe side's columns, nulls on the build
+  // side's.
+  std::vector<size_t> pads;
+  if (NeedsProbePads()) {
+    for (size_t r = 0; r < run_rows; ++r) {
+      if (!probe_matched[r]) pads.push_back(begin + r);
+    }
+  }
+  if (locals.size() == 1 && pads.empty()) return std::move(locals[0].out);
+  const size_t out_rows = match_rows + pads.size();
+  std::vector<std::vector<Value>> merged(schema_.num_fields());
+  for (size_t c = 0; c < schema_.num_fields(); ++c) {
+    merged[c].reserve(out_rows);
+    for (const PairShard& local : locals) {
+      if (local.out.num_rows() == 0) continue;
+      const Value* src = local.out.column(c);
+      merged[c].insert(merged[c].end(), src, src + local.out.num_rows());
+    }
+  }
+  for (const size_t i : pads) {
+    for (size_t c = 0; c < probe_width_; ++c) {
+      merged[probe_offset_ + c].push_back(probe_batch_.At(i, c));
+    }
+    for (size_t c = 0; c < build_width_; ++c) {
+      merged[build_offset_ + c].push_back(Value::Null());
+    }
+  }
+  ColumnBatch out(&schema_, out_rows);
+  for (auto& col : merged) out.AddOwnedColumn(std::move(col));
+  return out;
+}
+
+Result<ColumnBatch> HashJoinOperator::NextImpl(bool* eof) {
+  while (!probe_done_) {
+    if (probe_pos_ == probe_batch_.num_rows()) {
+      EXPLAINIT_RETURN_IF_ERROR(PullProbeBatch());
+      continue;
+    }
+    EXPLAINIT_ASSIGN_OR_RETURN(ColumnBatch out, JoinRun());
+    if (out.num_rows() > 0) {
+      *eof = false;
+      return out;
+    }
+  }
+  if (NeedsBuildPads() && !pads_emitted_) return FinishBuildPads(eof);
+  *eof = true;
+  return ColumnBatch{};
 }
 
 }  // namespace explainit::sql

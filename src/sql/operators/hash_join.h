@@ -1,24 +1,34 @@
-// HashJoin: §4.2's "broadcast join". The build side (chosen by the
-// planner: the smaller input when row counts are known) is fully
-// materialised into a partitioned hash index; the probe side streams
-// through batch-wise. Equi conjuncts become hash keys; the remaining
-// conjuncts evaluate as a residual over candidate rows. A condition
-// whose equality conjuncts turn out not to split across the inputs
-// degenerates to a single-key cross product with the full condition as
-// residual (the nested-loop equivalent).
+// HashJoin: §4.2's "broadcast join", and the pipeline's only join
+// operator. The build side (chosen by the planner: the smaller input
+// when row counts are known) is fully materialised into a partitioned
+// hash index; the probe side streams through batch-wise. Equality
+// conjuncts between the inputs become hash keys; the remaining conjuncts
+// evaluate as a residual over candidate rows. A join without such an
+// equality (or a CROSS JOIN) is the zero-key case: every build row is a
+// candidate of every probe row and the whole condition is the residual.
+//
+// Bounded candidate runs: each probe row's match list is looked up once
+// per probe batch, then the batch is consumed in runs of probe rows
+// whose candidates total at most kMaxRunCandidates (a run always holds
+// at least one probe row). One Next() materialises one run, so neither
+// a cross product nor a skewed key pairs a whole batch with all of its
+// matches at once.
 //
 // Parallelism (ExecContext with parallelism > 1): the build side is
 // partitioned by key hash, per-partition indexes are built across the
-// pool, and each probe batch is sharded into contiguous row ranges that
-// probe concurrently. Per-shard candidates and build-side match sets
-// are merged in shard order, so output row order and match bookkeeping
-// are identical to the serial path (matches enumerate in ascending
-// build-row order at every parallelism level).
+// pool, the probe batch's lookups run in contiguous row shards, and each
+// run's (probe row, build row) pairs are sharded into contiguous ranges
+// — so a single probe row with thousands of matches still fans out.
+// Per-shard matches and build-side match sets are merged in shard order,
+// and run boundaries depend only on the data, so output is identical at
+// every parallelism level (matches enumerate in ascending probe row,
+// then ascending build row).
 //
-// Outer joins pad by the *actual* build side: unmatched probe rows pad
-// per batch (nulls on the build side's columns), unmatched build rows
-// pad once after the probe is exhausted (nulls on the probe side's
-// columns). Either input may be the build side for LEFT / FULL OUTER.
+// Outer joins pad by the *actual* build side, so the planner may build
+// on either input for every join type: unmatched probe rows pad per run
+// after the run's matches (nulls on the build side's columns), unmatched
+// build rows pad once after the probe is exhausted (nulls on the probe
+// side's columns).
 #pragma once
 
 #include <algorithm>
@@ -30,8 +40,16 @@
 
 namespace explainit::sql {
 
-/// A join condition split into equi-conjunct key pairs and a residual.
-/// (CollectConjuncts / HasEqualityConjunct live in operator.h.)
+/// The most (probe row, build row) candidate pairs one output step of
+/// HashJoin materialises, unless a single probe row alone has more.
+/// Small enough that a run's candidate columns stay cache-resident: on a
+/// 4,000 x 4,000 zero-key join at parallelism 1, 4,096 pairs ran as fast
+/// as a nested loop joining one probe row per step, and 16,384 about 8%
+/// slower.
+inline constexpr size_t kMaxRunCandidates = 4 * table::kDefaultBatchRows;
+
+/// A join condition split into equality key pairs and a residual.
+/// (CollectConjuncts lives in operator.h.)
 struct EquiKeys {
   std::vector<const Expr*> left_exprs;
   std::vector<const Expr*> right_exprs;
@@ -55,8 +73,14 @@ class HashJoinOperator : public Operator {
 
   const table::Schema& output_schema() const override { return schema_; }
   std::string name() const override { return "HashJoin"; }
+  /// Keyed joins count as hash joins; zero-key joins with a condition
+  /// as nested-loop joins (their cost is O(n·m)); CROSS JOINs as neither.
   void AccumulateExecStats(ExecStats* stats) const override {
-    ++stats->hash_joins;
+    if (!keys_.left_exprs.empty()) {
+      ++stats->hash_joins;
+    } else if (join_->type != JoinType::kCross) {
+      ++stats->nested_loop_joins;
+    }
     stats->join_build_partitions =
         std::max(stats->join_build_partitions, num_partitions_);
   }
@@ -77,14 +101,14 @@ class HashJoinOperator : public Operator {
   /// True when unmatched build rows must be emitted after the probe
   /// (FULL OUTER, or LEFT when the left input is the build side).
   bool NeedsBuildPads() const;
-  /// True when unmatched probe rows pad per batch (FULL OUTER, or LEFT
+  /// True when unmatched probe rows pad per run (FULL OUTER, or LEFT
   /// when the left input is the probe side).
   bool NeedsProbePads() const;
-  /// Appends one combined output row built from a probe row (i) and a
-  /// build row (j) to `cols`, honouring the orientation.
-  void AppendCandidate(std::vector<std::vector<table::Value>>* cols,
-                       const table::ColumnBatch& batch, size_t i,
-                       size_t j) const;
+  /// Pulls the next probe batch and looks up every row's match list.
+  Status PullProbeBatch();
+  /// Joins the next run of the current probe batch: matches in pair
+  /// order, then the run's probe pads.
+  Result<table::ColumnBatch> JoinRun();
   Result<table::ColumnBatch> FinishBuildPads(bool* eof);
 
   Operator* left_;
@@ -101,14 +125,16 @@ class HashJoinOperator : public Operator {
   size_t num_partitions_ = 1;
   std::vector<const Expr*> probe_exprs_;  // key exprs of the probe side
   std::vector<char> build_matched_;       // for outer pads
-  size_t left_width_ = 0;
-  size_t right_width_ = 0;
   size_t build_offset_ = 0;  // column offset of the build side's fields
   size_t probe_offset_ = 0;  // column offset of the probe side's fields
   size_t build_width_ = 0;
   size_t probe_width_ = 0;
-  bool lag_in_condition_ = false;  // LAG reads neighbours: probe serially
-  bool parallel_ = false;          // set once in Open, as Filter/Project do
+  size_t parallelism_ = 1;   // set once in Open, as Filter/Project do
+
+  table::ColumnBatch probe_batch_;  // the batch being joined, run by run
+  /// Per probe row: its build match list, or null (no match, null key).
+  std::vector<const std::vector<size_t>*> probe_matches_;
+  size_t probe_pos_ = 0;  // first probe row of the next run
   bool probe_done_ = false;
   size_t pad_pos_ = 0;  // build-row cursor of the chunked pad emission
   bool pads_emitted_ = false;

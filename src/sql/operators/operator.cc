@@ -127,18 +127,6 @@ void CollectConjuncts(const Expr* e, std::vector<const Expr*>* out) {
   out->push_back(e);
 }
 
-bool HasEqualityConjunct(const Expr* condition) {
-  if (condition == nullptr) return false;
-  std::vector<const Expr*> conjuncts;
-  CollectConjuncts(condition, &conjuncts);
-  for (const Expr* c : conjuncts) {
-    if (c->kind == ExprKind::kBinary && c->binary_op == BinaryOp::kEq) {
-      return true;
-    }
-  }
-  return false;
-}
-
 std::string ItemName(const SelectItem& item) {
   if (!item.alias.empty()) return item.alias;
   return item.expr->ToString();

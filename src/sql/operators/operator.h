@@ -47,6 +47,9 @@ struct ExecStats {
   /// Scans that carried a rollup resolution hint (min_step_seconds set by
   /// the planner's grid-shape detection) to a hint-aware provider.
   size_t rollup_hinted_scans = 0;
+  /// HashJoin instances by key count: keyed joins are hash joins;
+  /// zero-key joins with a condition count as nested-loop joins (every
+  /// pair is a candidate, O(n·m)); CROSS JOINs count as neither.
   size_t hash_joins = 0;
   size_t nested_loop_joins = 0;
   size_t rows_output = 0;
@@ -60,17 +63,6 @@ struct ExecStats {
   /// Chunks the executor assembled the final result table from (1 = the
   /// classic serial drain-and-append path).
   size_t materialize_chunks = 0;
-  /// Linear-algebra stage breakdown of EXPLAIN/rank operators (summed over
-  /// scoring worker threads): Gram/standardize construction, Cholesky
-  /// factorization, triangular solves, validation predict + r2.
-  int64_t rank_gram_ns = 0;
-  int64_t rank_factor_ns = 0;
-  int64_t rank_solve_ns = 0;
-  int64_t rank_predict_ns = 0;
-  /// Cross-hypothesis scoring-cache effectiveness (designs + factors +
-  /// whole conditional fits served cached vs computed).
-  size_t rank_cache_hits = 0;
-  size_t rank_cache_misses = 0;
   /// The logical plan (LogicalPlan::ToString) behind the last query, and
   /// the optimiser rewrites that fired: statements whose join order left
   /// statement order, partial aggregates placed below joins, and
@@ -212,10 +204,6 @@ inline size_t EffectiveParallelism(const ExecContext* ctx) {
 /// Flattens an AND tree into its conjuncts (any other node is one
 /// conjunct). Order is evaluation (left-to-right) order.
 void CollectConjuncts(const Expr* e, std::vector<const Expr*>* out);
-
-/// True when any top-level conjunct is an equality — the hash-join
-/// eligibility test.
-bool HasEqualityConjunct(const Expr* condition);
 
 /// Output column name for a select item: alias, else the expression text.
 std::string ItemName(const SelectItem& item);

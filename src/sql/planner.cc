@@ -12,7 +12,6 @@
 #include "sql/operators/filter.h"
 #include "sql/operators/hash_aggregate.h"
 #include "sql/operators/hash_join.h"
-#include "sql/operators/nested_loop_join.h"
 #include "sql/operators/project.h"
 #include "sql/operators/scan.h"
 #include "sql/operators/sort_limit.h"
@@ -1088,6 +1087,12 @@ Result<std::unique_ptr<LogicalNode>> Planner::BuildFrom(
       ref.subquery == nullptr ? catalog_->EstimatedRows(ref.table_name)
                               : std::nullopt;
   for (const JoinClause& join : stmt.joins) {
+    // LAG reads the previous row of the candidate stream, whose order
+    // is the join's internal run layout, not a property of the inputs.
+    if (join.condition != nullptr && ContainsLag(*join.condition)) {
+      return Status::InvalidArgument(
+          "LAG is not allowed in a JOIN condition");
+    }
     std::string right_name = join.right.EffectiveName();
     if (right_name.empty()) {
       right_name =
@@ -1099,25 +1104,16 @@ Result<std::unique_ptr<LogicalNode>> Planner::BuildFrom(
                     side_hints(join.right, right_name), plan));
     auto node = std::make_unique<LogicalNode>(LogicalOp::kJoin);
     node->join = &join;
-    node->equi = join.condition != nullptr &&
-                 HasEqualityConjunct(join.condition.get());
-    if (node->equi) {
-      // Broadcast heuristic: build on the smaller side when both row
-      // counts are known. Outer joins swap too — the join pads
-      // unmatched rows by the actual build side, so orientation only
-      // affects cost, never results.
-      std::optional<size_t> right_rows =
-          join.right.subquery == nullptr
-              ? catalog_->EstimatedRows(join.right.table_name)
-              : std::nullopt;
-      if ((join.type == JoinType::kInner ||
-           join.type == JoinType::kLeft ||
-           join.type == JoinType::kFullOuter) &&
-          acc_rows.has_value() && right_rows.has_value() &&
-          *acc_rows < *right_rows) {
-        node->build_left = true;
-      }
-    }
+    // Broadcast heuristic: build on the smaller side when both row
+    // counts are known. Every join type may swap — the join pads
+    // unmatched rows by the actual build side, so orientation only
+    // affects cost, never results.
+    const std::optional<size_t> right_rows =
+        join.right.subquery == nullptr
+            ? catalog_->EstimatedRows(join.right.table_name)
+            : std::nullopt;
+    node->build_left = acc_rows.has_value() && right_rows.has_value() &&
+                       *acc_rows < *right_rows;
     // Cardinality annotation (the cost model; never affects lowering).
     size_t equalities = 0;
     if (join.condition != nullptr) {
@@ -1349,11 +1345,10 @@ void Planner::ReorderJoins(LogicalNode* root, const SelectStatement& stmt,
     JoinClause* owned = plan->AddJoin(std::move(clause));
     auto join = std::make_unique<LogicalNode>(LogicalOp::kJoin);
     join->join = owned;
-    join->equi = HasEqualityConjunct(owned->condition.get());
     join->reordered = true;
     const double acc_rows = MaskRows(mask, base, conjuncts);
     const double right_rows = cost::KnownOrDefault(base[j]);
-    join->build_left = join->equi && acc_rows < right_rows;
+    join->build_left = acc_rows < right_rows;
     join->est_rows = MaskRows(next_mask, base, conjuncts);
     join->est_cost = cost::JoinStepCost(acc_rows, right_rows, join->est_rows);
     join->children.push_back(std::move(acc));
@@ -1513,8 +1508,6 @@ void Planner::PushdownAggregate(LogicalNode* root,
     clause->type = join_node->join->type;
     clause->condition = std::move(condition);
     join_node->join = plan->AddJoin(std::move(clause));
-    // Equality conjuncts keep their shape under rewriting, so the
-    // hash-vs-nested-loop choice and build side stay valid.
   }
   LogicalNode* sort_node = root->op == LogicalOp::kSortLimit ? root : nullptr;
   for (LogicalNode* s = sort_node; s != nullptr;
@@ -1588,14 +1581,9 @@ Result<std::unique_ptr<Operator>> Planner::Lower(
     case LogicalOp::kJoin: {
       EXPLAINIT_ASSIGN_OR_RETURN(auto left, Lower(*node.children[0]));
       EXPLAINIT_ASSIGN_OR_RETURN(auto right, Lower(*node.children[1]));
-      if (node.equi) {
-        return std::unique_ptr<Operator>(std::make_unique<HashJoinOperator>(
-            std::move(left), std::move(right), node.join, functions_,
-            node.build_left, ctx_));
-      }
-      return std::unique_ptr<Operator>(
-          std::make_unique<NestedLoopJoinOperator>(
-              std::move(left), std::move(right), node.join, functions_));
+      return std::unique_ptr<Operator>(std::make_unique<HashJoinOperator>(
+          std::move(left), std::move(right), node.join, functions_,
+          node.build_left, ctx_));
     }
     case LogicalOp::kAggregate: {
       EXPLAINIT_ASSIGN_OR_RETURN(auto input, Lower(*node.children[0]));

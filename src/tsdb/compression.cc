@@ -223,7 +223,7 @@ void PutScalar(std::vector<uint8_t>* out, T v) {
 
 template <typename T>
 bool GetScalar(const std::vector<uint8_t>& data, size_t* offset, T* v) {
-  if (*offset + sizeof(T) > data.size()) return false;
+  if (data.size() - *offset < sizeof(T)) return false;
   std::memcpy(v, data.data() + *offset, sizeof(T));
   *offset += sizeof(T);
   return true;
@@ -260,8 +260,15 @@ Result<CompressedBlock> CompressedBlock::Deserialize(
       !GetScalar(data, offset, &payload)) {
     return Status::ParseError("truncated block header");
   }
-  if (*offset + payload > data.size() || payload < (bit_count + 7) / 8) {
+  // Bounds compare against the bytes remaining, so a corrupt length
+  // cannot wrap them. The first point takes 128 bits, every later one
+  // at least 2 (a timestamp and a value control bit).
+  if (payload > data.size() - *offset || bit_count > payload * 8) {
     return Status::ParseError("truncated block payload");
+  }
+  if (num_points > 0 &&
+      (bit_count < 128 || num_points - 1 > (bit_count - 128) / 2)) {
+    return Status::ParseError("block point count exceeds its payload");
   }
   block.num_points_ = num_points;
   block.first_timestamp_ = first_ts;

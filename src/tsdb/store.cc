@@ -735,21 +735,30 @@ Result<table::Table> SeriesStore::ScanToTable(
 }
 
 namespace {
-void PutString(std::vector<uint8_t>* out, const std::string& s) {
-  const uint64_t n = s.size();
+void PutU64(std::vector<uint8_t>* out, uint64_t n) {
   const size_t at = out->size();
-  out->resize(at + sizeof(n) + s.size());
+  out->resize(at + sizeof(n));
   std::memcpy(out->data() + at, &n, sizeof(n));
-  std::memcpy(out->data() + at + sizeof(n), s.data(), s.size());
+}
+
+void PutString(std::vector<uint8_t>* out, const std::string& s) {
+  PutU64(out, s.size());
+  out->insert(out->end(), s.begin(), s.end());
+}
+
+// Readers compare lengths against the bytes remaining (*offset never
+// exceeds data.size()), so a corrupt length cannot wrap the bound.
+bool GetU64(const std::vector<uint8_t>& data, size_t* offset, uint64_t* n) {
+  if (data.size() - *offset < sizeof(*n)) return false;
+  std::memcpy(n, data.data() + *offset, sizeof(*n));
+  *offset += sizeof(*n);
+  return true;
 }
 
 bool GetString(const std::vector<uint8_t>& data, size_t* offset,
                std::string* s) {
   uint64_t n = 0;
-  if (*offset + sizeof(n) > data.size()) return false;
-  std::memcpy(&n, data.data() + *offset, sizeof(n));
-  *offset += sizeof(n);
-  if (*offset + n > data.size()) return false;
+  if (!GetU64(data, offset, &n) || n > data.size() - *offset) return false;
   s->assign(reinterpret_cast<const char*>(data.data() + *offset), n);
   *offset += n;
   return true;
@@ -758,8 +767,13 @@ bool GetString(const std::vector<uint8_t>& data, size_t* offset,
 /// The seed (v1) format: one block per series, no tiers. Still loadable.
 constexpr uint32_t kSnapshotMagic = 0x45585453;  // "EXTS"
 /// The tiered (v2) format: per series, every sealed segment block then
-/// the head block (encoder state included).
+/// the head block (encoder state included). Tags travel as one
+/// TagSet::Encode string, which is ambiguous when a key or value holds
+/// ',' or '='. Still loadable.
 constexpr uint32_t kSnapshotMagicV2 = 0x32545845;  // "EXT2"
+/// The current (v3) format: v2 with lossless tags — a u64 pair count,
+/// then each key and value as a length-prefixed string.
+constexpr uint32_t kSnapshotMagicV3 = 0x33545845;  // "EXT3"
 
 Result<TagSet> ParseTagEncoding(const std::string& tag_encoding) {
   std::map<std::string, std::string> tags;
@@ -774,18 +788,37 @@ Result<TagSet> ParseTagEncoding(const std::string& tag_encoding) {
   }
   return TagSet(std::move(tags));
 }
+
+Result<TagSet> GetTags(const std::vector<uint8_t>& data, size_t* offset) {
+  uint64_t count = 0;
+  if (!GetU64(data, offset, &count)) {
+    return Status::ParseError("truncated tag count");
+  }
+  std::map<std::string, std::string> tags;
+  for (uint64_t i = 0; i < count; ++i) {
+    std::string key, value;
+    if (!GetString(data, offset, &key) || !GetString(data, offset, &value)) {
+      return Status::ParseError("truncated tag pair");
+    }
+    tags[std::move(key)] = std::move(value);
+  }
+  return TagSet(std::move(tags));
+}
 }  // namespace
 
 Status SeriesStore::SaveSnapshot(const std::string& path) const {
   std::vector<uint8_t> buf;
   auto entries = impl_->SnapshotOrder();
-  buf.resize(sizeof(kSnapshotMagicV2) + sizeof(uint64_t));
-  std::memcpy(buf.data(), &kSnapshotMagicV2, sizeof(kSnapshotMagicV2));
-  const uint64_t count = entries.size();
-  std::memcpy(buf.data() + sizeof(kSnapshotMagicV2), &count, sizeof(count));
+  buf.resize(sizeof(kSnapshotMagicV3));
+  std::memcpy(buf.data(), &kSnapshotMagicV3, sizeof(kSnapshotMagicV3));
+  PutU64(&buf, entries.size());
   for (const auto& e : entries) {
     PutString(&buf, e->meta.metric_name);
-    PutString(&buf, e->meta.tags.Encode());
+    PutU64(&buf, e->meta.tags.entries().size());
+    for (const auto& [key, value] : e->meta.tags.entries()) {
+      PutString(&buf, key);
+      PutString(&buf, value);
+    }
     // Capture the tier state under the stripe lock, then serialize
     // outside it (segment payloads are immutable; the head is a copy).
     std::vector<std::shared_ptr<const SealedSegment>> segments;
@@ -795,10 +828,7 @@ Status SeriesStore::SaveSnapshot(const std::string& path) const {
       segments = e->segments;
       head = e->head.block();
     }
-    const uint64_t num_segments = segments.size();
-    const size_t at = buf.size();
-    buf.resize(at + sizeof(num_segments));
-    std::memcpy(buf.data() + at, &num_segments, sizeof(num_segments));
+    PutU64(&buf, segments.size());
     for (const auto& seg : segments) seg->block().Serialize(&buf);
     head.Serialize(&buf);
   }
@@ -836,10 +866,11 @@ Status SeriesStore::LoadSnapshot(const std::string& path) {
   }
   std::memcpy(&magic, buf.data(), sizeof(magic));
   offset += sizeof(magic);
-  if (magic != kSnapshotMagic && magic != kSnapshotMagicV2) {
+  if (magic != kSnapshotMagic && magic != kSnapshotMagicV2 &&
+      magic != kSnapshotMagicV3) {
     return Status::ParseError("bad snapshot magic");
   }
-  const bool tiered = magic == kSnapshotMagicV2;
+  const bool tiered = magic != kSnapshotMagic;
   std::memcpy(&count, buf.data() + offset, sizeof(count));
   offset += sizeof(count);
 
@@ -847,22 +878,26 @@ Status SeriesStore::LoadSnapshot(const std::string& path) {
   std::vector<std::shared_ptr<SeriesEntry>> order;
   size_t points = 0;
   for (uint64_t i = 0; i < count; ++i) {
-    std::string metric, tag_encoding;
-    if (!GetString(buf, &offset, &metric) ||
-        !GetString(buf, &offset, &tag_encoding)) {
+    auto e = std::make_shared<SeriesEntry>();
+    if (!GetString(buf, &offset, &e->meta.metric_name)) {
       return Status::ParseError("truncated series header");
     }
-    auto e = std::make_shared<SeriesEntry>();
-    e->meta.metric_name = metric;
-    EXPLAINIT_ASSIGN_OR_RETURN(e->meta.tags, ParseTagEncoding(tag_encoding));
+    if (magic == kSnapshotMagicV3) {
+      EXPLAINIT_ASSIGN_OR_RETURN(e->meta.tags, GetTags(buf, &offset));
+    } else {
+      std::string tag_encoding;
+      if (!GetString(buf, &offset, &tag_encoding)) {
+        return Status::ParseError("truncated series header");
+      }
+      EXPLAINIT_ASSIGN_OR_RETURN(e->meta.tags,
+                                 ParseTagEncoding(tag_encoding));
+    }
     e->tags_value = MakeTagsValue(e->meta.tags);
     if (tiered) {
       uint64_t num_segments = 0;
-      if (offset + sizeof(num_segments) > buf.size()) {
+      if (!GetU64(buf, &offset, &num_segments)) {
         return Status::ParseError("truncated segment count");
       }
-      std::memcpy(&num_segments, buf.data() + offset, sizeof(num_segments));
-      offset += sizeof(num_segments);
       for (uint64_t s = 0; s < num_segments; ++s) {
         EXPLAINIT_ASSIGN_OR_RETURN(
             CompressedBlock block, CompressedBlock::Deserialize(buf, &offset));

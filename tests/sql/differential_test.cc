@@ -115,6 +115,20 @@ const char* const kCorpus[] = {
     "ORDER BY v DESC, ts, g LIMIT 9",
     "SELECT a.host, b.grp FROM hosts a CROSS JOIN hosts b",
     "SELECT a.host, b.host FROM hosts a JOIN hosts b ON a.host < b.host",
+    // Zero-key joins (no equi conjunct): every build row is a candidate
+    // and the whole condition is the residual. h3 has no greater host
+    // (a probe pad), h0 no smaller one (a build pad under FULL OUTER);
+    // hosts LEFT JOIN dims builds on the smaller left side.
+    "SELECT a.host, b.host FROM hosts a LEFT JOIN hosts b ON a.host < b.host",
+    "SELECT a.host, b.host FROM hosts a FULL OUTER JOIN hosts b "
+    "ON a.host < b.host",
+    "SELECT hosts.host, dims.h, dims.v FROM hosts LEFT JOIN dims "
+    "ON hosts.host > dims.h",
+    "SELECT a.host, d.h, d.v FROM hosts a CROSS JOIN dims d "
+    "WHERE d.v > 5 AND a.grp = 'edge'",
+    // One-key join with a selective residual.
+    "SELECT t.timestamp, t.value, d.v FROM tsdb t JOIN dims d "
+    "ON t.tag['host'] = d.h AND t.value > d.v + 30",
     // Join-aware pushdown: per-side conjuncts narrow both tsdb scans.
     "SELECT COUNT(*) AS n FROM tsdb l JOIN tsdb r "
     "ON l.timestamp = r.timestamp "
@@ -481,6 +495,10 @@ TEST_F(DifferentialTest, JoinSortPathsByteIdenticalAcrossParallelism) {
       "JOIN hosts ON t.tag['host'] = hosts.host "
       "WHERE t.metric_name = 'cpu' ORDER BY v DESC, ts LIMIT 20",
       "SELECT h, COUNT(*) AS c FROM dims GROUP BY h ORDER BY c DESC, h",
+      // No ORDER BY: the zero-key join's own output order (matches,
+      // then each run's pads) must not depend on parallelism either.
+      "SELECT a.host AS x, b.host AS y FROM hosts a LEFT JOIN hosts b "
+      "ON a.host < b.host",
   };
   Executor serial(&catalog_, &functions_, 1);
   Executor parallel(&catalog_, &functions_, kParallelism);

@@ -267,7 +267,7 @@ TEST_F(ExecutorTest, CrossJoin) {
   EXPECT_EQ(t.num_rows(), 4u);
 }
 
-TEST_F(ExecutorTest, NonEquiJoinFallsBackToNestedLoop) {
+TEST_F(ExecutorTest, NonEquiJoinRunsAsZeroKeyHashJoin) {
   Schema s({{"v", DataType::kInt64}});
   Table ta(s), tb(s);
   ta.AppendRow({Value::Int(1)});
@@ -281,6 +281,12 @@ TEST_F(ExecutorTest, NonEquiJoinFallsBackToNestedLoop) {
   EXPECT_EQ(t.num_rows(), 1u);
   EXPECT_EQ(executor_->stats().nested_loop_joins, 1u);
   EXPECT_EQ(executor_->stats().hash_joins, 0u);
+  const OperatorStats* join = nullptr;
+  for (const OperatorStats& op : executor_->last_stats().operators) {
+    if (op.name == "HashJoin") join = &op;
+  }
+  ASSERT_NE(join, nullptr);
+  EXPECT_NE(join->detail.find("keys=0"), std::string::npos) << join->detail;
 }
 
 TEST_F(ExecutorTest, EquiJoinUsesHashJoin) {

@@ -53,7 +53,6 @@ TEST(LogicalPlanPrinter, TreeIndentsChildrenAndMarksRewrites) {
   right->est_rows = 10;
   auto join = std::make_unique<LogicalNode>(LogicalOp::kJoin);
   join->join = &stmt->joins[0];
-  join->equi = true;
   join->build_left = true;
   join->reordered = true;
   join->children.push_back(std::move(left));

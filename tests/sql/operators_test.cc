@@ -14,6 +14,9 @@
 //   * The partitioned join, sharded sort and parallel materialisation
 //     produce byte-identical output at parallelism 1 vs 4, and record
 //     their fan-out in ExecStats.
+//   * HashJoin's candidate runs: keyed, zero-key (CROSS, non-equi) and
+//     padded joins emit batches no larger than kMaxRunCandidates, with
+//     byte-identical output at parallelism 1 and 4.
 //   * HashAggregate's mode follows the statement, not the parallelism:
 //     decomposable aggregates run partial mode and STDDEV or LAG run
 //     index mode at parallelism 1, with a null context and at 4 alike.
@@ -23,6 +26,7 @@
 #include <string>
 #include <vector>
 
+#include "exec/worker_pool.h"
 #include "sql/executor.h"
 #include "sql/operators/hash_aggregate.h"
 #include "sql/operators/hash_join.h"
@@ -54,21 +58,26 @@ class OperatorsTest : public ::testing::Test {
     catalog_.RegisterTable("r", std::move(r));
   }
 
-  /// Builds `l <type> JOIN r ON l.k = r.k` directly so both build
+  /// Builds `l <type> JOIN r ON <condition>` directly so both build
   /// orientations are reachable (the planner only swaps on estimates).
-  std::unique_ptr<HashJoinOperator> MakeJoin(JoinType type,
-                                             bool build_left) {
+  /// A null condition is a CROSS JOIN's.
+  std::unique_ptr<HashJoinOperator> MakeJoin(
+      JoinType type, bool build_left, const char* condition = "l.k = r.k",
+      const ExecContext* ctx = nullptr) {
     join_.type = type;
-    auto cond = ParseExpression("l.k = r.k");
-    EXPECT_TRUE(cond.ok());
-    join_.condition = std::move(cond).value();
+    join_.condition = nullptr;
+    if (condition != nullptr) {
+      auto cond = ParseExpression(condition);
+      EXPECT_TRUE(cond.ok());
+      join_.condition = std::move(cond).value();
+    }
     auto left = std::make_unique<CatalogScanOperator>(
         &catalog_, "l", tsdb::ScanHints{}, "l", std::nullopt);
     auto right = std::make_unique<CatalogScanOperator>(
         &catalog_, "r", tsdb::ScanHints{}, "r", std::nullopt);
     return std::make_unique<HashJoinOperator>(
         std::move(left), std::move(right), &join_, &functions_, build_left,
-        nullptr);
+        ctx);
   }
 
   /// Drains `op`, asserting every non-eof batch carries rows (the eof
@@ -199,6 +208,85 @@ TEST_F(OperatorsTest, BuildPadsEmitInBatchSizedChunks) {
   EXPECT_LE(max_batch, table::kDefaultBatchRows);
   // ceil(3500 / 1024) = 4 chunks of build pads.
   EXPECT_GE(pad_batches, 4u);
+}
+
+// ---------------------------------------------------------------------------
+// Bounded candidate runs
+// ---------------------------------------------------------------------------
+
+TEST_F(OperatorsTest, JoinRunsStayUnderTheCandidateCap) {
+  // 400 x 400 rows under one key value: every probe row has 400
+  // candidates, so the 160,000-row result takes at least 8 runs'
+  // worth of batches. The CROSS JOIN is the zero-key case of the same
+  // pairing; the LEFT JOIN's residual keeps a few pairs and pads the
+  // rest; the build side's match lists do not change run boundaries.
+  constexpr int64_t kRows = 400;
+  Table l(Schema{{{"k", DataType::kString}, {"a", DataType::kInt64}}});
+  Table r(Schema{{{"k", DataType::kString}, {"b", DataType::kInt64}}});
+  for (int64_t i = 0; i < kRows; ++i) {
+    l.AppendRow({Value::String("same"), Value::Int(i)});
+    r.AppendRow({Value::String("same"), Value::Int(i)});
+  }
+  catalog_.RegisterTable("l", std::move(l));
+  catalog_.RegisterTable("r", std::move(r));
+  ASSERT_GE(static_cast<size_t>(kRows * kRows), 8 * kMaxRunCandidates);
+
+  exec::WorkerPool pool(4);
+  ExecContext parallel;
+  parallel.parallelism = 4;
+  parallel.pool = &pool;
+  struct Case {
+    JoinType type;
+    const char* condition;
+    size_t rows;
+    size_t keys;
+  };
+  const Case cases[] = {
+      {JoinType::kCross, nullptr, kRows * kRows, 0},
+      {JoinType::kInner, "l.k = r.k", kRows * kRows, 1},
+      // a - b > 390 keeps 45 pairs from 9 left rows; 391 left rows pad.
+      {JoinType::kLeft, "l.a - r.b > 390", 45 + 391, 0},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.condition == nullptr ? "CROSS" : c.condition);
+    std::vector<std::string> outputs;
+    for (const ExecContext* ctx : {static_cast<const ExecContext*>(nullptr),
+                                   static_cast<const ExecContext*>(
+                                       &parallel)}) {
+      auto op = MakeJoin(c.type, /*build_left=*/false, c.condition, ctx);
+      ASSERT_TRUE(op->Open().ok());
+      size_t total = 0, batches = 0;
+      std::string text;
+      bool eof = false;
+      while (true) {
+        auto batch = op->Next(&eof);
+        ASSERT_TRUE(batch.ok()) << batch.status().ToString();
+        if (eof) break;
+        EXPECT_LE(batch->num_rows(), kMaxRunCandidates);
+        total += batch->num_rows();
+        ++batches;
+        for (size_t row = 0; row < batch->num_rows(); ++row) {
+          for (size_t col = 0; col < batch->num_columns(); ++col) {
+            text += batch->At(row, col).is_null()
+                        ? "·"
+                        : batch->At(row, col).ToString();
+            text += '|';
+          }
+          text += '\n';
+        }
+      }
+      EXPECT_EQ(total, c.rows);
+      if (c.rows == kRows * kRows) {
+        EXPECT_GE(batches, 8u);
+      }
+      EXPECT_NE(op->stats().detail.find("keys=" + std::to_string(c.keys)),
+                std::string::npos)
+          << op->stats().detail;
+      outputs.push_back(std::move(text));
+    }
+    // Byte-identical at parallelism 1 and 4: same rows, same order.
+    EXPECT_TRUE(outputs[0] == outputs[1]);
+  }
 }
 
 // ---------------------------------------------------------------------------

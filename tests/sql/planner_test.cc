@@ -251,7 +251,7 @@ TEST_F(PlannerTest, HashJoinBuildsOnSmallerSide) {
   EXPECT_EQ(executor_->last_stats().hash_joins, 1u);
 }
 
-TEST_F(PlannerTest, NonEquiJoinPlansNestedLoop) {
+TEST_F(PlannerTest, NonEquiJoinPlansZeroKeyHashJoin) {
   Schema s({{"v", DataType::kInt64}});
   Table ta(s), tb(s);
   ta.AppendRow({Value::Int(1)});
@@ -263,7 +263,47 @@ TEST_F(PlannerTest, NonEquiJoinPlansNestedLoop) {
   EXPECT_EQ(t.num_rows(), 1u);
   EXPECT_EQ(executor_->last_stats().nested_loop_joins, 1u);
   EXPECT_EQ(executor_->last_stats().hash_joins, 0u);
-  EXPECT_NE(FindOperator("NestedLoopJoin"), nullptr);
+  const OperatorStats* join = FindOperator("HashJoin");
+  ASSERT_NE(join, nullptr);
+  EXPECT_NE(join->detail.find("keys=0"), std::string::npos) << join->detail;
+}
+
+TEST_F(PlannerTest, LagInJoinConditionIsRejectedAtPlanTime) {
+  // LAG in ON would read the previous row of the join's candidate
+  // stream, an order set by the join's internal run layout: the same
+  // rows could pair differently with and without an always-true equi
+  // conjunct. So it is an error in every join shape.
+  Schema s({{"k", DataType::kString}, {"v", DataType::kInt64}});
+  Table ta(s), tb(s);
+  for (int i = 0; i < 3; ++i) {
+    ta.AppendRow({Value::String("k"), Value::Int(i)});
+    tb.AppendRow({Value::String("k"), Value::Int(i)});
+  }
+  catalog_.RegisterTable("a", std::move(ta));
+  catalog_.RegisterTable("b", std::move(tb));
+  for (const char* q : {
+           "SELECT a.v, b.v FROM a JOIN b ON a.v >= b.v AND LAG(b.v) IS NULL",
+           "SELECT a.v, b.v FROM a JOIN b "
+           "ON a.k = b.k AND a.v >= b.v AND LAG(b.v) IS NULL",
+           "SELECT a.v, b.v FROM a LEFT JOIN b ON a.k = b.k "
+           "AND LAG(b.v, 2) > 0",
+           "SELECT a.v, b.v FROM a FULL OUTER JOIN b ON a.v < LAG(b.v)",
+           "SELECT COUNT(*) AS n FROM (SELECT a.v FROM a JOIN b "
+           "ON a.k = b.k AND LAG(a.v) IS NULL) s",
+       }) {
+    SCOPED_TRACE(q);
+    auto res = executor_->Query(q);
+    ASSERT_FALSE(res.ok());
+    EXPECT_TRUE(res.status().IsInvalidArgument()) << res.status().ToString();
+    EXPECT_NE(res.status().ToString().find("JOIN condition"),
+              std::string::npos)
+        << res.status().ToString();
+  }
+  // LAG over a join's output, in WHERE or the select list, still runs.
+  Table t = MustQuery(
+      "SELECT a.v, b.v, LAG(b.v) AS p FROM a JOIN b ON a.k = b.k "
+      "WHERE LAG(a.v) IS NOT NULL");
+  EXPECT_EQ(t.num_rows(), 8u);
 }
 
 TEST_F(PlannerTest, PerOperatorCountersReportRows) {

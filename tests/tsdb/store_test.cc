@@ -349,6 +349,187 @@ TEST(SnapshotTest, SeedV1FormatStillLoads) {
   EXPECT_EQ(again.num_points(), 6u);
 }
 
+std::vector<uint8_t> ReadBytes(const std::string& path) {
+  std::FILE* f = std::fopen(path.c_str(), "rb");
+  EXPECT_NE(f, nullptr);
+  std::vector<uint8_t> buf;
+  if (f == nullptr) return buf;
+  int c;
+  while ((c = std::fgetc(f)) != EOF) buf.push_back(static_cast<uint8_t>(c));
+  std::fclose(f);
+  return buf;
+}
+
+void WriteBytes(const std::string& path, const std::vector<uint8_t>& buf,
+                size_t size) {
+  std::FILE* f = std::fopen(path.c_str(), "wb");
+  ASSERT_NE(f, nullptr);
+  ASSERT_EQ(std::fwrite(buf.data(), 1, size, f), size);
+  std::fclose(f);
+}
+
+void PokeU64(std::vector<uint8_t>* buf, size_t offset, uint64_t v) {
+  ASSERT_LE(offset + sizeof(v), buf->size());
+  std::memcpy(buf->data() + offset, &v, sizeof(v));
+}
+
+/// Loads `buf` (its first `size` bytes) as a snapshot file.
+Status LoadBytes(const std::vector<uint8_t>& buf, size_t size) {
+  const std::string path = ::testing::TempDir() + "/corrupt_snap.bin";
+  WriteBytes(path, buf, size);
+  SeriesStore store;
+  return store.LoadSnapshot(path);
+}
+
+/// Every strict prefix of a valid snapshot is a ParseError, never a
+/// crash or a silently partial store.
+void ExpectEveryTruncationIsParseError(const std::vector<uint8_t>& buf) {
+  for (size_t size = 0; size < buf.size(); ++size) {
+    const Status st = LoadBytes(buf, size);
+    EXPECT_TRUE(st.IsParseError()) << "size " << size << ": " << st.ToString();
+  }
+}
+
+/// Byte offsets of a one-series, no-segment snapshot's length fields.
+struct SnapshotLayout {
+  size_t metric_len;
+  size_t segment_count;
+  size_t block;  // the head block's header
+};
+
+SnapshotLayout LayoutAfterTags(size_t metric_size, size_t tags_size) {
+  SnapshotLayout l;
+  l.metric_len = sizeof(uint32_t) + sizeof(uint64_t);
+  l.segment_count = l.metric_len + sizeof(uint64_t) + metric_size + tags_size;
+  l.block = l.segment_count + sizeof(uint64_t);
+  return l;
+}
+
+// CompressedBlock header: num_points, first_ts, prev_ts, prev_delta,
+// value_bits (u64 each), leading, trailing (i32), bit_count, payload.
+constexpr size_t kBlockNumPoints = 0;
+constexpr size_t kBlockBitCount = 5 * 8 + 2 * 4;
+constexpr size_t kBlockPayload = kBlockBitCount + 8;
+
+void ExpectCorruptBlockFieldsAreParseErrors(std::vector<uint8_t> buf,
+                                            const SnapshotLayout& l) {
+  const uint64_t kHuge = ~uint64_t{0} - 3;  // 2^64 - 4
+  const struct {
+    const char* field;
+    size_t offset;
+  } fields[] = {
+      {"metric length", l.metric_len},
+      {"segment count", l.segment_count},
+      {"block payload", l.block + kBlockPayload},
+      {"block bit count", l.block + kBlockBitCount},
+      {"block point count", l.block + kBlockNumPoints},
+  };
+  for (const auto& f : fields) {
+    for (const uint64_t v : {kHuge, ~uint64_t{0}, uint64_t{1} << 40}) {
+      std::vector<uint8_t> bad = buf;
+      PokeU64(&bad, f.offset, v);
+      const Status st = LoadBytes(bad, bad.size());
+      EXPECT_TRUE(st.IsParseError())
+          << f.field << " = " << v << ": " << st.ToString();
+    }
+  }
+}
+
+TEST(SnapshotTest, TagsWithSeparatorsRoundTrip) {
+  // TagSet::Encode joins pairs with ',' and '=' unescaped, so the v2
+  // format could save these tags but not load them back.
+  SeriesStore store;
+  const TagSet tags{{"cmd", "java -Xmx=4g,-server"},
+                    {"empty", ""},
+                    {"k=,", "a=b,c=d"}};
+  const TagSet plain{{"cmd", "java"}};
+  for (int i = 0; i < 5; ++i) {
+    ASSERT_TRUE(store.Write("proc", tags, i * 60, 1.0 + i).ok());
+    ASSERT_TRUE(store.Write("proc", plain, i * 60, 2.0 + i).ok());
+  }
+  const std::string path = ::testing::TempDir() + "/tag_separators.bin";
+  ASSERT_TRUE(store.SaveSnapshot(path).ok());
+  SeriesStore loaded;
+  const Status st = loaded.LoadSnapshot(path);
+  ASSERT_TRUE(st.ok()) << st.ToString();
+  ASSERT_EQ(loaded.num_series(), 2u);
+  EXPECT_EQ(loaded.num_points(), 10u);
+
+  ScanRequest req;
+  req.tag_filter = TagSet{{"empty", ""}};
+  auto res = loaded.Scan(req);
+  ASSERT_TRUE(res.ok());
+  ASSERT_EQ(res->size(), 1u);
+  EXPECT_EQ((*res)[0].meta.tags.entries(), tags.entries());
+  ASSERT_EQ((*res)[0].values.size(), 5u);
+  EXPECT_EQ((*res)[0].values[4], 5.0);
+  // Writes after the reload land on the same series, not a new one.
+  ASSERT_TRUE(loaded.Write("proc", tags, 300, 6.0).ok());
+  EXPECT_EQ(loaded.num_series(), 2u);
+}
+
+TEST(SnapshotTest, CorruptV3LengthFieldsAreParseErrors) {
+  SeriesStore store;
+  ASSERT_TRUE(store.Write("m", TagSet{{"h", "x"}}, 0, 1.0).ok());
+  ASSERT_TRUE(store.Write("m", TagSet{{"h", "x"}}, 60, 2.5).ok());
+  const std::string path = ::testing::TempDir() + "/v3.bin";
+  ASSERT_TRUE(store.SaveSnapshot(path).ok());
+  const std::vector<uint8_t> buf = ReadBytes(path);
+  ASSERT_TRUE(LoadBytes(buf, buf.size()).ok());
+
+  // v3 tags: u64 pair count, then u64-prefixed key "h" and value "x".
+  const size_t tag_count = 4 + 8 + 8 + 1;
+  const SnapshotLayout l = LayoutAfterTags(1, 8 + (8 + 1) + (8 + 1));
+  uint32_t magic = 0;
+  std::memcpy(&magic, buf.data(), sizeof(magic));
+  ASSERT_EQ(magic, 0x33545845u);  // "EXT3"
+  ExpectEveryTruncationIsParseError(buf);
+  ExpectCorruptBlockFieldsAreParseErrors(buf, l);
+  for (const size_t offset :
+       {tag_count, tag_count + 8, tag_count + 8 + 8 + 1}) {
+    std::vector<uint8_t> bad = buf;
+    PokeU64(&bad, offset, ~uint64_t{0} - 3);
+    const Status st = LoadBytes(bad, bad.size());
+    EXPECT_TRUE(st.IsParseError()) << "offset " << offset << ": "
+                                   << st.ToString();
+  }
+}
+
+TEST(SnapshotTest, CorruptV2LengthFieldsAreParseErrors) {
+  // Hand-build a v2 snapshot: u32 "EXT2", u64 series count, metric and
+  // tag-encoding strings, u64 segment count (0), then the head block.
+  CompressedBlock block;
+  ASSERT_TRUE(block.Append(0, 1.0).ok());
+  ASSERT_TRUE(block.Append(60, 2.5).ok());
+  std::vector<uint8_t> buf;
+  const uint32_t magic = 0x32545845;  // "EXT2"
+  const uint64_t count = 1;
+  buf.resize(sizeof(magic) + sizeof(count));
+  std::memcpy(buf.data(), &magic, sizeof(magic));
+  std::memcpy(buf.data() + sizeof(magic), &count, sizeof(count));
+  auto put_u64 = [&buf](uint64_t n) {
+    const size_t at = buf.size();
+    buf.resize(at + sizeof(n));
+    std::memcpy(buf.data() + at, &n, sizeof(n));
+  };
+  auto put_string = [&](const std::string& s) {
+    put_u64(s.size());
+    buf.insert(buf.end(), s.begin(), s.end());
+  };
+  put_string("m");
+  put_string("h=x");
+  put_u64(0);
+  block.Serialize(&buf);
+  ASSERT_TRUE(LoadBytes(buf, buf.size()).ok());
+
+  const SnapshotLayout l = LayoutAfterTags(1, 8 + 3);
+  ExpectEveryTruncationIsParseError(buf);
+  ExpectCorruptBlockFieldsAreParseErrors(buf, l);
+  std::vector<uint8_t> bad = buf;
+  PokeU64(&bad, l.metric_len + 8 + 1, ~uint64_t{0} - 3);  // tag encoding
+  EXPECT_TRUE(LoadBytes(bad, bad.size()).IsParseError());
+}
+
 TEST(StoreTest, ScanToTableHonoursProjectionHint) {
   SeriesStore store;
   const TagSet tags{{"host", "h0"}, {"dc", "d0"}};
