@@ -60,13 +60,14 @@ inline Table SeedQualifySchema(Table t, const std::string& qualifier) {
 
 namespace seed_detail {
 
+// Keys encode losslessly, so two rows share a key exactly when `=` holds
+// between their key values; *has_null reports a key that `=` never
+// matches (NULL or NaN).
 inline std::string EncodeKey(const std::vector<Value>& values,
                              bool* has_null) {
   std::string key;
   for (const Value& v : values) {
-    if (v.is_null() && has_null != nullptr) *has_null = true;
-    key += v.ToString();
-    key += '\x1f';
+    if (!sql::AppendKey(v, &key) && has_null != nullptr) *has_null = true;
   }
   return key;
 }

@@ -35,7 +35,9 @@ std::vector<uint8_t> EncodeMatrix(const la::Matrix& m) {
   p += sizeof(rows);
   std::memcpy(p, &cols, sizeof(cols));
   p += sizeof(cols);
-  std::memcpy(p, m.data(), m.size() * sizeof(double));
+  // An empty matrix may hold no buffer, and memcpy from null is undefined
+  // even for zero bytes.
+  if (m.size() > 0) std::memcpy(p, m.data(), m.size() * sizeof(double));
   return out;
 }
 
@@ -78,7 +80,7 @@ Result<la::Matrix> DecodeMatrix(const std::vector<uint8_t>& buffer) {
     return Status::InvalidArgument("matrix buffer size mismatch");
   }
   la::Matrix m(rows, cols);
-  std::memcpy(m.data(), p, static_cast<size_t>(payload));
+  if (payload > 0) std::memcpy(m.data(), p, static_cast<size_t>(payload));
   return m;
 }
 

@@ -1,11 +1,13 @@
 #include "sql/evaluator.h"
 
 #include <cmath>
+#include <limits>
 
 #include "common/strings.h"
 
 namespace explainit::sql {
 
+using table::ColumnBatch;
 using table::DataType;
 using table::Value;
 
@@ -25,8 +27,7 @@ bool SqlLikeMatch(const std::string& pattern, const std::string& text) {
   return GlobMatch(glob, text);
 }
 
-Result<size_t> Evaluator::ResolveColumn(const Expr& expr) const {
-  const table::Schema& schema = *schema_;
+Result<size_t> ResolveColumn(const Expr& expr, const table::Schema& schema) {
   if (!expr.qualifier.empty()) {
     const std::string full = expr.qualifier + "." + expr.column;
     if (auto idx = schema.FieldIndex(full); idx.has_value()) return *idx;
@@ -51,180 +52,486 @@ Result<size_t> Evaluator::ResolveColumn(const Expr& expr) const {
   return Status::NotFound("column not found: " + expr.column);
 }
 
-Result<Value> Evaluator::Eval(const Expr& expr, size_t row) const {
-  switch (expr.kind) {
-    case ExprKind::kLiteral:
-      return expr.literal;
-    case ExprKind::kStar:
-      return Status::InvalidArgument("'*' is only valid in COUNT(*)");
-    case ExprKind::kColumnRef: {
-      EXPLAINIT_ASSIGN_OR_RETURN(size_t idx, ResolveColumn(expr));
-      return Cell(row, idx);
+namespace {
+
+void AppendLength(size_t n, std::string* key) {
+  key->append(reinterpret_cast<const char*>(&n), sizeof n);
+}
+
+}  // namespace
+
+bool AppendKey(const Value& v, std::string* key) {
+  switch (v.type()) {
+    case DataType::kNull:
+      key->push_back('N');
+      return false;
+    case DataType::kDouble:
+    case DataType::kInt64:
+    case DataType::kTimestamp: {
+      // One canonical double per `=` class: -0.0 = 0.0, and every NaN
+      // payload groups together.
+      double d = v.AsDouble();
+      const bool nan = std::isnan(d);
+      if (nan) d = std::numeric_limits<double>::quiet_NaN();
+      if (d == 0.0) d = 0.0;
+      key->push_back('D');
+      key->append(reinterpret_cast<const char*>(&d), sizeof d);
+      return !nan;
     }
-    case ExprKind::kSubscript: {
-      EXPLAINIT_ASSIGN_OR_RETURN(Value base, Eval(*expr.left, row));
-      EXPLAINIT_ASSIGN_OR_RETURN(Value index, Eval(*expr.right, row));
-      const table::ValueMap* map = base.AsMap();
-      if (map == nullptr) {
-        if (base.is_null()) return Value::Null();
-        return Status::InvalidArgument("subscript on non-map value");
-      }
-      const std::string key = index.type() == DataType::kString
-                                  ? index.AsString()
-                                  : std::to_string(index.AsInt());
-      auto it = map->find(key);
-      return it == map->end() ? Value::Null() : it->second;
+    case DataType::kString: {
+      const std::string& s = *v.TryString();
+      key->push_back('S');
+      AppendLength(s.size(), key);
+      key->append(s);
+      return true;
     }
-    case ExprKind::kFunction: {
-      if (IsAggregateFunction(expr.function_name)) {
-        return Status::InvalidArgument("aggregate " + expr.function_name +
-                                       " in a scalar context");
+    case DataType::kMap: {
+      const table::ValueMap& map = *v.AsMap();
+      key->push_back('M');
+      AppendLength(map.size(), key);
+      bool matchable = true;
+      for (const auto& [k, e] : map) {
+        AppendLength(k.size(), key);
+        key->append(k);
+        matchable = AppendKey(e, key) && matchable;
       }
-      if (expr.function_name == "LAG") {
-        // LAG(expr [, offset]) over the table's current row order.
-        if (expr.args.empty() || expr.args.size() > 2) {
-          return Status::InvalidArgument("LAG expects 1 or 2 arguments");
+      return matchable;
+    }
+  }
+  return true;
+}
+
+// ---------------------------------------------------------------------------
+// Bound programs
+// ---------------------------------------------------------------------------
+
+namespace internal {
+
+struct BoundNode {
+  enum class Op {
+    kError,    // an unresolved name: returns `error` when evaluated
+    kLiteral,
+    kColumn,   // input column `index`
+    kSlot,     // aggregate slot `index` of the current group
+    kLifted,   // the enclosing kEager node's child value `index`
+    kEager,    // kids[0] over kLifted leaves, after evaluating kids[1..]
+    kSubscript,
+    kCall,
+    kLag,
+    kUnary,
+    kBinary,
+    kInList,
+    kBetween,
+    kIsNull,
+    kCase,
+  };
+  Op op = Op::kError;
+  UnaryOp unary_op = UnaryOp::kNot;
+  BinaryOp binary_op = BinaryOp::kAdd;
+  bool negated = false;   // NOT IN / NOT BETWEEN / IS NOT NULL
+  bool has_else = false;  // kCase: kids[0] is the ELSE result
+  size_t index = 0;
+  Value literal;
+  Status error;
+  const ScalarFn* fn = nullptr;  // kCall
+  /// Children in ast.h slot order (left, right, between bounds, CASE
+  /// ELSE, args, IN list, CASE branches).
+  std::vector<BoundNode> kids;
+};
+
+}  // namespace internal
+
+namespace {
+
+using Node = internal::BoundNode;
+using Op = Node::Op;
+
+const Value kNull;
+const Value kFalse = Value::Bool(false);
+const Value kTrue = Value::Bool(true);
+
+const Value* Bool(bool b) { return b ? &kTrue : &kFalse; }
+
+struct Binder {
+  const table::Schema& schema;
+  const FunctionRegistry* functions;
+  const std::unordered_map<const Expr*, size_t>* slots;
+
+  static Node Error(Status s) {
+    Node n;
+    n.error = std::move(s);
+    return n;
+  }
+
+  Node Bind(const Expr& e) const {
+    if (slots != nullptr) {
+      if (auto it = slots->find(&e); it != slots->end()) {
+        Node n;
+        n.op = Op::kSlot;
+        n.index = it->second;
+        return n;
+      }
+      if (e.ContainsAggregate()) {
+        Node n;
+        n.op = Op::kEager;
+        n.kids.push_back(Operation(e, /*lifted=*/true));
+        ForEachChild(e, [&](const Expr& c) { n.kids.push_back(Bind(c)); });
+        return n;
+      }
+    }
+    return Operation(e, /*lifted=*/false);
+  }
+
+  /// `e`'s own operation; its children are bound programs, or with
+  /// `lifted` the values a kEager parent evaluated first.
+  Node Operation(const Expr& e, bool lifted) const {
+    Node n;
+    switch (e.kind) {
+      case ExprKind::kLiteral:
+        n.op = Op::kLiteral;
+        n.literal = e.literal;
+        return n;
+      case ExprKind::kStar:
+        return Error(
+            Status::InvalidArgument("'*' is only valid in COUNT(*)"));
+      case ExprKind::kColumnRef: {
+        Result<size_t> idx = ResolveColumn(e, schema);
+        if (!idx.ok()) return Error(idx.status());
+        n.op = Op::kColumn;
+        n.index = *idx;
+        return n;
+      }
+      case ExprKind::kFunction:
+        if (IsAggregateFunction(e.function_name)) {
+          return Error(Status::InvalidArgument(
+              "aggregate " + e.function_name + " in a scalar context"));
         }
-        int64_t offset = 1;
-        if (expr.args.size() == 2) {
-          EXPLAINIT_ASSIGN_OR_RETURN(Value off, Eval(*expr.args[1], row));
-          offset = off.AsInt();
-        }
-        const int64_t target = static_cast<int64_t>(row) - offset;
-        if (target < 0 || target >= static_cast<int64_t>(num_rows())) {
-          return Value::Null();
-        }
-        return Eval(*expr.args[0], static_cast<size_t>(target));
-      }
-      const ScalarFn* fn = functions_->Find(expr.function_name);
-      if (fn == nullptr) {
-        return Status::NotFound("unknown function: " + expr.function_name);
-      }
-      std::vector<Value> args;
-      args.reserve(expr.args.size());
-      for (const ExprPtr& a : expr.args) {
-        EXPLAINIT_ASSIGN_OR_RETURN(Value v, Eval(*a, row));
-        args.push_back(std::move(v));
-      }
-      return (*fn)(args);
-    }
-    case ExprKind::kUnary: {
-      EXPLAINIT_ASSIGN_OR_RETURN(Value v, Eval(*expr.left, row));
-      if (expr.unary_op == UnaryOp::kNegate) {
-        if (v.is_null()) return Value::Null();
-        return Value::Double(-v.AsDouble());
-      }
-      if (v.is_null()) return Value::Null();
-      return Value::Bool(!v.AsBool());
-    }
-    case ExprKind::kBinary: {
-      // AND/OR need lazy-ish null handling; arithmetic propagates null.
-      EXPLAINIT_ASSIGN_OR_RETURN(Value l, Eval(*expr.left, row));
-      if (expr.binary_op == BinaryOp::kAnd && !l.is_null() && !l.AsBool()) {
-        return Value::Bool(false);
-      }
-      if (expr.binary_op == BinaryOp::kOr && !l.is_null() && l.AsBool()) {
-        return Value::Bool(true);
-      }
-      EXPLAINIT_ASSIGN_OR_RETURN(Value r, Eval(*expr.right, row));
-      switch (expr.binary_op) {
-        case BinaryOp::kAnd:
-          if (l.is_null() || r.is_null()) return Value::Null();
-          return Value::Bool(l.AsBool() && r.AsBool());
-        case BinaryOp::kOr:
-          if (l.is_null() || r.is_null()) return Value::Null();
-          return Value::Bool(l.AsBool() || r.AsBool());
-        case BinaryOp::kEq:
-          if (l.is_null() || r.is_null()) return Value::Null();
-          return Value::Bool(l.Equals(r));
-        case BinaryOp::kNe:
-          if (l.is_null() || r.is_null()) return Value::Null();
-          return Value::Bool(!l.Equals(r));
-        case BinaryOp::kLt:
-        case BinaryOp::kLe:
-        case BinaryOp::kGt:
-        case BinaryOp::kGe: {
-          if (l.is_null() || r.is_null()) return Value::Null();
-          const int cmp = l.Compare(r);
-          switch (expr.binary_op) {
-            case BinaryOp::kLt:
-              return Value::Bool(cmp < 0);
-            case BinaryOp::kLe:
-              return Value::Bool(cmp <= 0);
-            case BinaryOp::kGt:
-              return Value::Bool(cmp > 0);
-            default:
-              return Value::Bool(cmp >= 0);
+        if (e.function_name == "LAG") {
+          if (e.args.empty() || e.args.size() > 2) {
+            return Error(
+                Status::InvalidArgument("LAG expects 1 or 2 arguments"));
           }
+          n.op = Op::kLag;
+          break;
         }
+        n.fn = functions->Find(e.function_name);
+        if (n.fn == nullptr) {
+          return Error(
+              Status::NotFound("unknown function: " + e.function_name));
+        }
+        n.op = Op::kCall;
+        break;
+      case ExprKind::kSubscript:
+        n.op = Op::kSubscript;
+        break;
+      case ExprKind::kUnary:
+        n.op = Op::kUnary;
+        n.unary_op = e.unary_op;
+        break;
+      case ExprKind::kBinary:
+        n.op = Op::kBinary;
+        n.binary_op = e.binary_op;
+        break;
+      case ExprKind::kInList:
+        n.op = Op::kInList;
+        n.negated = e.negated;
+        break;
+      case ExprKind::kBetween:
+        n.op = Op::kBetween;
+        n.negated = e.negated;
+        break;
+      case ExprKind::kIsNull:
+        n.op = Op::kIsNull;
+        n.negated = e.negated;
+        break;
+      case ExprKind::kCase:
+        n.op = Op::kCase;
+        n.has_else = e.case_else != nullptr;
+        break;
+    }
+    ForEachChild(e, [&](const Expr& c) {
+      if (!lifted) {
+        n.kids.push_back(Bind(c));
+        return;
+      }
+      Node leaf;
+      leaf.op = Op::kLifted;
+      leaf.index = n.kids.size();
+      n.kids.push_back(std::move(leaf));
+    });
+    return n;
+  }
+};
+
+/// One evaluation's inputs; `error` receives the failure of a null
+/// return.
+struct Frame {
+  const ColumnBatch* in;
+  const SlotReader* slots;
+  const Value* lifted;
+  Status* error;
+};
+
+const Value* Fail(const Frame& f, Status s) {
+  *f.error = std::move(s);
+  return nullptr;
+}
+
+/// LAG's row offset; false when no row index can reach it (a double that
+/// is non-finite or outside int64).
+bool LagOffset(const Value& v, int64_t* out) {
+  if (v.type() == DataType::kDouble) {
+    const double d = v.AsDouble();
+    if (!(d >= -0x1p63 && d < 0x1p63)) return false;
+  }
+  *out = v.AsInt();
+  return true;
+}
+
+/// Evaluates `n` at `row`: the result lives in `f.in`, the program, the
+/// lifted values, or `*s`; null on error. Children evaluate into their
+/// own locals, so a child's address never aliases `*s`.
+const Value* EvalNode(const Node& n, const Frame& f, size_t row, Value* s) {
+  switch (n.op) {
+    case Op::kError:
+      return Fail(f, n.error);
+    case Op::kLiteral:
+      return &n.literal;
+    case Op::kColumn:
+      return &f.in->column(n.index)[row];
+    case Op::kLifted:
+      return &f.lifted[n.index];
+    case Op::kSlot: {
+      Result<Value> v = (*f.slots)(n.index);
+      if (!v.ok()) return Fail(f, v.status());
+      *s = std::move(v).value();
+      return s;
+    }
+    case Op::kEager: {
+      std::vector<Value> lifted;
+      lifted.reserve(n.kids.size() - 1);
+      for (size_t i = 1; i < n.kids.size(); ++i) {
+        Value t;
+        const Value* v = EvalNode(n.kids[i], f, row, &t);
+        if (v == nullptr) return nullptr;
+        lifted.push_back(v == &t ? std::move(t) : *v);
+      }
+      Frame inner = f;
+      inner.lifted = lifted.data();
+      const Value* v = EvalNode(n.kids[0], inner, row, s);
+      if (v != nullptr && v != s) {
+        *s = *v;  // may point into `lifted`
+        v = s;
+      }
+      return v;
+    }
+    case Op::kSubscript: {
+      Value bs, is;
+      const Value* base = EvalNode(n.kids[0], f, row, &bs);
+      if (base == nullptr) return nullptr;
+      const Value* index = EvalNode(n.kids[1], f, row, &is);
+      if (index == nullptr) return nullptr;
+      const table::ValueMap* map = base->AsMap();
+      if (map == nullptr) {
+        if (base->is_null()) return &kNull;
+        return Fail(f, Status::InvalidArgument("subscript on non-map value"));
+      }
+      const std::string* key = index->TryString();
+      const auto it = key != nullptr
+                          ? map->find(*key)
+                          : map->find(std::to_string(index->AsInt()));
+      if (it == map->end()) return &kNull;
+      if (base != &bs) return &it->second;  // the map outlives this call
+      *s = it->second;
+      return s;
+    }
+    case Op::kCall: {
+      std::vector<Value> args;
+      args.reserve(n.kids.size());
+      for (const Node& k : n.kids) {
+        Value t;
+        const Value* v = EvalNode(k, f, row, &t);
+        if (v == nullptr) return nullptr;
+        args.push_back(v == &t ? std::move(t) : *v);
+      }
+      Result<Value> r = (*n.fn)(args);
+      if (!r.ok()) return Fail(f, r.status());
+      *s = std::move(r).value();
+      return s;
+    }
+    case Op::kLag: {
+      // LAG(expr [, offset]) over the input's row order.
+      int64_t offset = 1;
+      if (n.kids.size() == 2) {
+        Value t;
+        const Value* off = EvalNode(n.kids[1], f, row, &t);
+        if (off == nullptr) return nullptr;
+        if (!LagOffset(*off, &offset)) return &kNull;
+      }
+      int64_t target = 0;
+      if (__builtin_sub_overflow(static_cast<int64_t>(row), offset,
+                                 &target) ||
+          target < 0 || target >= static_cast<int64_t>(f.in->num_rows())) {
+        return &kNull;
+      }
+      return EvalNode(n.kids[0], f, static_cast<size_t>(target), s);
+    }
+    case Op::kUnary: {
+      Value t;
+      const Value* v = EvalNode(n.kids[0], f, row, &t);
+      if (v == nullptr) return nullptr;
+      if (v->is_null()) return &kNull;
+      if (n.unary_op == UnaryOp::kNot) return Bool(!v->AsBool());
+      *s = Value::Double(-v->AsDouble());
+      return s;
+    }
+    case Op::kBinary: {
+      // AND/OR stop at a decisive left side; everything else propagates
+      // null.
+      const BinaryOp op = n.binary_op;
+      Value ls, rs;
+      const Value* l = EvalNode(n.kids[0], f, row, &ls);
+      if (l == nullptr) return nullptr;
+      if (op == BinaryOp::kAnd && !l->is_null() && !l->AsBool()) {
+        return &kFalse;
+      }
+      if (op == BinaryOp::kOr && !l->is_null() && l->AsBool()) return &kTrue;
+      const Value* r = EvalNode(n.kids[1], f, row, &rs);
+      if (r == nullptr) return nullptr;
+      if (l->is_null() || r->is_null()) return &kNull;
+      switch (op) {
+        case BinaryOp::kAnd:
+          return Bool(l->AsBool() && r->AsBool());
+        case BinaryOp::kOr:
+          return Bool(l->AsBool() || r->AsBool());
+        case BinaryOp::kEq:
+          return Bool(l->Equals(*r));
+        case BinaryOp::kNe:
+          return Bool(!l->Equals(*r));
+        case BinaryOp::kLt:
+          return Bool(l->Compare(*r) < 0);
+        case BinaryOp::kLe:
+          return Bool(l->Compare(*r) <= 0);
+        case BinaryOp::kGt:
+          return Bool(l->Compare(*r) > 0);
+        case BinaryOp::kGe:
+          return Bool(l->Compare(*r) >= 0);
         case BinaryOp::kLike:
-          if (l.is_null() || r.is_null()) return Value::Null();
-          return Value::Bool(SqlLikeMatch(r.AsString(), l.AsString()));
+          return Bool(SqlLikeMatch(r->AsString(), l->AsString()));
         case BinaryOp::kAdd:
         case BinaryOp::kSub:
         case BinaryOp::kMul:
         case BinaryOp::kDiv:
-        case BinaryOp::kMod: {
-          if (l.is_null() || r.is_null()) return Value::Null();
-          const double a = l.AsDouble(), b = r.AsDouble();
-          switch (expr.binary_op) {
-            case BinaryOp::kAdd:
-              return Value::Double(a + b);
-            case BinaryOp::kSub:
-              return Value::Double(a - b);
-            case BinaryOp::kMul:
-              return Value::Double(a * b);
-            case BinaryOp::kDiv:
-              if (b == 0.0) return Value::Null();
-              return Value::Double(a / b);
-            default:
-              if (b == 0.0) return Value::Null();
-              return Value::Double(std::fmod(a, b));
-          }
-        }
-      }
-      return Status::Internal("unhandled binary op");
-    }
-    case ExprKind::kInList: {
-      EXPLAINIT_ASSIGN_OR_RETURN(Value subject, Eval(*expr.left, row));
-      if (subject.is_null()) return Value::Null();
-      bool found = false;
-      for (const ExprPtr& item : expr.list) {
-        EXPLAINIT_ASSIGN_OR_RETURN(Value v, Eval(*item, row));
-        if (subject.Equals(v)) {
-          found = true;
+        case BinaryOp::kMod:
           break;
+      }
+      const double a = l->AsDouble(), b = r->AsDouble();
+      if ((op == BinaryOp::kDiv || op == BinaryOp::kMod) && b == 0.0) {
+        return &kNull;
+      }
+      *s = Value::Double(op == BinaryOp::kAdd   ? a + b
+                         : op == BinaryOp::kSub ? a - b
+                         : op == BinaryOp::kMul ? a * b
+                         : op == BinaryOp::kDiv ? a / b
+                                                : std::fmod(a, b));
+      return s;
+    }
+    case Op::kInList: {
+      Value t, it;
+      const Value* subject = EvalNode(n.kids[0], f, row, &t);
+      if (subject == nullptr) return nullptr;
+      if (subject->is_null()) return &kNull;
+      bool found = false;
+      for (size_t i = 1; i < n.kids.size() && !found; ++i) {
+        const Value* v = EvalNode(n.kids[i], f, row, &it);
+        if (v == nullptr) return nullptr;
+        found = subject->Equals(*v);
+      }
+      return Bool(n.negated ? !found : found);
+    }
+    case Op::kBetween: {
+      Value a, b, c;
+      const Value* subject = EvalNode(n.kids[0], f, row, &a);
+      if (subject == nullptr) return nullptr;
+      const Value* lo = EvalNode(n.kids[1], f, row, &b);
+      if (lo == nullptr) return nullptr;
+      const Value* hi = EvalNode(n.kids[2], f, row, &c);
+      if (hi == nullptr) return nullptr;
+      if (subject->is_null() || lo->is_null() || hi->is_null()) return &kNull;
+      const bool in = subject->Compare(*lo) >= 0 && subject->Compare(*hi) <= 0;
+      return Bool(n.negated ? !in : in);
+    }
+    case Op::kIsNull: {
+      Value t;
+      const Value* v = EvalNode(n.kids[0], f, row, &t);
+      if (v == nullptr) return nullptr;
+      return Bool(n.negated ? !v->is_null() : v->is_null());
+    }
+    case Op::kCase: {
+      Value t;
+      size_t b = n.has_else ? 1 : 0;
+      for (; b + 1 < n.kids.size(); b += 2) {
+        const Value* cond = EvalNode(n.kids[b], f, row, &t);
+        if (cond == nullptr) return nullptr;
+        if (!cond->is_null() && cond->AsBool()) {
+          return EvalNode(n.kids[b + 1], f, row, s);
         }
       }
-      return Value::Bool(expr.negated ? !found : found);
-    }
-    case ExprKind::kBetween: {
-      EXPLAINIT_ASSIGN_OR_RETURN(Value subject, Eval(*expr.left, row));
-      EXPLAINIT_ASSIGN_OR_RETURN(Value lo, Eval(*expr.between_lo, row));
-      EXPLAINIT_ASSIGN_OR_RETURN(Value hi, Eval(*expr.between_hi, row));
-      if (subject.is_null() || lo.is_null() || hi.is_null()) {
-        return Value::Null();
-      }
-      const bool in =
-          subject.Compare(lo) >= 0 && subject.Compare(hi) <= 0;
-      return Value::Bool(expr.negated ? !in : in);
-    }
-    case ExprKind::kIsNull: {
-      EXPLAINIT_ASSIGN_OR_RETURN(Value v, Eval(*expr.left, row));
-      return Value::Bool(expr.negated ? !v.is_null() : v.is_null());
-    }
-    case ExprKind::kCase: {
-      for (const CaseBranch& b : expr.case_branches) {
-        EXPLAINIT_ASSIGN_OR_RETURN(Value cond, Eval(*b.condition, row));
-        if (!cond.is_null() && cond.AsBool()) {
-          return Eval(*b.result, row);
-        }
-      }
-      if (expr.case_else) return Eval(*expr.case_else, row);
-      return Value::Null();
+      return n.has_else ? EvalNode(n.kids[0], f, row, s) : &kNull;
     }
   }
-  return Status::Internal("unhandled expression kind");
+  return Fail(f, Status::Internal("unhandled expression kind"));
+}
+
+}  // namespace
+
+BoundExpr::BoundExpr() = default;
+BoundExpr::~BoundExpr() = default;
+BoundExpr::BoundExpr(BoundExpr&&) noexcept = default;
+BoundExpr& BoundExpr::operator=(BoundExpr&&) noexcept = default;
+
+BoundExpr::BoundExpr(const Expr& expr, const table::Schema& schema,
+                     const FunctionRegistry* functions,
+                     const std::unordered_map<const Expr*, size_t>* slots)
+    : root_(std::make_unique<const Node>(
+          Binder{schema, functions, slots}.Bind(expr))) {}
+
+const Value* BoundExpr::Ref(const ColumnBatch& in, size_t row,
+                            Value* scratch, Status* error) const {
+  return EvalNode(*root_, Frame{&in, nullptr, nullptr, error}, row, scratch);
+}
+
+Result<Value> BoundExpr::Eval(const ColumnBatch& in, size_t row,
+                              const SlotReader* slots) const {
+  Status error;
+  Value scratch;
+  const Value* v =
+      EvalNode(*root_, Frame{&in, slots, nullptr, &error}, row, &scratch);
+  if (v == nullptr) return error;
+  if (v == &scratch) return scratch;
+  return *v;
+}
+
+Result<bool> BoundExpr::Test(const ColumnBatch& in, size_t row) const {
+  Status error;
+  Value scratch;
+  const Value* v = Ref(in, row, &scratch, &error);
+  if (v == nullptr) return error;
+  return !v->is_null() && v->AsBool();
+}
+
+Result<Value> Evaluator::Eval(const Expr& expr, size_t row) const {
+  if (row >= num_rows()) {
+    return Status::OutOfRange("row " + std::to_string(row) +
+                              " is past the input's " +
+                              std::to_string(num_rows()) + " rows");
+  }
+  const BoundExpr bound(expr, *schema_, functions_);
+  if (batch_ != nullptr) return bound.Eval(*batch_, row);
+  const ColumnBatch rows =
+      table_ != nullptr ? ColumnBatch::View(*table_, 0, table_->num_rows())
+                        : ColumnBatch(schema_, 0);
+  return bound.Eval(rows, row);
 }
 
 }  // namespace explainit::sql

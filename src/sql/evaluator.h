@@ -1,9 +1,24 @@
-// Row-at-a-time expression evaluation against a Table or a ColumnBatch.
-// LAG windows see the whole input (rows are time-ordered by convention,
-// matching the paper's "user could specify lagged features ... by using
-// LAG function in SQL"); operators evaluate stages whose expressions
-// contain LAG over their whole materialised input.
+// Expression evaluation: one implementation of every expression kind's
+// semantics, run as a program bound once to an input schema.
+//
+// Binding resolves column references to indices and function names to
+// ScalarFn pointers. A name that does not resolve (unknown column or
+// function, misplaced aggregate, bad LAG arity) binds to a leaf that
+// returns its Status only when a row evaluates it, so errors stay lazy
+// and row-dependent: an empty input, or a conjunct that is false first,
+// never reports them. Column, literal and `col['key']` reads return
+// borrowed cells, and comparisons return shared boolean constants, so a
+// predicate or a group key costs no Value copies.
+//
+// LAG reads the row `offset` before the current one in the evaluated
+// input (rows are time-ordered by convention, matching the paper's "user
+// could specify lagged features ... by using LAG function in SQL"), so
+// operators evaluate stages whose expressions contain LAG over their
+// whole materialised input.
 #pragma once
+
+#include <memory>
+#include <unordered_map>
 
 #include "common/result.h"
 #include "sql/ast.h"
@@ -13,7 +28,57 @@
 
 namespace explainit::sql {
 
-/// Evaluates expressions against rows of one input relation.
+/// The current group's aggregate values, read by the slot leaves of a
+/// program bound in group context: slot i's finalised value, or the
+/// deferred error of its argument.
+using SlotReader = std::function<Result<table::Value>(size_t slot)>;
+
+namespace internal {
+struct BoundNode;
+}  // namespace internal
+
+/// An expression bound to one input schema. Immutable after binding, so
+/// one program is shared read-only by every shard that evaluates it.
+class BoundExpr {
+ public:
+  BoundExpr();
+  ~BoundExpr();
+  BoundExpr(BoundExpr&&) noexcept;
+  BoundExpr& operator=(BoundExpr&&) noexcept;
+
+  /// Binds `expr` against `schema`. With `slots` (group context), each
+  /// listed aggregate call becomes a slot leaf, and a node above one
+  /// evaluates all its children first, in slot order, then applies its
+  /// own operation to their values.
+  BoundExpr(const Expr& expr, const table::Schema& schema,
+            const FunctionRegistry* functions,
+            const std::unordered_map<const Expr*, size_t>* slots = nullptr);
+
+  /// The value at `row` of `in`; `slots` serves group-context programs.
+  Result<table::Value> Eval(const table::ColumnBatch& in, size_t row,
+                            const SlotReader* slots = nullptr) const;
+
+  /// Borrowing evaluation: the value's address (a cell of `in`, a
+  /// constant of the program, or `*scratch`), or null with `*error` set.
+  /// Ref and Test serve programs bound without `slots`.
+  const table::Value* Ref(const table::ColumnBatch& in, size_t row,
+                          table::Value* scratch, Status* error) const;
+
+  /// WHERE semantics: true when the value at `row` is non-null and true.
+  Result<bool> Test(const table::ColumnBatch& in, size_t row) const;
+
+ private:
+  std::unique_ptr<const internal::BoundNode> root_;
+};
+
+/// Resolves a column reference against a schema:
+///   - qualified a.b: field "a.b", else field "b" (single-relation case);
+///   - unqualified b: field "b", else a unique field ending in ".b".
+Result<size_t> ResolveColumn(const Expr& expr, const table::Schema& schema);
+
+/// Row-at-a-time evaluation of unbound expressions against a Table or a
+/// ColumnBatch: binds on every call, then evaluates. The seed interpreter
+/// (bench/seed_executor.h) is its caller; operators bind once instead.
 class Evaluator {
  public:
   Evaluator(const table::Table* input, const FunctionRegistry* functions)
@@ -22,19 +87,19 @@ class Evaluator {
   Evaluator(const table::ColumnBatch* batch, const FunctionRegistry* functions)
       : schema_(&batch->schema()), batch_(batch), functions_(functions) {}
 
-  /// Schema-only evaluator: ResolveColumn works, Eval of column refs does
-  /// not (used by the planner/join operators to classify expressions).
+  /// Schema-only evaluator: ResolveColumn works; it has no rows to Eval.
   Evaluator(const table::Schema* schema, const FunctionRegistry* functions)
       : schema_(schema), functions_(functions) {}
 
-  /// Evaluates `expr` at `row`. Aggregate calls are an error here; the
-  /// HashAggregate operator handles them at the GROUP BY level.
+  /// Evaluates `expr` at `row` of the input as it is now (a Table input
+  /// may grow between calls); a row past the input is OutOfRange.
+  /// Aggregate calls are an error here; the aggregate operators handle
+  /// them at the GROUP BY level.
   Result<table::Value> Eval(const Expr& expr, size_t row) const;
 
-  /// Resolves a column reference against the input schema:
-  ///   - qualified a.b: field "a.b", else field "b" (single-relation case);
-  ///   - unqualified b: field "b", else a unique field ending in ".b".
-  Result<size_t> ResolveColumn(const Expr& expr) const;
+  Result<size_t> ResolveColumn(const Expr& expr) const {
+    return sql::ResolveColumn(expr, *schema_);
+  }
 
   const table::Schema& schema() const { return *schema_; }
   size_t num_rows() const {
@@ -44,15 +109,19 @@ class Evaluator {
   }
 
  private:
-  const table::Value& Cell(size_t row, size_t col) const {
-    return table_ != nullptr ? table_->At(row, col) : batch_->At(row, col);
-  }
-
   const table::Schema* schema_;
   const table::Table* table_ = nullptr;
   const table::ColumnBatch* batch_ = nullptr;
   const FunctionRegistry* functions_;
 };
+
+/// Appends `v`'s group/join key encoding to `*key`. The encoding is
+/// type-tagged and lossless: two values encode alike exactly when `=`
+/// holds between them (numerics by value, so 1 = 1.0; strings and map
+/// entries length-prefixed), except that NULLs (and NaNs) encode alike
+/// so GROUP BY puts them in one group. Returns false when `v` holds a
+/// NULL or NaN, which `=` never matches (join keys skip such rows).
+bool AppendKey(const table::Value& v, std::string* key);
 
 /// True when the value of a LIKE pattern matches the text (SQL '%'/'_'
 /// wildcards).

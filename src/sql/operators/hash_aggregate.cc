@@ -13,8 +13,11 @@ using table::Value;
 
 namespace {
 
-// Computes one aggregate over a set of row indices.
-Result<Value> ComputeAggregate(const Expr& agg, const Evaluator& ev,
+// Computes one aggregate over a set of row indices; `args` are the call's
+// arguments bound to `in`.
+Result<Value> ComputeAggregate(const Expr& agg,
+                               const std::vector<BoundExpr>& args,
+                               const ColumnBatch& in,
                                const std::vector<size_t>& rows) {
   const std::string& name = agg.function_name;
   if (name == "COUNT") {
@@ -26,7 +29,7 @@ Result<Value> ComputeAggregate(const Expr& agg, const Evaluator& ev,
     }
     int64_t n = 0;
     for (size_t r : rows) {
-      EXPLAINIT_ASSIGN_OR_RETURN(Value v, ev.Eval(*agg.args[0], r));
+      EXPLAINIT_ASSIGN_OR_RETURN(Value v, args[0].Eval(in, r));
       if (!v.is_null()) ++n;
     }
     return Value::Int(n);
@@ -40,7 +43,7 @@ Result<Value> ComputeAggregate(const Expr& agg, const Evaluator& ev,
     }
     double acc = 0.0;
     for (size_t r : rows) {
-      EXPLAINIT_ASSIGN_OR_RETURN(Value v, ev.Eval(*agg.args[0], r));
+      EXPLAINIT_ASSIGN_OR_RETURN(Value v, args[0].Eval(in, r));
       if (!v.is_null()) acc += v.AsDouble();
     }
     return Value::Int(std::llround(acc));
@@ -51,7 +54,7 @@ Result<Value> ComputeAggregate(const Expr& agg, const Evaluator& ev,
   std::vector<double> values;
   values.reserve(rows.size());
   for (size_t r : rows) {
-    EXPLAINIT_ASSIGN_OR_RETURN(Value v, ev.Eval(*agg.args[0], r));
+    EXPLAINIT_ASSIGN_OR_RETURN(Value v, args[0].Eval(in, r));
     if (!v.is_null()) values.push_back(v.AsDouble());
   }
   if (values.empty()) return Value::Null();
@@ -80,7 +83,7 @@ Result<Value> ComputeAggregate(const Expr& agg, const Evaluator& ev,
     if (agg.args.size() != 2) {
       return Status::InvalidArgument("PERCENTILE expects (expr, p)");
     }
-    EXPLAINIT_ASSIGN_OR_RETURN(Value pv, ev.Eval(*agg.args[1], rows[0]));
+    EXPLAINIT_ASSIGN_OR_RETURN(Value pv, args[1].Eval(in, rows[0]));
     double p = pv.AsDouble();
     if (p > 1.0) p /= 100.0;  // accept both 0.99 and 99
     p = std::clamp(p, 0.0, 1.0);
@@ -92,34 +95,6 @@ Result<Value> ComputeAggregate(const Expr& agg, const Evaluator& ev,
     return Value::Double(values[lo] * (1.0 - frac) + values[hi] * frac);
   }
   return Status::Unimplemented("aggregate not implemented: " + name);
-}
-
-/// Computes one aggregate node's value in group context.
-using AggEvalFn = std::function<Result<Value>(const Expr&)>;
-
-// Evaluates a select-item expression in group context: aggregate calls go
-// through `agg_eval`; everything else is evaluated at the representative
-// row. Mixed scalar-of-aggregate (e.g. AVG(x) / AVG(y) or AVG(x) + 1)
-// recursively rebuilds around aggregate leaves.
-Result<Value> EvalGroupExpr(const Expr& e, const Evaluator& ev,
-                            size_t rep_row, const AggEvalFn& agg_eval) {
-  if (IsAggregateCall(e)) return agg_eval(e);
-  if (!e.ContainsAggregate()) return ev.Eval(e, rep_row);
-  auto lift = [&](const Expr& child) -> Result<ExprPtr> {
-    EXPLAINIT_ASSIGN_OR_RETURN(Value v,
-                               EvalGroupExpr(child, ev, rep_row, agg_eval));
-    return MakeLiteral(std::move(v));
-  };
-  EXPLAINIT_ASSIGN_OR_RETURN(ExprPtr lifted, MapChildren(e, lift));
-  return ev.Eval(*lifted, rep_row);
-}
-
-// Evaluates a select-item expression over the rows of one group.
-Result<Value> EvalInGroup(const Expr& e, const Evaluator& ev,
-                          const std::vector<size_t>& rows) {
-  return EvalGroupExpr(e, ev, rows[0], [&](const Expr& agg) {
-    return ComputeAggregate(agg, ev, rows);
-  });
 }
 
 /// True when the aggregate call decomposes into flat partial states whose
@@ -157,6 +132,7 @@ HashAggregateOperator::HashAggregateOperator(
   input_ = AddChild(std::move(input));
 }
 
+
 Status HashAggregateOperator::OpenImpl() {
   EXPLAINIT_RETURN_IF_ERROR(input_->Open());
   bool lag_anywhere = false;
@@ -182,34 +158,21 @@ Status HashAggregateOperator::OpenImpl() {
                             [](const Expr* a) { return IsDecomposable(*a); });
   for (size_t i = 0; i < agg_nodes_.size(); ++i) slot_of_[agg_nodes_[i]] = i;
 
-  // Kernel eligibility: group keys and aggregate arguments that are all
-  // plain columns / tag-subscripts accumulate without the Evaluator.
-  kernel_ok_ = partial_ok_;
+  const table::Schema& in = input_->output_schema();
   for (const ExprPtr& g : stmt_->group_by) {
-    auto simple = CompileSimpleExpr(*g);
-    if (!simple.has_value()) {
-      kernel_ok_ = false;
-      break;
-    }
-    simple_keys_.push_back(std::move(*simple));
+    keys_.emplace_back(*g, in, functions_);
   }
-  if (kernel_ok_) {
-    for (const Expr* node : agg_nodes_) {
-      SlotArg arg;
-      if (node->args[0]->kind == ExprKind::kStar) {
-        arg.star = true;
-      } else {
-        auto simple = CompileSimpleExpr(*node->args[0]);
-        if (!simple.has_value()) {
-          kernel_ok_ = false;
-          break;
-        }
-        arg.expr = std::move(*simple);
-      }
-      simple_args_.push_back(std::move(arg));
-    }
+  for (const Expr* agg : agg_nodes_) {
+    std::vector<BoundExpr>& args = agg_args_.emplace_back();
+    for (const ExprPtr& a : agg->args) args.emplace_back(*a, in, functions_);
   }
-  acc_ = table::Table(input_->output_schema());
+  for (const SelectItem& item : stmt_->items) {
+    items_.emplace_back(*item.expr, in, functions_, &slot_of_);
+  }
+  if (stmt_->having != nullptr) {
+    having_.emplace(*stmt_->having, in, functions_, &slot_of_);
+  }
+  acc_ = table::Table(in);
   return Status::OK();
 }
 
@@ -242,35 +205,37 @@ Status HashAggregateOperator::MaterializeInputShards() {
   return Status::OK();
 }
 
+Result<bool> HashAggregateOperator::FinishGroup(
+    const ColumnBatch& in, size_t row, const SlotReader& slots,
+    std::vector<std::vector<Value>>* values, size_t group) const {
+  if (having_.has_value()) {
+    EXPLAINIT_ASSIGN_OR_RETURN(Value v, having_->Eval(in, row, &slots));
+    if (v.is_null() || !v.AsBool()) return false;
+  }
+  for (size_t i = 0; i < items_.size(); ++i) {
+    EXPLAINIT_ASSIGN_OR_RETURN((*values)[i][group],
+                               items_[i].Eval(in, row, &slots));
+  }
+  return true;
+}
+
 // ---------------------------------------------------------------------------
 // Partial-aggregation mode
 // ---------------------------------------------------------------------------
 
-Status HashAggregateOperator::PartialAccumulateGeneric(
-    const ColumnBatch& batch, uint32_t batch_index, ShardGroups* local) {
+Status HashAggregateOperator::PartialAccumulate(const ColumnBatch& batch,
+                                                uint32_t batch_index,
+                                                ShardGroups* local) const {
   const size_t num_slots = agg_nodes_.size();
-  Evaluator ev(&batch, functions_);
-  std::vector<Value> key;
-  std::string encoded;
+  std::string key;
+  Value scratch;
   for (size_t r = 0; r < batch.num_rows(); ++r) {
-    if (stmt_->group_by.empty()) {
-      encoded.clear();
-    } else if (stmt_->group_by.size() == 1) {
-      // Single key: the bare rendered value, exactly as the kernel path
-      // encodes it (the two must agree group-for-group).
-      EXPLAINIT_ASSIGN_OR_RETURN(Value v, ev.Eval(*stmt_->group_by[0], r));
-      encoded = v.ToString();
-    } else {
-      key.clear();
-      for (const ExprPtr& g : stmt_->group_by) {
-        EXPLAINIT_ASSIGN_OR_RETURN(Value v, ev.Eval(*g, r));
-        key.push_back(std::move(v));
-      }
-      encoded = EncodeKey(key, nullptr);
-    }
-    auto [it, inserted] =
-        local->index.try_emplace(encoded, local->groups.size());
-    if (inserted) {
+    // The key encodes into reused storage; only a first-seen key pays a
+    // std::string copy.
+    EXPLAINIT_RETURN_IF_ERROR(EncodeKey(keys_, batch, r, &key).status());
+    auto it = local->index.find(key);
+    if (it == local->index.end()) {
+      it = local->index.emplace(key, local->groups.size()).first;
       local->order.push_back(&it->first);
       GroupPartial g;
       g.first_batch = batch_index;
@@ -282,119 +247,17 @@ Status HashAggregateOperator::PartialAccumulateGeneric(
     PartialState* slots = local->slots.data() + it->second * num_slots;
     ++g.rows;
     for (size_t i = 0; i < num_slots; ++i) {
-      const Expr& agg = *agg_nodes_[i];
-      if (agg.args[0]->kind == ExprKind::kStar) continue;
+      if (agg_nodes_[i]->args[0]->kind == ExprKind::kStar) continue;
       PartialState& st = slots[i];
       if (!st.error.ok()) continue;
-      Result<Value> rv = ev.Eval(*agg.args[0], r);
-      if (!rv.ok()) {
-        // Deferred like index mode: only surfaces if the group
-        // survives HAVING and the slot is consulted.
-        st.error = rv.status();
-        continue;
-      }
-      const Value v = std::move(rv).value();
-      if (v.is_null()) continue;
-      st.Accumulate(v.AsDouble());
+      // An argument error is deferred like index mode's: it surfaces
+      // only if the group survives HAVING and the slot is consulted.
+      const Value* v = agg_args_[i][0].Ref(batch, r, &scratch, &st.error);
+      if (v == nullptr || v->is_null()) continue;
+      st.Accumulate(v->AsDouble());
     }
   }
   return Status::OK();
-}
-
-Result<bool> HashAggregateOperator::PartialAccumulateKernel(
-    const ColumnBatch& batch, uint32_t batch_index, ShardGroups* local) {
-  // Bind every accessor against this batch's schema; any miss (unknown
-  // column) falls back to the generic path, which reports the error with
-  // the Evaluator's wording.
-  Evaluator schema_ev(&batch.schema(), functions_);
-  std::vector<BoundSimpleExpr> keys;
-  keys.reserve(simple_keys_.size());
-  for (const SimpleExpr& k : simple_keys_) {
-    auto bound = BindSimpleExpr(k, schema_ev);
-    if (!bound.ok()) return false;
-    keys.push_back(std::move(bound).value());
-  }
-  struct BoundArg {
-    bool star = false;
-    BoundSimpleExpr expr;
-  };
-  std::vector<BoundArg> args;
-  args.reserve(simple_args_.size());
-  for (const SlotArg& a : simple_args_) {
-    BoundArg bound;
-    bound.star = a.star;
-    if (!a.star) {
-      auto b = BindSimpleExpr(a.expr, schema_ev);
-      if (!b.ok()) return false;
-      bound.expr = std::move(b).value();
-    }
-    args.push_back(std::move(bound));
-  }
-
-  const size_t num_slots = args.size();
-  const bool single_key = keys.size() == 1;
-  std::string keybuf;
-  for (size_t r = 0; r < batch.num_rows(); ++r) {
-    // Build the group key as a string_view over reused storage; only a
-    // first-seen key pays a std::string construction.
-    std::string_view key_view;
-    if (keys.empty()) {
-      key_view = std::string_view{};
-    } else if (single_key) {
-      const Value* cell = nullptr;
-      EXPLAINIT_RETURN_IF_ERROR(keys[0].Get(batch, r, &cell));
-      const std::string* s = cell->TryString();
-      if (s != nullptr) {
-        key_view = *s;
-      } else {
-        keybuf = cell->ToString();
-        key_view = keybuf;
-      }
-    } else {
-      keybuf.clear();
-      for (const BoundSimpleExpr& k : keys) {
-        const Value* cell = nullptr;
-        EXPLAINIT_RETURN_IF_ERROR(k.Get(batch, r, &cell));
-        const std::string* s = cell->TryString();
-        if (s != nullptr) {
-          keybuf += *s;
-        } else {
-          keybuf += cell->ToString();
-        }
-        keybuf += '\x1f';
-      }
-      key_view = keybuf;
-    }
-    auto it = local->index.find(key_view);
-    if (it == local->index.end()) {
-      it = local->index
-               .emplace(std::string(key_view), local->groups.size())
-               .first;
-      local->order.push_back(&it->first);
-      GroupPartial g;
-      g.first_batch = batch_index;
-      g.first_row = static_cast<uint32_t>(r);
-      local->groups.push_back(g);
-      local->slots.resize(local->slots.size() + num_slots);
-    }
-    GroupPartial& g = local->groups[it->second];
-    PartialState* slots = local->slots.data() + it->second * num_slots;
-    ++g.rows;
-    for (size_t i = 0; i < num_slots; ++i) {
-      if (args[i].star) continue;
-      PartialState& st = slots[i];
-      if (!st.error.ok()) continue;
-      const Value* cell = nullptr;
-      Status s = args[i].expr.Get(batch, r, &cell);
-      if (!s.ok()) {
-        st.error = std::move(s);  // deferred, as in the generic path
-        continue;
-      }
-      if (cell->is_null()) continue;
-      st.Accumulate(cell->AsDouble());
-    }
-  }
-  return true;
 }
 
 Result<ColumnBatch> HashAggregateOperator::PartialNext(bool* eof) {
@@ -462,17 +325,8 @@ Result<ColumnBatch> HashAggregateOperator::PartialNext(bool* eof) {
         // Upper bound on this shard's group count: no rehash mid-shard.
         local.index.reserve(run_rows);
         for (size_t b = runs[s].first; b < runs[s].second; ++b) {
-          const ColumnBatch& batch = morsels_[b];
-          bool done = false;
-          if (kernel_ok_) {
-            EXPLAINIT_ASSIGN_OR_RETURN(
-                done, PartialAccumulateKernel(
-                          batch, static_cast<uint32_t>(b), &local));
-          }
-          if (!done) {
-            EXPLAINIT_RETURN_IF_ERROR(PartialAccumulateGeneric(
-                batch, static_cast<uint32_t>(b), &local));
-          }
+          EXPLAINIT_RETURN_IF_ERROR(PartialAccumulate(
+              morsels_[b], static_cast<uint32_t>(b), &local));
         }
         return Status::OK();
       }));
@@ -523,18 +377,17 @@ Result<ColumnBatch> HashAggregateOperator::PartialNext(bool* eof) {
     }
   }
 
-  // Finalisation: substitute merged partials for the aggregate nodes and
-  // evaluate HAVING + the select list per group, in parallel over groups.
-  // Items that are exactly one aggregate call or one simple column /
-  // tag-subscript bypass the expression walk entirely (when every morsel
-  // shares a schema the simple accessors bind once, up front).
+  // Finalisation: the slot leaves of HAVING and the select list read the
+  // merged partials; groups evaluate in parallel.
   const size_t num_groups = merged.groups.size();
   std::vector<char> keep(num_groups, 1);
   std::vector<std::vector<Value>> values(schema_.num_fields());
   for (auto& col : values) col.resize(num_groups);
 
-  auto finalize_slot = [&](const Expr& agg, const GroupPartial& g,
-                           const PartialState& st) -> Result<Value> {
+  auto finalize_slot = [&](size_t gi, size_t slot) -> Result<Value> {
+    const Expr& agg = *agg_nodes_[slot];
+    const GroupPartial& g = merged.groups[gi];
+    const PartialState& st = merged.slots[gi * num_slots + slot];
     if (!st.error.ok()) return st.error;
     const std::string& n = agg.function_name;
     if (n == "COUNT") {
@@ -555,86 +408,19 @@ Result<ColumnBatch> HashAggregateOperator::PartialNext(bool* eof) {
     return Value::Double(st.max);  // MAX
   };
 
-  bool uniform_schema = true;
-  for (const ColumnBatch& m : morsels_) {
-    if (&m.schema() != &morsels_[0].schema()) {
-      uniform_schema = false;
-      break;
-    }
-  }
-  struct ItemPlan {
-    enum class Kind { kAggSlot, kSimple, kGeneric } kind = Kind::kGeneric;
-    size_t slot = 0;
-    BoundSimpleExpr bound;
-  };
-  std::vector<ItemPlan> plans(stmt_->items.size());
-  for (size_t i = 0; i < stmt_->items.size(); ++i) {
-    const Expr& e = *stmt_->items[i].expr;
-    ItemPlan& plan = plans[i];
-    auto slot_it = slot_of_.find(&e);
-    if (slot_it != slot_of_.end()) {
-      plan.kind = ItemPlan::Kind::kAggSlot;
-      plan.slot = slot_it->second;
-      continue;
-    }
-    if (!uniform_schema || e.ContainsAggregate()) continue;
-    auto simple = CompileSimpleExpr(e);
-    if (!simple.has_value()) continue;
-    Evaluator schema_ev(&morsels_[0].schema(), functions_);
-    auto bound = BindSimpleExpr(*simple, schema_ev);
-    if (!bound.ok()) continue;
-    plan.kind = ItemPlan::Kind::kSimple;
-    plan.bound = std::move(bound).value();
-  }
-
   const std::vector<RowRange> group_shards =
       ShardRows(num_groups, EffectiveParallelism(ctx_));
   EXPLAINIT_RETURN_IF_ERROR(RunSharded(
       ctx_, group_shards.size(), [&](size_t s) -> Status {
-        for (size_t gi = group_shards[s].begin; gi < group_shards[s].end;
-             ++gi) {
+        size_t gi = 0;
+        const SlotReader slots = [&](size_t slot) {
+          return finalize_slot(gi, slot);
+        };
+        for (gi = group_shards[s].begin; gi < group_shards[s].end; ++gi) {
           const GroupPartial& g = merged.groups[gi];
-          const PartialState* slots =
-              merged.slots.data() + gi * num_slots;
-          AggEvalFn agg_eval = [&](const Expr& agg) -> Result<Value> {
-            auto it = slot_of_.find(&agg);
-            if (it == slot_of_.end()) {
-              return Status::Internal("unregistered aggregate node");
-            }
-            return finalize_slot(agg, g, slots[it->second]);
-          };
-          if (stmt_->having != nullptr) {
-            Evaluator ev(&morsels_[g.first_batch], functions_);
-            EXPLAINIT_ASSIGN_OR_RETURN(
-                Value v, EvalGroupExpr(*stmt_->having, ev, g.first_row,
-                                       agg_eval));
-            if (v.is_null() || !v.AsBool()) {
-              keep[gi] = 0;
-              continue;
-            }
-          }
-          for (size_t i = 0; i < stmt_->items.size(); ++i) {
-            const ItemPlan& plan = plans[i];
-            if (plan.kind == ItemPlan::Kind::kAggSlot) {
-              EXPLAINIT_ASSIGN_OR_RETURN(
-                  Value v, finalize_slot(*stmt_->items[i].expr, g,
-                                         slots[plan.slot]));
-              values[i][gi] = std::move(v);
-              continue;
-            }
-            if (plan.kind == ItemPlan::Kind::kSimple) {
-              const Value* cell = nullptr;
-              EXPLAINIT_RETURN_IF_ERROR(plan.bound.Get(
-                  morsels_[g.first_batch], g.first_row, &cell));
-              values[i][gi] = *cell;
-              continue;
-            }
-            Evaluator ev(&morsels_[g.first_batch], functions_);
-            EXPLAINIT_ASSIGN_OR_RETURN(
-                Value v, EvalGroupExpr(*stmt_->items[i].expr, ev,
-                                       g.first_row, agg_eval));
-            values[i][gi] = std::move(v);
-          }
+          EXPLAINIT_ASSIGN_OR_RETURN(
+              keep[gi], FinishGroup(morsels_[g.first_batch], g.first_row,
+                                    slots, &values, gi));
         }
         return Status::OK();
       }));
@@ -665,6 +451,7 @@ Result<ColumnBatch> HashAggregateOperator::PartialNext(bool* eof) {
 
 Result<ColumnBatch> HashAggregateOperator::IndexNext(bool* eof) {
   EXPLAINIT_RETURN_IF_ERROR(MaterializeInputShards());
+  const ColumnBatch all = ColumnBatch::View(acc_, 0, acc_.num_rows());
   const std::vector<RowRange> shards =
       ShardRows(acc_.num_rows(), EffectiveParallelism(ctx_));
 
@@ -681,16 +468,10 @@ Result<ColumnBatch> HashAggregateOperator::IndexNext(bool* eof) {
     EXPLAINIT_RETURN_IF_ERROR(RunSharded(
         ctx_, shards.size(), [&](size_t s) -> Status {
           ShardIndex& local = locals[s];
-          Evaluator ev(&acc_, functions_);
-          std::vector<Value> key;
+          std::string key;
           for (size_t r = shards[s].begin; r < shards[s].end; ++r) {
-            key.clear();
-            for (const ExprPtr& g : stmt_->group_by) {
-              EXPLAINIT_ASSIGN_OR_RETURN(Value v, ev.Eval(*g, r));
-              key.push_back(std::move(v));
-            }
-            auto [it, inserted] =
-                local.groups.try_emplace(EncodeKey(key, nullptr));
+            EXPLAINIT_RETURN_IF_ERROR(EncodeKey(keys_, all, r, &key).status());
+            auto [it, inserted] = local.groups.try_emplace(key);
             if (inserted) local.order.push_back(&it->first);
             it->second.push_back(r);
           }
@@ -711,14 +492,14 @@ Result<ColumnBatch> HashAggregateOperator::IndexNext(bool* eof) {
       }
     }
   } else {
-    std::vector<size_t> all(acc_.num_rows());
-    std::iota(all.begin(), all.end(), size_t{0});
-    groups[""] = std::move(all);
+    std::vector<size_t> all_rows(acc_.num_rows());
+    std::iota(all_rows.begin(), all_rows.end(), size_t{0});
+    groups[""] = std::move(all_rows);
     group_order.push_back("");
   }
 
-  // Phase 2: per-group evaluation, fanned out across groups.
-  Evaluator ev(&acc_, functions_);
+  // Phase 2: per-group evaluation, fanned out across groups. Slot leaves
+  // compute their aggregate over the group's rows.
   const size_t num_groups = group_order.size();
   std::vector<char> keep(num_groups, 1);
   std::vector<std::vector<Value>> values(schema_.num_fields());
@@ -727,33 +508,23 @@ Result<ColumnBatch> HashAggregateOperator::IndexNext(bool* eof) {
       ShardRows(num_groups, EffectiveParallelism(ctx_));
   EXPLAINIT_RETURN_IF_ERROR(RunSharded(
       ctx_, group_shards.size(), [&](size_t s) -> Status {
+        const std::vector<size_t>* rows = nullptr;
+        const SlotReader slots = [&](size_t slot) {
+          return ComputeAggregate(*agg_nodes_[slot], agg_args_[slot], all,
+                                  *rows);
+        };
         for (size_t gi = group_shards[s].begin; gi < group_shards[s].end;
              ++gi) {
-          const std::vector<size_t>& rows = groups.at(group_order[gi]);
-          if (rows.empty() && !stmt_->group_by.empty()) {
-            keep[gi] = 0;
-            continue;
-          }
-          if (stmt_->having != nullptr && !rows.empty()) {
-            EXPLAINIT_ASSIGN_OR_RETURN(
-                Value v, EvalInGroup(*stmt_->having, ev, rows));
-            if (v.is_null() || !v.AsBool()) {
-              keep[gi] = 0;
-              continue;
-            }
-          }
-          if (rows.empty()) {
+          rows = &groups.at(group_order[gi]);
+          if (rows->empty()) {
             // Global aggregate over an empty table: NULL/0 per item.
             for (size_t i = 0; i < stmt_->items.size(); ++i) {
               values[i][gi] = EmptyInputValue(*stmt_->items[i].expr);
             }
             continue;
           }
-          for (size_t i = 0; i < stmt_->items.size(); ++i) {
-            EXPLAINIT_ASSIGN_OR_RETURN(
-                Value v, EvalInGroup(*stmt_->items[i].expr, ev, rows));
-            values[i][gi] = std::move(v);
-          }
+          EXPLAINIT_ASSIGN_OR_RETURN(
+              keep[gi], FinishGroup(all, (*rows)[0], slots, &values, gi));
         }
         return Status::OK();
       }));
@@ -761,8 +532,8 @@ Result<ColumnBatch> HashAggregateOperator::IndexNext(bool* eof) {
   *eof = false;
   stats_.detail = std::to_string(num_groups) + " groups (" +
                   std::to_string(shards.size()) + " shards)";
-  if (stmt_->having == nullptr && !stmt_->group_by.empty()) {
-    // No HAVING and every group holds at least one row: nothing drops.
+  if (stmt_->having == nullptr) {
+    // No HAVING: nothing drops.
     return EmitRows(std::move(values), num_groups);
   }
   std::vector<std::vector<Value>> cols(schema_.num_fields());

@@ -21,16 +21,19 @@
 //    order), and per-group evaluation runs across groups. Keys, HAVING
 //    and items evaluate over the whole drained input, so LAG reads its
 //    true neighbour at any shard count.
+//
+// Both modes evaluate programs bound once at Open: group keys and
+// aggregate arguments against the input schema, and the select list and
+// HAVING in group context, where each aggregate call is a slot leaf that
+// reads the group's aggregate value.
 #pragma once
 
 #include <algorithm>
 #include <optional>
-#include <string_view>
 #include <unordered_map>
 
 #include "sql/evaluator.h"
 #include "sql/operators/operator.h"
-#include "sql/operators/simple_expr.h"
 
 namespace explainit::sql {
 
@@ -70,8 +73,7 @@ class HashAggregateOperator : public Operator {
     int64_t non_null = 0;
     Status error;
 
-    /// Folds one non-null argument value in (kernel and generic
-    /// accumulation share this so their numerics cannot diverge).
+    /// Folds one non-null argument value in.
     void Accumulate(double d) {
       if (non_null == 0) {
         min = d;
@@ -89,24 +91,12 @@ class HashAggregateOperator : public Operator {
     uint32_t first_row = 0;
     size_t rows = 0;
   };
-  /// Heterogeneous-lookup hash (group probes use string_view keys built
-  /// in reused buffers; only insertions construct a std::string).
-  struct TransparentStringHash {
-    using is_transparent = void;
-    size_t operator()(std::string_view s) const noexcept {
-      return std::hash<std::string_view>{}(s);
-    }
-  };
-  using GroupIndexMap =
-      std::unordered_map<std::string, size_t, TransparentStringHash,
-                         std::equal_to<>>;
-
   /// One worker's hash table plus first-seen key order. Groups and their
   /// flat slot states live in contiguous arrays (groups[i]'s slot j is
   /// slots[i * num_slots + j]) — no per-group heap allocation — and the
   /// order vector borrows the map's node-stable key storage.
   struct ShardGroups {
-    GroupIndexMap index;
+    std::unordered_map<std::string, size_t> index;
     std::vector<const std::string*> order;  // keys in first-seen order
     std::vector<GroupPartial> groups;       // parallel to `order`
     std::vector<PartialState> slots;        // groups.size() * num_slots
@@ -114,16 +104,15 @@ class HashAggregateOperator : public Operator {
 
   Result<table::ColumnBatch> PartialNext(bool* eof);
   Result<table::ColumnBatch> IndexNext(bool* eof);
-  /// Generic per-batch partial accumulation (Evaluator-based).
-  Status PartialAccumulateGeneric(const table::ColumnBatch& batch,
-                                  uint32_t batch_index, ShardGroups* local);
-  /// Compiled kernel: direct column accessors for group keys and
-  /// aggregate arguments, string_view group probes, no per-row Evaluator.
-  /// Returns false (without touching `local`) when the batch's schema
-  /// does not bind — the caller falls back to the generic path.
-  Result<bool> PartialAccumulateKernel(const table::ColumnBatch& batch,
-                                       uint32_t batch_index,
-                                       ShardGroups* local);
+  /// Folds one batch into a shard's partial states.
+  Status PartialAccumulate(const table::ColumnBatch& batch,
+                           uint32_t batch_index, ShardGroups* local) const;
+  /// Evaluates HAVING (false drops the group) and the select list for
+  /// one group whose representative row is `row` of `in`.
+  Result<bool> FinishGroup(const table::ColumnBatch& in, size_t row,
+                           const SlotReader& slots,
+                           std::vector<std::vector<table::Value>>* values,
+                           size_t group) const;
   /// Drains the input into acc_ and exposes it as one view batch per row
   /// shard (the morsel source of index mode and of partial mode over
   /// unstable batches).
@@ -143,21 +132,15 @@ class HashAggregateOperator : public Operator {
   const table::Table* retained_ptr_ = nullptr;
   bool done_ = false;
 
-  // Mode state, resolved at Open().
+  // Mode state and bound programs, resolved at Open().
   bool partial_ok_ = false;
   std::vector<const Expr*> agg_nodes_;  // topmost aggregate calls
   std::unordered_map<const Expr*, size_t> slot_of_;
+  std::vector<BoundExpr> keys_;                   // GROUP BY
+  std::vector<std::vector<BoundExpr>> agg_args_;  // per slot, per argument
+  std::vector<BoundExpr> items_;                  // group context
+  std::optional<BoundExpr> having_;               // group context
   std::vector<table::ColumnBatch> morsels_;  // buffered/viewed input
-
-  // Kernel eligibility: every group key and aggregate argument is a
-  // plain column or tag-subscript (COUNT(*) needs no argument).
-  struct SlotArg {
-    bool star = false;
-    SimpleExpr expr;
-  };
-  bool kernel_ok_ = false;
-  std::vector<SimpleExpr> simple_keys_;
-  std::vector<SlotArg> simple_args_;
 };
 
 }  // namespace explainit::sql

@@ -18,16 +18,26 @@ constexpr size_t kProbeShardMinRows = 128;
 
 /// An expression "belongs" to a side when every column it references
 /// resolves there.
-bool ResolvesAgainst(const Expr& e, const Evaluator& ev) {
-  return !AnyNode(e, [&ev](const Expr& n) {
-    return n.kind == ExprKind::kColumnRef && !ev.ResolveColumn(n).ok();
+bool ResolvesAgainst(const Expr& e, const Schema& schema) {
+  return !AnyNode(e, [&schema](const Expr& n) {
+    return n.kind == ExprKind::kColumnRef && !ResolveColumn(n, schema).ok();
   });
+}
+
+/// Binds each expression against `schema`.
+std::vector<BoundExpr> BindAll(const std::vector<const Expr*>& exprs,
+                               const Schema& schema,
+                               const FunctionRegistry* functions) {
+  std::vector<BoundExpr> out;
+  out.reserve(exprs.size());
+  for (const Expr* e : exprs) out.emplace_back(*e, schema, functions);
+  return out;
 }
 
 }  // namespace
 
-EquiKeys SplitJoinCondition(const Expr* condition, const Evaluator& left_ev,
-                            const Evaluator& right_ev) {
+EquiKeys SplitJoinCondition(const Expr* condition, const Schema& left,
+                            const Schema& right) {
   EquiKeys keys;
   if (condition == nullptr) return keys;
   std::vector<const Expr*> conjuncts;
@@ -36,12 +46,12 @@ EquiKeys SplitJoinCondition(const Expr* condition, const Evaluator& left_ev,
     if (c->kind == ExprKind::kBinary && c->binary_op == BinaryOp::kEq) {
       const Expr* l = c->left.get();
       const Expr* r = c->right.get();
-      if (ResolvesAgainst(*l, left_ev) && ResolvesAgainst(*r, right_ev)) {
+      if (ResolvesAgainst(*l, left) && ResolvesAgainst(*r, right)) {
         keys.left_exprs.push_back(l);
         keys.right_exprs.push_back(r);
         continue;
       }
-      if (ResolvesAgainst(*r, left_ev) && ResolvesAgainst(*l, right_ev)) {
+      if (ResolvesAgainst(*r, left) && ResolvesAgainst(*l, right)) {
         keys.left_exprs.push_back(r);
         keys.right_exprs.push_back(l);
         continue;
@@ -87,9 +97,7 @@ Status HashJoinOperator::OpenImpl() {
   build_width_ = build_left_ ? left_width : right_width;
   probe_width_ = build_left_ ? right_width : left_width;
 
-  Evaluator left_ev(&ls, functions_);
-  Evaluator right_ev(&rs, functions_);
-  keys_ = SplitJoinCondition(join_->condition.get(), left_ev, right_ev);
+  keys_ = SplitJoinCondition(join_->condition.get(), ls, rs);
 
   // Materialise and index the build side. Empty key lists (zero-key
   // joins) hash every build row under one key: each probe row's
@@ -97,9 +105,12 @@ Status HashJoinOperator::OpenImpl() {
   Operator* build = build_left_ ? left_ : right_;
   build_table_ = table::Table(build->output_schema());
   EXPLAINIT_RETURN_IF_ERROR(Drain(build, &build_table_));
-  const std::vector<const Expr*>& build_exprs =
-      build_left_ ? keys_.left_exprs : keys_.right_exprs;
-  probe_exprs_ = build_left_ ? keys_.right_exprs : keys_.left_exprs;
+  build_keys_ = BindAll(build_left_ ? keys_.left_exprs : keys_.right_exprs,
+                        build->output_schema(), functions_);
+  Operator* probe = build_left_ ? right_ : left_;
+  probe_keys_ = BindAll(build_left_ ? keys_.right_exprs : keys_.left_exprs,
+                        probe->output_schema(), functions_);
+  residual_ = BindAll(keys_.residual, schema_, functions_);
 
   const size_t n = build_table_.num_rows();
   parallelism_ = EffectiveParallelism(ctx_);
@@ -116,21 +127,16 @@ Status HashJoinOperator::OpenImpl() {
   // buckets[s][p]: this shard's rows for partition p, ascending.
   std::vector<std::vector<std::vector<size_t>>> buckets(
       num_partitions_ > 1 ? shards.size() : 0);
+  const ColumnBatch build_rows = ColumnBatch::View(build_table_, 0, n);
   EXPLAINIT_RETURN_IF_ERROR(RunSharded(
       ctx_, shards.size(), [&](size_t s) -> Status {
-        Evaluator build_ev(&build_table_, functions_);
-        std::vector<Value> kv;
         if (num_partitions_ > 1) buckets[s].resize(num_partitions_);
         for (size_t j = shards[s].begin; j < shards[s].end; ++j) {
-          kv.clear();
-          bool has_null = false;
-          for (const Expr* e : build_exprs) {
-            EXPLAINIT_ASSIGN_OR_RETURN(Value v, build_ev.Eval(*e, j));
-            kv.push_back(std::move(v));
-          }
-          keys[j] = EncodeKey(kv, &has_null);
-          null_key[j] = has_null ? 1 : 0;
-          if (num_partitions_ > 1 && !has_null) {
+          EXPLAINIT_ASSIGN_OR_RETURN(
+              const bool matchable,
+              EncodeKey(build_keys_, build_rows, j, &keys[j]));
+          null_key[j] = matchable ? 0 : 1;
+          if (num_partitions_ > 1 && matchable) {
             buckets[s][std::hash<std::string>{}(keys[j]) % num_partitions_]
                 .push_back(j);
           }
@@ -218,17 +224,12 @@ Status HashJoinOperator::PullProbeBatch() {
   const std::vector<RowRange> shards =
       ShardRows(rows, parallelism_, kProbeShardMinRows);
   return RunSharded(ctx_, shards.size(), [&](size_t s) -> Status {
-    Evaluator probe_ev(&probe_batch_, functions_);
-    std::vector<Value> kv;
+    std::string key;
     for (size_t i = shards[s].begin; i < shards[s].end; ++i) {
-      kv.clear();
-      bool has_null = false;
-      for (const Expr* e : probe_exprs_) {
-        EXPLAINIT_ASSIGN_OR_RETURN(Value v, probe_ev.Eval(*e, i));
-        kv.push_back(std::move(v));
-      }
-      const std::string key = EncodeKey(kv, &has_null);
-      if (has_null) continue;
+      EXPLAINIT_ASSIGN_OR_RETURN(
+          const bool matchable,
+          EncodeKey(probe_keys_, probe_batch_, i, &key));
+      if (!matchable) continue;
       const size_t p =
           num_partitions_ > 1
               ? std::hash<std::string>{}(key) % num_partitions_
@@ -318,15 +319,11 @@ Result<ColumnBatch> HashJoinOperator::JoinRun() {
         // Residual conjuncts filter the candidates; only passing rows
         // count as matches.
         std::vector<uint32_t> kept;
-        Evaluator cand_ev(&cand_batch, functions_);
         for (size_t k = 0; k < cand_batch.num_rows(); ++k) {
           bool ok = true;
-          for (const Expr* e : keys_.residual) {
-            EXPLAINIT_ASSIGN_OR_RETURN(Value v, cand_ev.Eval(*e, k));
-            if (v.is_null() || !v.AsBool()) {
-              ok = false;
-              break;
-            }
+          for (const BoundExpr& e : residual_) {
+            EXPLAINIT_ASSIGN_OR_RETURN(ok, e.Test(cand_batch, k));
+            if (!ok) break;
           }
           if (!ok) continue;
           kept.push_back(static_cast<uint32_t>(k));

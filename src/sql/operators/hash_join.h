@@ -57,9 +57,10 @@ struct EquiKeys {
 };
 
 /// Splits `condition` by resolving each equality's sides against the two
-/// input schemas (schema-only Evaluators are sufficient).
-EquiKeys SplitJoinCondition(const Expr* condition, const Evaluator& left_ev,
-                            const Evaluator& right_ev);
+/// input schemas.
+EquiKeys SplitJoinCondition(const Expr* condition,
+                            const table::Schema& left,
+                            const table::Schema& right);
 
 class HashJoinOperator : public Operator {
  public:
@@ -121,9 +122,13 @@ class HashJoinOperator : public Operator {
   table::Schema schema_;          // left fields + right fields
   table::Table build_table_;      // materialised build side
   EquiKeys keys_;
+  // The condition bound at Open: each side's key expressions against its
+  // input, the residual conjuncts against the joined row.
+  std::vector<BoundExpr> build_keys_;
+  std::vector<BoundExpr> probe_keys_;
+  std::vector<BoundExpr> residual_;
   std::vector<BuildPartition> partitions_;
   size_t num_partitions_ = 1;
-  std::vector<const Expr*> probe_exprs_;  // key exprs of the probe side
   std::vector<char> build_matched_;       // for outer pads
   size_t build_offset_ = 0;  // column offset of the build side's fields
   size_t probe_offset_ = 0;  // column offset of the probe side's fields

@@ -107,15 +107,19 @@ Status RunSharded(const ExecContext* ctx, size_t num_shards,
   return Status::OK();
 }
 
-std::string EncodeKey(const std::vector<table::Value>& values,
-                      bool* has_null) {
-  std::string key;
-  for (const table::Value& v : values) {
-    if (v.is_null() && has_null != nullptr) *has_null = true;
-    key += v.ToString();
-    key += '\x1f';
+Result<bool> EncodeKey(const std::vector<BoundExpr>& exprs,
+                       const table::ColumnBatch& in, size_t row,
+                       std::string* key) {
+  key->clear();
+  bool matchable = true;
+  Status error;
+  table::Value scratch;
+  for (const BoundExpr& e : exprs) {
+    const table::Value* v = e.Ref(in, row, &scratch, &error);
+    if (v == nullptr) return error;
+    matchable = AppendKey(*v, key) && matchable;
   }
-  return key;
+  return matchable;
 }
 
 void CollectConjuncts(const Expr* e, std::vector<const Expr*>* out) {

@@ -21,6 +21,7 @@
 #include "common/result.h"
 #include "common/time_util.h"
 #include "sql/ast.h"
+#include "sql/evaluator.h"
 #include "sql/exec_context.h"
 #include "table/column_batch.h"
 #include "table/table.h"
@@ -166,9 +167,12 @@ class Operator {
   const ExecContext* bound_ctx_ = nullptr;  // set by BindExecContext
 };
 
-/// Encodes a composite group/join key. '\x1f' never occurs in metric data.
-std::string EncodeKey(const std::vector<table::Value>& values,
-                      bool* has_null);
+/// Encodes the values of `exprs` at `row` of `in` into `*key` (reused
+/// storage) with AppendKey; false when one is NULL or NaN, which a join
+/// key never matches.
+Result<bool> EncodeKey(const std::vector<BoundExpr>& exprs,
+                       const table::ColumnBatch& in, size_t row,
+                       std::string* key);
 
 /// A contiguous run of input rows processed by one worker.
 struct RowRange {

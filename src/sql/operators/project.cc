@@ -26,16 +26,17 @@ Status ProjectOperator::OpenImpl() {
     if (item.is_star) {
       for (size_t c = 0; c < in.num_fields(); ++c) {
         schema_.AddField(in.field(c));
-        columns_.push_back(OutputColumn{nullptr, c});
+        columns_.push_back(OutputColumn{std::nullopt, c});
       }
       continue;
     }
     schema_.AddField(Field{ItemName(item), DataType::kNull});
-    columns_.push_back(OutputColumn{item.expr.get(), 0});
+    columns_.push_back(
+        OutputColumn{BoundExpr(*item.expr, in, functions_), 0});
     if (ContainsLag(*item.expr)) has_lag = true;
   }
   // A LAG item reads the neighbouring row of the whole input, which the
-  // sharded path's Evaluator spans at any shard count.
+  // sharded path's shards span at any shard count.
   sharded_ = has_lag || (ctx_ != nullptr && ctx_->parallel());
   // The sharded path may also drain into retained_ (its fallback morsel
   // source when the child's storage is not borrowable).
@@ -46,16 +47,15 @@ Status ProjectOperator::OpenImpl() {
 Result<ColumnBatch> ProjectOperator::ProjectRows(const ColumnBatch& in,
                                                  RowRange range) const {
   ColumnBatch out(&schema_, range.size());
-  Evaluator ev(&in, functions_);
   for (const OutputColumn& col : columns_) {
-    if (col.expr == nullptr) {
+    if (!col.item.has_value()) {
       out.AddBorrowedColumn(in.column(col.pass_through) + range.begin);
       continue;
     }
     std::vector<Value> values;
     values.reserve(range.size());
     for (size_t r = range.begin; r < range.end; ++r) {
-      EXPLAINIT_ASSIGN_OR_RETURN(Value v, ev.Eval(*col.expr, r));
+      EXPLAINIT_ASSIGN_OR_RETURN(Value v, col.item->Eval(in, r));
       values.push_back(std::move(v));
     }
     out.AddOwnedColumn(std::move(values));

@@ -9,10 +9,11 @@
 // an already-materialised child when possible), row shards evaluate the
 // computed columns across the pool (inline at parallelism 1), and
 // per-shard batches are emitted in shard order with pass-through columns
-// still borrowed from the source table. Each shard's Evaluator spans the
+// still borrowed from the source table. Each shard evaluates over the
 // whole source, so LAG reads its true neighbour. The streaming path stays
 // for everything else at parallelism 1: it is the one that stops pulling
-// early under a LIMIT.
+// early under a LIMIT. Items are bound once at Open against the child's
+// schema.
 #pragma once
 
 #include "sql/evaluator.h"
@@ -43,8 +44,8 @@ class ProjectOperator : public Operator {
 
  private:
   struct OutputColumn {
-    const Expr* expr = nullptr;  // null = star pass-through
-    size_t pass_through = 0;     // input column index when expr == null
+    std::optional<BoundExpr> item;  // unset = star pass-through
+    size_t pass_through = 0;        // input column index when unset
   };
 
   /// Projects rows `range` of `in`: pass-through columns borrow `in`'s

@@ -21,7 +21,13 @@ SortLimitOperator::SortLimitOperator(std::unique_ptr<Operator> input,
   input_ = AddChild(std::move(input));
 }
 
-Status SortLimitOperator::OpenImpl() { return input_->Open(); }
+Status SortLimitOperator::OpenImpl() {
+  EXPLAINIT_RETURN_IF_ERROR(input_->Open());
+  for (const OrderByItem& item : stmt_->order_by) {
+    out_keys_.emplace_back(*item.expr, input_->output_schema(), functions_);
+  }
+  return Status::OK();
+}
 
 Status SortLimitOperator::BuildSortKeys(
     const Table& output, std::vector<std::vector<Value>>* keys) const {
@@ -32,24 +38,25 @@ Status SortLimitOperator::BuildSortKeys(
   // to the other side, so one item never mixes values from two schemas
   // across rows.
   const size_t n = output.num_rows();
-  Evaluator out_ev(&output, functions_);
+  const ColumnBatch out_rows = ColumnBatch::View(output, 0, n);
   const Table empty_pre;
   const Table* preprojection = input_->retained_input();
   const Table* pre = preprojection != nullptr ? preprojection : &empty_pre;
-  Evaluator pre_ev(pre, functions_);
+  const ColumnBatch pre_rows = ColumnBatch::View(*pre, 0, pre->num_rows());
   const std::vector<RowRange> shards =
       ShardRows(n, EffectiveParallelism(ctx_));
   keys->resize(stmt_->order_by.size());
   for (size_t k = 0; k < stmt_->order_by.size(); ++k) {
-    const OrderByItem& item = stmt_->order_by[k];
-    bool resolved_on_output = false;
-    if (item.expr->kind == ExprKind::kColumnRef &&
-        out_ev.ResolveColumn(*item.expr).ok()) {
-      resolved_on_output = true;
-    }
-    const Evaluator* primary =
-        (resolved_on_output || aggregated_) ? &out_ev : &pre_ev;
-    const Evaluator* fallback = primary == &out_ev ? &pre_ev : &out_ev;
+    const Expr& expr = *stmt_->order_by[k].expr;
+    const BoundExpr pre_key(expr, pre->schema(), functions_);
+    const bool resolved_on_output =
+        expr.kind == ExprKind::kColumnRef &&
+        ResolveColumn(expr, output.schema()).ok();
+    const bool out_first = resolved_on_output || aggregated_;
+    const BoundExpr* primary = out_first ? &out_keys_[k] : &pre_key;
+    const ColumnBatch* primary_rows = out_first ? &out_rows : &pre_rows;
+    const BoundExpr* fallback = out_first ? &pre_key : &out_keys_[k];
+    const ColumnBatch* fallback_rows = out_first ? &pre_rows : &out_rows;
     std::vector<Value>& col = (*keys)[k];
     col.assign(n, Value());
     // Pass 1: the primary side for every row. Whether any row fails is
@@ -60,7 +67,7 @@ Status SortLimitOperator::BuildSortKeys(
         ctx_, shards.size(), [&](size_t s) -> Status {
           for (size_t r = shards[s].begin; r < shards[s].end; ++r) {
             if (failed.load(std::memory_order_relaxed)) break;
-            Result<Value> v = primary->Eval(*item.expr, r);
+            Result<Value> v = primary->Eval(*primary_rows, r);
             if (!v.ok()) {
               failed.store(true, std::memory_order_relaxed);
               break;
@@ -74,8 +81,12 @@ Status SortLimitOperator::BuildSortKeys(
       EXPLAINIT_RETURN_IF_ERROR(RunSharded(
           ctx_, shards.size(), [&](size_t s) -> Status {
             for (size_t r = shards[s].begin; r < shards[s].end; ++r) {
-              EXPLAINIT_ASSIGN_OR_RETURN(Value v,
-                                         fallback->Eval(*item.expr, r));
+              // A global aggregate over an empty input emits one row
+              // that its empty retained input has no row for: that row
+              // keeps a NULL key.
+              if (r >= fallback_rows->num_rows()) continue;
+              EXPLAINIT_ASSIGN_OR_RETURN(
+                  Value v, fallback->Eval(*fallback_rows, r));
               col[r] = std::move(v);
             }
             return Status::OK();

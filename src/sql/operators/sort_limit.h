@@ -68,6 +68,7 @@ class SortLimitOperator : public Operator {
   const bool aggregated_;
   const ExecContext* ctx_;
 
+  std::vector<BoundExpr> out_keys_;  // ORDER BY items on the output schema
   table::Table sorted_;
   size_t pos_ = 0;
   size_t emitted_ = 0;  // streaming LIMIT

@@ -9,8 +9,9 @@
 // agree with the seed semantics at every parallelism level.
 //
 // Adding corpus queries: append to kCorpus below. Queries must be valid
-// against the fixture (tsdb / hosts / nums tables, see SetUp); invalid
-// queries belong in fuzz_roundtrip_test.cc's smoke loop instead.
+// against the fixture (tsdb / hosts / nums / dims / keys tables, see
+// SetUp); invalid queries belong in fuzz_roundtrip_test.cc's smoke loop
+// instead.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -47,7 +48,25 @@ const char* const kCorpus[] = {
     "SELECT value FROM tsdb LIMIT 10",
     "SELECT -value AS neg, NOT value > 20 AS small FROM tsdb "
     "WHERE metric_name = 'mem' AND tag['dc'] = 'd1'",
+    // Comparison shapes: literal OP column, map-key OP literal, NOT
+    // BETWEEN, and comparisons with a NULL literal (never true).
+    "SELECT timestamp, value FROM tsdb "
+    "WHERE 20 < value AND 'cpu' = metric_name",
+    "SELECT value FROM tsdb WHERE tag['dc'] >= 'd1' AND tag['host'] != 'h3'",
+    "SELECT timestamp, value FROM tsdb "
+    "WHERE metric_name = 'mem' AND value NOT BETWEEN 5 AND 20",
+    "SELECT value FROM tsdb WHERE metric_name = 'cpu' AND value > NULL",
+    "SELECT value FROM tsdb WHERE value = NULL OR metric_name = 'sparse'",
     // --- aggregation ------------------------------------------------------
+    // A single non-string key, a mixed multi-key, and aggregates over
+    // map-key arguments (string values sum as 0, a missing key is NULL).
+    "SELECT value AS v, COUNT(*) AS n FROM tsdb WHERE metric_name = 'mem' "
+    "GROUP BY value",
+    "SELECT tag['host'] AS h, timestamp AS ts, SUM(value) AS s FROM tsdb "
+    "GROUP BY tag['host'], timestamp",
+    "SELECT metric_name AS m, SUM(tag['host']) AS s, "
+    "MAX(tag['nokey']) AS x, COUNT(tag['dc']) AS c FROM tsdb "
+    "GROUP BY metric_name",
     "SELECT tag['host'] AS host, AVG(value) AS v FROM tsdb "
     "WHERE metric_name = 'cpu' GROUP BY tag['host']",
     "SELECT tag['dc'] AS dc, tag['host'] AS h, COUNT(*) AS n, "
@@ -76,6 +95,15 @@ const char* const kCorpus[] = {
     "SELECT h, COUNT(v) AS c, COUNT(*) AS cs, SUM(v) AS s "
     "FROM nums GROUP BY h",
     "SELECT h, v FROM nums WHERE v IS NULL",
+    // Lossless keys over the keys fixture: timestamps 10 s apart, doubles
+    // equal to six digits, NULL beside 'NULL', and 1 = 1.0.
+    "SELECT ts, COUNT(*) AS n FROM keys GROUP BY ts",
+    "SELECT d, COUNT(*) AS n FROM keys GROUP BY d",
+    "SELECT s, COUNT(*) AS n FROM keys GROUP BY s",
+    "SELECT ts, STDDEV(d) AS sd FROM keys GROUP BY ts",
+    "SELECT a.ts AS x, b.ts AS y FROM keys a JOIN keys b ON a.ts = b.ts",
+    "SELECT a.i AS x, b.i AS y FROM keys a JOIN keys b ON a.i = b.i",
+    "SELECT a.s AS x, b.s AS y FROM keys a JOIN keys b ON a.s = b.s",
     // --- joins ------------------------------------------------------------
     "SELECT COUNT(*) AS n, AVG(l.v + r.v) AS s FROM "
     "(SELECT timestamp AS ts, AVG(value) AS v FROM tsdb "
@@ -411,6 +439,23 @@ class DifferentialTest : public ::testing::Test {
                       Value::Double(0.5 + static_cast<double>(i))});
     }
     catalog_.RegisterTable("dims", std::move(dims));
+
+    // Keys that a lossy rendering would merge: timestamps within one
+    // minute, doubles equal to six significant digits, NULL and 'NULL',
+    // and an integer column holding 1 beside 1.0.
+    table::Table lossy(table::Schema{{{"ts", table::DataType::kTimestamp},
+                                      {"d", table::DataType::kDouble},
+                                      {"s", table::DataType::kString},
+                                      {"i", table::DataType::kInt64}}});
+    lossy.AppendRow({Value::Timestamp(0), Value::Double(0.1234561),
+                     Value::Null(), Value::Int(1)});
+    lossy.AppendRow({Value::Timestamp(10), Value::Double(0.1234562),
+                     Value::String("NULL"), Value::Double(1.0)});
+    lossy.AppendRow({Value::Timestamp(20), Value::Double(0.1234563),
+                     Value::Null(), Value::Int(2)});
+    lossy.AppendRow({Value::Timestamp(50), Value::Double(0.0),
+                     Value::String("x"), Value::Double(2.5)});
+    catalog_.RegisterTable("keys", std::move(lossy));
   }
 
   FunctionRegistry functions_;

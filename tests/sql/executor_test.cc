@@ -458,6 +458,171 @@ TEST_F(ExecutorTest, UnknownFunctionFails) {
   EXPECT_FALSE(res.ok());
 }
 
+/// Runs `q` at parallelism 1 and 4 and returns the status text of each
+/// (or "OK <rows> rows").
+std::vector<std::string> Outcomes(const Catalog& catalog,
+                                  const FunctionRegistry& functions,
+                                  const std::string& q) {
+  std::vector<std::string> out;
+  for (size_t p : {1, 4}) {
+    Executor exec(&catalog, &functions, p);
+    auto res = exec.Query(q);
+    out.push_back(res.ok() ? "OK " + std::to_string(res->num_rows()) + " rows"
+                           : res.status().ToString());
+  }
+  return out;
+}
+
+TEST_F(ExecutorTest, SubscriptOnNonMapFailsInEveryStage) {
+  // WHERE, a GROUP BY key, an aggregate argument, a non-decomposable
+  // aggregate's argument and a select item all report the same error.
+  for (const char* q : {
+           "SELECT value FROM tsdb WHERE metric_name['x'] = 'a'",
+           "SELECT value FROM tsdb WHERE 'a' = metric_name['x']",
+           "SELECT metric_name['x'] AS k, COUNT(*) AS n FROM tsdb "
+           "GROUP BY metric_name['x']",
+           "SELECT SUM(metric_name['x']) AS s FROM tsdb",
+           "SELECT STDDEV(metric_name['x']) AS s FROM tsdb",
+           "SELECT metric_name['x'] AS k FROM tsdb",
+       }) {
+    for (const std::string& got : Outcomes(catalog_, functions_, q)) {
+      EXPECT_EQ(got, "InvalidArgument: subscript on non-map value") << q;
+    }
+  }
+}
+
+TEST_F(ExecutorTest, UnknownColumnFailsOnlyWhenARowEvaluatesIt) {
+  for (const char* q : {
+           "SELECT nope FROM tsdb",
+           "SELECT value FROM tsdb WHERE nope = 1",
+           "SELECT value FROM tsdb WHERE 1 = nope",
+           "SELECT nope AS k, COUNT(*) AS n FROM tsdb GROUP BY nope",
+           "SELECT SUM(nope) AS s FROM tsdb GROUP BY metric_name",
+       }) {
+    for (const std::string& got : Outcomes(catalog_, functions_, q)) {
+      EXPECT_EQ(got, "NotFound: column not found: nope") << q;
+    }
+  }
+  // No row reaches the unknown name: an empty input, or a conjunct
+  // that is false first.
+  for (const char* q : {
+           "SELECT nope FROM tsdb WHERE value > 1000",
+           "SELECT value FROM tsdb WHERE value > 1000 AND nope = 1",
+           "SELECT nope AS k, SUM(value) AS s FROM tsdb WHERE value > 1000 "
+           "GROUP BY nope",
+       }) {
+    for (const std::string& got : Outcomes(catalog_, functions_, q)) {
+      EXPECT_EQ(got, "OK 0 rows") << q;
+    }
+  }
+}
+
+TEST_F(ExecutorTest, HavingDropsTheGroupWhoseAggregateArgumentErrors) {
+  // Group 'b' holds a string where a map is read, so its SUM argument
+  // errors; group 'a' holds NULL maps, so its SUM is NULL. A HAVING that
+  // drops 'b' never consults the error.
+  Table mixed(Schema({{"g", DataType::kString}, {"m", DataType::kMap}}));
+  mixed.AppendRow({Value::String("a"), Value::Null()});
+  mixed.AppendRow({Value::String("a"), Value::Null()});
+  mixed.AppendRow({Value::String("b"), Value::String("x")});
+  catalog_.RegisterTable("mixed", std::move(mixed));
+  for (const std::string& got : Outcomes(
+           catalog_, functions_,
+           "SELECT g, SUM(m['k']) AS s FROM mixed GROUP BY g "
+           "HAVING COUNT(*) > 1")) {
+    EXPECT_EQ(got, "OK 1 rows");
+  }
+  for (const std::string& got :
+       Outcomes(catalog_, functions_,
+                "SELECT g, SUM(m['k']) AS s FROM mixed GROUP BY g")) {
+    EXPECT_EQ(got, "InvalidArgument: subscript on non-map value");
+  }
+  Table t = MustQuery(
+      "SELECT g, SUM(m['k']) AS s FROM mixed GROUP BY g HAVING COUNT(*) > 1");
+  ASSERT_EQ(t.num_rows(), 1u);
+  EXPECT_EQ(t.At(0, 0).AsString(), "a");
+  EXPECT_TRUE(t.At(0, 1).is_null());
+}
+
+TEST_F(ExecutorTest, GroupAndJoinKeysAreLossless) {
+  // Timestamps 10 s apart, doubles equal to six significant digits, and
+  // NULL beside the string 'NULL' are all distinct keys.
+  Table keys(Schema({{"ts", DataType::kTimestamp},
+                     {"d", DataType::kDouble},
+                     {"s", DataType::kString}}));
+  keys.AppendRow({Value::Timestamp(0), Value::Double(0.1234561),
+                  Value::Null()});
+  keys.AppendRow({Value::Timestamp(10), Value::Double(0.1234562),
+                  Value::String("NULL")});
+  keys.AppendRow({Value::Timestamp(20), Value::Double(0.1234563),
+                  Value::Null()});
+  catalog_.RegisterTable("keys", std::move(keys));
+  Table late(Schema({{"ts", DataType::kTimestamp}}));
+  late.AppendRow({Value::Timestamp(50)});
+  catalog_.RegisterTable("late", std::move(late));
+  // 1 = 1.0 holds, so the integer and the double key join.
+  Table ints(Schema({{"i", DataType::kInt64}}));
+  ints.AppendRow({Value::Int(1)});
+  ints.AppendRow({Value::Double(1.0)});
+  catalog_.RegisterTable("ints", std::move(ints));
+  Table one(Schema({{"i", DataType::kInt64}}));
+  one.AppendRow({Value::Int(1)});
+  catalog_.RegisterTable("one", std::move(one));
+
+  const std::pair<const char*, size_t> cases[] = {
+      {"SELECT ts, COUNT(*) AS n FROM keys GROUP BY ts", 3},
+      {"SELECT d, COUNT(*) AS n FROM keys GROUP BY d", 3},
+      {"SELECT s, COUNT(*) AS n FROM keys GROUP BY s", 2},
+      {"SELECT ts, d, COUNT(*) AS n FROM keys GROUP BY ts, d", 3},
+      {"SELECT s, STDDEV(d) AS sd FROM keys GROUP BY s", 2},
+      {"SELECT a.ts FROM keys a JOIN late b ON a.ts = b.ts", 0},
+      {"SELECT a.i FROM ints a JOIN one b ON a.i = b.i", 2},
+      {"SELECT a.i FROM ints a CROSS JOIN one b WHERE a.i = b.i", 2},
+  };
+  for (const auto& [q, rows] : cases) {
+    for (const std::string& got : Outcomes(catalog_, functions_, q)) {
+      EXPECT_EQ(got, "OK " + std::to_string(rows) + " rows") << q;
+    }
+  }
+}
+
+TEST_F(ExecutorTest, LagOffsetsOutOfRangeYieldNull) {
+  // Offsets no row index can reach — huge, non-finite, or the most
+  // negative integer — read no row.
+  for (const char* q : {
+           "SELECT LAG(value, 1e300) AS l FROM tsdb",
+           "SELECT LAG(value, 0 - 1e300) AS l FROM tsdb",
+           "SELECT LAG(value, 0 - 9223372036854775807 - 1) AS l FROM tsdb",
+           "SELECT LAG(value, 9223372036854775807) AS l FROM tsdb",
+           "SELECT LAG(value, 1e300 * 1e300) AS l FROM tsdb",
+           "SELECT LAG(value, (1e300 * 1e300) - (1e300 * 1e300)) AS l "
+           "FROM tsdb",
+       }) {
+    Table t = MustQuery(q);
+    ASSERT_EQ(t.num_rows(), 7u) << q;
+    for (size_t r = 0; r < t.num_rows(); ++r) {
+      EXPECT_TRUE(t.At(r, 0).is_null()) << q << " row " << r;
+    }
+  }
+  // In range, LAG still reads its neighbour both ways.
+  Table t = MustQuery("SELECT value, LAG(value, 0 - 1) AS next FROM tsdb");
+  ASSERT_EQ(t.num_rows(), 7u);
+  EXPECT_EQ(t.At(0, 1).AsDouble(), t.At(1, 0).AsDouble());
+  EXPECT_TRUE(t.At(6, 1).is_null());
+}
+
+TEST_F(ExecutorTest, OrderByUnprojectedColumnAfterAnEmptyGlobalAggregate) {
+  // The one output row has no retained input row to read `value` from.
+  for (const char* q : {
+           "SELECT COUNT(*) AS n FROM tsdb WHERE value > 1000 ORDER BY value",
+           "SELECT COUNT(*) AS n FROM tsdb ORDER BY value",
+       }) {
+    for (const std::string& got : Outcomes(catalog_, functions_, q)) {
+      EXPECT_EQ(got, "OK 1 rows") << q;
+    }
+  }
+}
+
 TEST_F(ExecutorTest, DivisionByZeroYieldsNull) {
   Table t = MustQuery("SELECT 1 / 0 AS v");
   EXPECT_TRUE(t.At(0, 0).is_null());
