@@ -11,7 +11,9 @@
 // checksums — locking in that streamed sealing/compaction/rollup tiers
 // never change query answers. The rollup-shaped queries additionally
 // prove (via ScanStats) that they were served from rollup tiers, not raw
-// decodes. Emits BENCH_ingest.json.
+// decodes, and the windowed metric-set query reads only the stretch of
+// each sealed segment its window needs; the query phase reports how many
+// raw points it decoded in all. Emits BENCH_ingest.json.
 //
 // Usage: ingest [--smoke] [output.json]
 #include <algorithm>
@@ -41,7 +43,8 @@ struct NamedQuery {
 };
 
 // The parity set: raw aggregations, rollup-shaped grids (minute + hour,
-// served from tiers on the live store) and a top-K sort.
+// served from tiers on the live store), a top-K sort and a one-hour
+// window over a metric-name set (seek + set pushdown on the live store).
 const NamedQuery kQueries[] = {
     {"count_avg", "SELECT COUNT(*) AS n, AVG(value) AS a FROM tsdb"},
     {"per_metric",
@@ -56,6 +59,10 @@ const NamedQuery kQueries[] = {
     {"topk",
      "SELECT timestamp, value FROM tsdb "
      "ORDER BY value DESC, timestamp LIMIT 50"},
+    {"window_set",
+     "SELECT metric_name AS m, AVG(value) AS a FROM tsdb "
+     "WHERE metric_name IN ('overall_runtime', 'tcp_retransmits') "
+     "AND timestamp BETWEEN 3600 AND 7199 GROUP BY metric_name"},
 };
 
 // Queries the concurrent readers hammer while the stream is live.
@@ -247,6 +254,10 @@ int Main(int argc, char** argv) {
       "%zu segments from tiers, %zu raw fallbacks\n",
       scans.rollup_points_returned, scans.rollup_points_skipped,
       scans.segments_rollup_served, scans.segments_raw_fallback);
+  std::printf("  query phase: %zu raw points decoded, %zu returned, "
+              "%zu seek-index bytes\n",
+              scans.points_decoded, scans.points_returned,
+              storage.index_bytes);
   if (!rollup_served) {
     std::fprintf(stderr,
                  "rollup routing FAILED: grid queries decoded raw\n");
@@ -266,12 +277,14 @@ int Main(int argc, char** argv) {
       "  \"concurrent_queries\": %zu,\n  \"seals\": %zu,\n"
       "  \"compactions\": %zu,\n  \"sealed_segments\": %zu,\n"
       "  \"rollup_points_served\": %zu,\n  \"raw_points_skipped\": %zu,\n"
+      "  \"query_points_decoded\": %zu,\n  \"index_bytes\": %zu,\n"
       "  \"parity\": %s,\n  \"rollup_served\": %s,\n  \"queries\": [\n",
       std::thread::hardware_concurrency(), smoke ? "true" : "false", steps,
       live->num_series(), points, ingest_seconds, points / ingest_seconds,
       live_queries.load(),
       storage.seals, storage.compactions, storage.sealed_segments,
       scans.rollup_points_returned, scans.rollup_points_skipped,
+      scans.points_decoded, storage.index_bytes,
       parity ? "true" : "false", rollup_served ? "true" : "false");
   for (size_t i = 0; i < rows.size(); ++i) {
     const Row& r = rows[i];

@@ -583,14 +583,19 @@ class SeedExecutor {
             resolved_on_output = true;
           }
         }
+        // A global aggregate over an empty input emits one row that its
+        // empty retained input has no row for: that row keeps a NULL key.
+        auto eval_pre = [&](size_t r) -> Result<Value> {
+          if (r >= preprojection.num_rows()) return Value();
+          return pre_ev.Eval(*item.expr, r);
+        };
         for (size_t r = 0; r < n; ++r) {
           Result<Value> v = resolved_on_output ? out_ev.Eval(*item.expr, r)
                             : aggregated       ? out_ev.Eval(*item.expr, r)
-                                               : pre_ev.Eval(*item.expr, r);
+                                               : eval_pre(r);
           if (!v.ok()) {
-            v = resolved_on_output || aggregated
-                    ? pre_ev.Eval(*item.expr, r)
-                    : out_ev.Eval(*item.expr, r);
+            v = resolved_on_output || aggregated ? eval_pre(r)
+                                                 : out_ev.Eval(*item.expr, r);
           }
           if (!v.ok()) return v.status();
           sort_keys[r].push_back(std::move(v).value());

@@ -13,7 +13,10 @@ double KnownOrDefault(double rows) {
 double ScanSelectivity(const tsdb::ScanHints& hints) {
   double factor = 1.0;
   if (hints.range.has_value()) factor *= 0.25;
-  if (!hints.metric_glob.empty()) factor *= 0.2;
+  if (hints.metric_names.has_value()) {
+    factor *= std::min(1.0, 0.2 * static_cast<double>(
+                                      hints.metric_names->size()));
+  }
   for (size_t i = 0; i < hints.tag_filter.size(); ++i) factor *= 0.2;
   if (hints.min_step_seconds > 1) {
     factor /= static_cast<double>(hints.min_step_seconds);

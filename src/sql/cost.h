@@ -35,8 +35,8 @@ double ClampRows(double rows);
 double KnownOrDefault(double rows);
 
 /// Fraction of a table a hinted scan is expected to materialise.
-/// A bounded time window keeps 1/4, a metric-name glob 1/5, and each tag
-/// equality 1/5 (independent). Resolution hints (rollup tiers) keep
+/// A bounded time window keeps 1/4, a set of k metric names min(1, k/5),
+/// and each tag equality 1/5 (independent). Resolution hints (rollup tiers) keep
 /// 1/min_step: a 60 s tier over 1 s-ish raw data is a 60x reduction, and
 /// over-estimating the reduction only ever makes the planner favour the
 /// scan that carries the hint, which is the scan that got cheaper.

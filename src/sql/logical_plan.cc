@@ -41,8 +41,17 @@ void PrintNode(const LogicalNode& node, int depth, std::ostringstream* out) {
         *out << " cols=" << node.projection->size();
       }
       if (node.hints.range.has_value()) *out << " range";
-      if (!node.hints.metric_glob.empty()) {
-        *out << " metric='" << node.hints.metric_glob << "'";
+      if (node.hints.metric_names.has_value()) {
+        const std::vector<std::string>& names = *node.hints.metric_names;
+        if (names.size() == 1) {
+          *out << " metric='" << names.front() << "'";
+        } else {
+          *out << " metric in (";
+          for (size_t i = 0; i < names.size(); ++i) {
+            *out << (i > 0 ? ", '" : "'") << names[i] << "'";
+          }
+          *out << ")";
+        }
       }
       if (!node.hints.tag_filter.empty()) {
         *out << " tags=" << node.hints.tag_filter.size();

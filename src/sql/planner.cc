@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <iterator>
 #include <limits>
 #include <map>
 #include <optional>
@@ -47,17 +48,52 @@ bool IntLiteral(const Expr& e, int64_t* out) {
   return true;
 }
 
-/// String literal free of glob metacharacters, so SQL equality and the
-/// store's glob/tag matching coincide exactly.
-bool CleanStringLiteral(const Expr& e, std::string* out) {
+bool StringLiteral(const Expr& e, std::string* out) {
   if (e.kind != ExprKind::kLiteral ||
       e.literal.type() != DataType::kString) {
     return false;
   }
-  const std::string s = e.literal.AsString();
-  if (s.find_first_of("*?[") != std::string::npos) return false;
-  *out = s;
+  *out = e.literal.AsString();
   return true;
+}
+
+/// String literal free of glob metacharacters, so SQL equality and the
+/// store's glob tag matching coincide exactly.
+bool CleanStringLiteral(const Expr& e, std::string* out) {
+  return StringLiteral(e, out) &&
+         out->find_first_of("*?[") == std::string::npos;
+}
+
+/// Appends to `names` every metric name a conjunct admits when it is
+/// metric_name = 'x' (either orientation), metric_name IN ('a', ...)
+/// with string-literal items only, or an OR of such shapes. Returns
+/// false, leaving `names` unspecified, for any other shape.
+bool MetricNamesOf(const Expr& e, std::vector<std::string>* names) {
+  std::string s;
+  if (e.kind == ExprKind::kInList) {
+    if (e.negated || e.left == nullptr || !IsMetricNameColumn(*e.left)) {
+      return false;
+    }
+    for (const ExprPtr& item : e.list) {
+      if (item == nullptr || !StringLiteral(*item, &s)) return false;
+      names->push_back(s);
+    }
+    return true;
+  }
+  if (e.kind != ExprKind::kBinary || e.left == nullptr ||
+      e.right == nullptr) {
+    return false;
+  }
+  if (e.binary_op == BinaryOp::kOr) {
+    return MetricNamesOf(*e.left, names) && MetricNamesOf(*e.right, names);
+  }
+  if (e.binary_op == BinaryOp::kEq &&
+      ((IsMetricNameColumn(*e.left) && StringLiteral(*e.right, &s)) ||
+       (IsMetricNameColumn(*e.right) && StringLiteral(*e.left, &s)))) {
+    names->push_back(s);
+    return true;
+  }
+  return false;
 }
 
 /// Matches tag['key'] over the scan's tag column.
@@ -86,6 +122,21 @@ tsdb::ScanHints HintsFromConjuncts(const std::vector<const Expr*>& conjuncts) {
   auto narrow_lo = [&](int64_t v) { lo = lo ? std::max(*lo, v) : v; };
   auto narrow_hi = [&](int64_t v) { hi = hi ? std::min(*hi, v) : v; };
   for (const Expr* c : conjuncts) {
+    // Metric-name sets: each qualifying conjunct intersects the set.
+    std::vector<std::string> names;
+    if (MetricNamesOf(*c, &names)) {
+      std::sort(names.begin(), names.end());
+      names.erase(std::unique(names.begin(), names.end()), names.end());
+      if (hints.metric_names.has_value()) {
+        std::vector<std::string> both;
+        std::set_intersection(hints.metric_names->begin(),
+                              hints.metric_names->end(), names.begin(),
+                              names.end(), std::back_inserter(both));
+        names = std::move(both);
+      }
+      hints.metric_names = std::move(names);
+      continue;
+    }
     int64_t a = 0, b = 0;
     std::string s, key;
     // ts BETWEEN a AND b  ->  [a, b+1)
@@ -136,13 +187,6 @@ tsdb::ScanHints HintsFromConjuncts(const std::vector<const Expr*>& conjuncts) {
         default:
           break;
       }
-      continue;
-    }
-    // metric_name = 'literal' (either orientation).
-    if (c->binary_op == BinaryOp::kEq && hints.metric_glob.empty() &&
-        ((IsMetricNameColumn(l) && CleanStringLiteral(r, &s)) ||
-         (IsMetricNameColumn(r) && CleanStringLiteral(l, &s)))) {
-      hints.metric_glob = s;
       continue;
     }
     // tag['k'] = 'literal' (either orientation).

@@ -8,9 +8,10 @@
 //      single-pass rewrites of the previous planner happen here and are
 //      unchanged:
 //        * predicate pushdown — WHERE conjuncts over the time column,
-//          `metric_name = '...'` and `tag['k'] = '...'` become
-//          tsdb::ScanHints on hint-aware scans (per join input, split by
-//          qualifier); the full predicate always stays in the filter;
+//          `metric_name = '...'`, `metric_name IN (...)`, ORs of those,
+//          and `tag['k'] = '...'` become tsdb::ScanHints on hint-aware
+//          scans (per join input, split by qualifier); the full
+//          predicate always stays in the filter;
 //        * rollup resolution hints — grid-aligned SUM/MIN/MAX(value)
 //          aggregations set ScanHints::min_step_seconds/rollup;
 //        * projection pruning — scans materialise only referenced columns;

@@ -16,25 +16,30 @@ void BitWriter::WriteBits(uint64_t value, int bits) {
 }
 
 Result<uint64_t> BitReader::ReadBits(int bits) {
-  if (position_ + static_cast<size_t>(bits) > bit_count_) {
+  if (static_cast<size_t>(bits) > bit_count_ - position_) {
     return Status::OutOfRange("bit stream exhausted");
   }
-  // Byte-chunked extraction (bits are MSB-first within each byte): a
-  // 64-bit read touches at most 9 bytes instead of looping per bit —
-  // the scan decode path reads millions of bits per query.
+  if (bits == 0) return uint64_t{0};
+  // Bits are MSB-first within each byte. Away from the end of the
+  // stream one unaligned 8-byte load (plus one byte when the read spans
+  // nine) serves any width up to 64; the scan decode path reads
+  // millions of fields per query.
+  const size_t byte = position_ >> 3;
+  const int shift = static_cast<int>(position_ & 7);
   uint64_t out = 0;
-  int remaining = bits;
-  while (remaining > 0) {
-    const uint8_t byte = bytes_[position_ >> 3];
-    const int avail = 8 - static_cast<int>(position_ & 7);
-    const int take = remaining < avail ? remaining : avail;
-    const uint8_t chunk =
-        static_cast<uint8_t>(byte >> (avail - take)) &
-        static_cast<uint8_t>((1u << take) - 1);
-    out = (out << take) | chunk;
-    position_ += static_cast<size_t>(take);
-    remaining -= take;
+  if (byte + 8 <= bytes_.size()) {
+    uint64_t word = 0;
+    for (size_t i = byte; i < byte + 8; ++i) word = (word << 8) | bytes_[i];
+    word <<= shift;
+    // The read ends inside the stream, so a ninth byte exists here.
+    if (shift + bits > 64) word |= bytes_[byte + 8] >> (8 - shift);
+    out = word >> (64 - bits);
+  } else {
+    for (size_t pos = position_; pos < position_ + bits; ++pos) {
+      out = (out << 1) | ((bytes_[pos >> 3] >> (7 - (pos & 7))) & 1u);
+    }
   }
+  position_ += static_cast<size_t>(bits);
   return out;
 }
 
@@ -136,80 +141,106 @@ Status CompressedBlock::Append(EpochSeconds timestamp, double value) {
   return Status::OK();
 }
 
-Result<std::vector<std::pair<EpochSeconds, double>>> CompressedBlock::Decode()
-    const {
-  std::vector<std::pair<EpochSeconds, double>> out;
-  if (num_points_ == 0) return out;
-  out.reserve(num_points_);
+DecodeCheckpoint CompressedBlock::Checkpoint() const {
+  DecodeCheckpoint cp;
+  cp.bit_offset = writer_.bit_count();
+  cp.timestamp = prev_timestamp_;
+  cp.delta = prev_delta_;
+  cp.value_bits = prev_value_bits_;
+  cp.points = static_cast<uint32_t>(num_points_);
+  cp.have_window = prev_leading_ >= 0;
+  cp.leading = static_cast<uint8_t>(cp.have_window ? prev_leading_ : 0);
+  cp.trailing = static_cast<uint8_t>(cp.have_window ? prev_trailing_ : 0);
+  return cp;
+}
+
+Result<size_t> CompressedBlock::Decode(
+    std::vector<EpochSeconds>* timestamps, std::vector<double>* values,
+    const TimeRange* window, const DecodeCheckpoint* resume,
+    std::vector<DecodeCheckpoint>* checkpoints) const {
+  if (num_points_ == 0) return size_t{0};
   BitReader reader(writer_.bytes(), writer_.bit_count());
+  DecodeCheckpoint state;
+  size_t next = 0;  // index of the next point to decode
+  if (resume != nullptr) {
+    if (resume->points == 0 || resume->points > num_points_ ||
+        resume->bit_offset > writer_.bit_count()) {
+      return Status::InvalidArgument("checkpoint is not from this block");
+    }
+    state = *resume;
+    next = resume->points;
+    reader.Seek(resume->bit_offset);
+  }
 
-  EXPLAINIT_ASSIGN_OR_RETURN(uint64_t ts_bits, reader.ReadBits(64));
-  EXPLAINIT_ASSIGN_OR_RETURN(uint64_t val_bits, reader.ReadBits(64));
-  EpochSeconds ts = static_cast<EpochSeconds>(ts_bits);
-  double value = 0.0;
-  std::memcpy(&value, &val_bits, sizeof(value));
-  out.emplace_back(ts, value);
-
-  int64_t delta = 0;
-  uint64_t prev_bits = val_bits;
-  int leading = 0, trailing = 0;
-  bool have_window = false;
-
-  for (size_t i = 1; i < num_points_; ++i) {
-    // Timestamp.
-    EXPLAINIT_ASSIGN_OR_RETURN(bool b0, reader.ReadBit());
-    int64_t dod = 0;
-    if (b0) {
-      int bucket = 0;
-      bool found = false;
-      for (; bucket < 3; ++bucket) {
-        EXPLAINIT_ASSIGN_OR_RETURN(bool bn, reader.ReadBit());
-        if (!bn) {
-          found = true;
-          break;
+  size_t decoded = 0;
+  for (; next < num_points_; ++next) {
+    if (next == 0) {
+      EXPLAINIT_ASSIGN_OR_RETURN(uint64_t ts_bits, reader.ReadBits(64));
+      EXPLAINIT_ASSIGN_OR_RETURN(state.value_bits, reader.ReadBits(64));
+      state.timestamp = static_cast<EpochSeconds>(ts_bits);
+    } else {
+      // Timestamp: delta of delta.
+      EXPLAINIT_ASSIGN_OR_RETURN(bool b0, reader.ReadBit());
+      int64_t dod = 0;
+      if (b0) {
+        int bucket = 0;
+        bool found = false;
+        for (; bucket < 3; ++bucket) {
+          EXPLAINIT_ASSIGN_OR_RETURN(bool bn, reader.ReadBit());
+          if (!bn) {
+            found = true;
+            break;
+          }
+        }
+        if (found) {
+          const DodBucket& bk = kBuckets[bucket];
+          EXPLAINIT_ASSIGN_OR_RETURN(uint64_t raw,
+                                     reader.ReadBits(bk.value_bits));
+          dod = static_cast<int64_t>(raw) + bk.lo;
+        } else {
+          EXPLAINIT_ASSIGN_OR_RETURN(uint64_t raw, reader.ReadBits(64));
+          dod = static_cast<int64_t>(raw);
         }
       }
-      if (found) {
-        const DodBucket& bk = kBuckets[bucket];
-        EXPLAINIT_ASSIGN_OR_RETURN(uint64_t raw,
-                                   reader.ReadBits(bk.value_bits));
-        dod = static_cast<int64_t>(raw) + bk.lo;
-      } else {
-        EXPLAINIT_ASSIGN_OR_RETURN(uint64_t raw, reader.ReadBits(64));
-        dod = static_cast<int64_t>(raw);
-      }
-    }
-    delta += dod;
-    ts += delta;
+      state.delta += dod;
+      state.timestamp += state.delta;
 
-    // Value.
-    EXPLAINIT_ASSIGN_OR_RETURN(bool changed, reader.ReadBit());
-    uint64_t x = 0;
-    if (changed) {
-      EXPLAINIT_ASSIGN_OR_RETURN(bool new_window, reader.ReadBit());
-      if (new_window) {
-        EXPLAINIT_ASSIGN_OR_RETURN(uint64_t lead_raw, reader.ReadBits(5));
-        EXPLAINIT_ASSIGN_OR_RETURN(uint64_t mean_raw, reader.ReadBits(6));
-        leading = static_cast<int>(lead_raw);
-        const int meaningful = static_cast<int>(mean_raw) + 1;
-        trailing = 64 - leading - meaningful;
-        have_window = true;
-        EXPLAINIT_ASSIGN_OR_RETURN(uint64_t sig, reader.ReadBits(meaningful));
-        x = sig << trailing;
-      } else {
-        if (!have_window) {
+      // Value: XOR against the previous value.
+      EXPLAINIT_ASSIGN_OR_RETURN(bool changed, reader.ReadBit());
+      if (changed) {
+        EXPLAINIT_ASSIGN_OR_RETURN(bool new_window, reader.ReadBit());
+        if (new_window) {
+          EXPLAINIT_ASSIGN_OR_RETURN(uint64_t lead_raw, reader.ReadBits(5));
+          EXPLAINIT_ASSIGN_OR_RETURN(uint64_t mean_raw, reader.ReadBits(6));
+          if (lead_raw + mean_raw + 1 > 64) {
+            return Status::ParseError("XOR window wider than 64 bits");
+          }
+          state.leading = static_cast<uint8_t>(lead_raw);
+          state.trailing =
+              static_cast<uint8_t>(64 - lead_raw - (mean_raw + 1));
+          state.have_window = true;
+        } else if (!state.have_window) {
           return Status::Internal("XOR window reuse before definition");
         }
-        const int meaningful = 64 - leading - trailing;
+        const int meaningful = 64 - state.leading - state.trailing;
         EXPLAINIT_ASSIGN_OR_RETURN(uint64_t sig, reader.ReadBits(meaningful));
-        x = sig << trailing;
+        state.value_bits ^= sig << state.trailing;
       }
     }
-    prev_bits ^= x;
-    std::memcpy(&value, &prev_bits, sizeof(value));
-    out.emplace_back(ts, value);
+    ++decoded;
+    if (window != nullptr && state.timestamp >= window->end) break;
+    if (window == nullptr || state.timestamp >= window->start) {
+      timestamps->push_back(state.timestamp);
+      values->push_back(std::bit_cast<double>(state.value_bits));
+    }
+    const size_t points = next + 1;
+    if (checkpoints != nullptr && CheckpointAfter(points, num_points_)) {
+      state.bit_offset = reader.position();
+      state.points = static_cast<uint32_t>(points);
+      checkpoints->push_back(state);
+    }
   }
-  return out;
+  return decoded;
 }
 
 namespace {

@@ -51,21 +51,6 @@ table::Value MakeTagsValue(const TagSet& tags) {
   return table::Value::Map(std::move(map));
 }
 
-// Decodes `block` into `data`, keeping points inside `range`
-// (unrestricted when `bounded` is false). Returns how many points the
-// block held before windowing.
-Result<size_t> DecodeBlockInto(const CompressedBlock& block,
-                               const TimeRange& range, bool bounded,
-                               SeriesData* data) {
-  EXPLAINIT_ASSIGN_OR_RETURN(auto points, block.Decode());
-  for (const auto& [t, v] : points) {
-    if (bounded && !range.Contains(t)) continue;
-    data->timestamps.push_back(t);
-    data->values.push_back(v);
-  }
-  return points.size();
-}
-
 }  // namespace
 
 /// One series of the tiered store. `meta`/`tags_value`/`stripe` are
@@ -432,7 +417,10 @@ StorageStats SeriesStore::storage_stats() const {
     std::lock_guard<std::mutex> lock(impl_->StripeFor(*e));
     stats.sealed_segments += e->segments.size();
     stats.head_points += e->head.num_points();
-    for (const auto& seg : e->segments) stats.sealed_points += seg->num_points();
+    for (const auto& seg : e->segments) {
+      stats.sealed_points += seg->num_points();
+      stats.index_bytes += seg->index_bytes();
+    }
   }
   return stats;
 }
@@ -446,6 +434,16 @@ struct SeriesSnapshot {
   std::vector<std::shared_ptr<const SealedSegment>> segments;
   CompressedBlock head;
 };
+
+// The effective metric constraint of `request`, as ScanStats reports it.
+std::string MetricConstraintText(const ScanRequest& request) {
+  if (!request.hints.metric_names.has_value()) return request.metric_glob;
+  const std::vector<std::string>& names = *request.hints.metric_names;
+  const std::string text =
+      names.size() == 1 ? names.front() : "{" + StrJoin(names, ",") + "}";
+  return request.metric_glob == "*" ? text
+                                    : request.metric_glob + "&" + text;
+}
 
 // Decodes one captured series into `data`. Sealed segments are served
 // from the rollup tier with `tier_step` when every window-overlapping
@@ -498,7 +496,8 @@ Status DecodeSnapshot(const SeriesSnapshot& snap, const TimeRange& window,
       const size_t before = data->values.size();
       EXPLAINIT_ASSIGN_OR_RETURN(
           size_t decoded,
-          DecodeBlockInto(seg->block(), window, bounded, data));
+          seg->Decode(bounded ? &window : nullptr, &data->timestamps,
+                      &data->values));
       counters->points_decoded += decoded;
       counters->segment_points_decoded += decoded;
       if (tier_step > 0) ++counters->segments_raw_fallback;
@@ -512,7 +511,9 @@ Status DecodeSnapshot(const SeriesSnapshot& snap, const TimeRange& window,
   if (snap.head.num_points() > 0) {
     const size_t before = data->values.size();
     EXPLAINIT_ASSIGN_OR_RETURN(
-        size_t decoded, DecodeBlockInto(snap.head, window, bounded, data));
+        size_t decoded,
+        snap.head.Decode(&data->timestamps, &data->values,
+                         bounded ? &window : nullptr));
     counters->points_decoded += decoded;
     counters->head_points_decoded += decoded;
     if (agg == RollupAggregate::kCount) {
@@ -546,8 +547,10 @@ Result<std::vector<SeriesData>> SeriesStore::Scan(
     std::shared_lock<std::shared_mutex> lock(impl_->map_mutex);
     for (const auto& e : impl_->order) {
       if (!GlobMatch(request.metric_glob, e->meta.metric_name)) continue;
-      if (!hints.metric_glob.empty() &&
-          !GlobMatch(hints.metric_glob, e->meta.metric_name)) {
+      if (hints.metric_names.has_value() &&
+          !std::binary_search(hints.metric_names->begin(),
+                              hints.metric_names->end(),
+                              e->meta.metric_name)) {
         continue;
       }
       if (!e->meta.tags.Matches(request.tag_filter)) continue;
@@ -612,12 +615,7 @@ Result<std::vector<SeriesData>> SeriesStore::Scan(
     ++st.scans;
     st.series_matched = matched.size();
     st.last_range = window;
-    st.last_metric_glob =
-        hints.metric_glob.empty()
-            ? request.metric_glob
-            : (request.metric_glob == "*"
-                   ? hints.metric_glob
-                   : request.metric_glob + "&" + hints.metric_glob);
+    st.last_metric_glob = MetricConstraintText(request);
     st.Merge(total);
   }
   return out;

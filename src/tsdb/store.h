@@ -50,10 +50,14 @@ struct SeriesData {
 };
 
 /// Planner-derived scan narrowing, attached to a ScanRequest by the SQL
-/// layer's predicate pushdown. The range/glob/tag/projection hints only
+/// layer's predicate pushdown. The range/metric/tag/projection hints only
 /// ever *restrict* a scan: the effective window is the intersection of
-/// the request range and the hint range, and hinted glob/tag filters
-/// apply in addition to the request's.
+/// the request range and the hint range, and the hinted metric-name set
+/// and tag filter apply in addition to the request's glob and tags.
+///
+/// The window is also what a scan decodes: sealed segments seek to the
+/// last checkpoint before it and every block stops decoding at its end,
+/// so a narrow window over a long segment decodes a short stretch.
 ///
 /// min_step_seconds + rollup form the *resolution* hint and are
 /// different in kind: they declare that the consumer aggregates each
@@ -67,8 +71,12 @@ struct SeriesData {
 struct ScanHints {
   /// Narrowed time window (from WHERE ts BETWEEN ... / comparisons).
   std::optional<TimeRange> range;
-  /// Extra metric-name constraint ("" = unconstrained).
-  std::string metric_glob;
+  /// Exact metric names a series must have, sorted and de-duplicated
+  /// (from WHERE metric_name = 'x', metric_name IN ('a', ...) and ORs of
+  /// such equalities; several such conjuncts intersect). nullopt leaves
+  /// the metric unconstrained; an empty set matches no series. Names are
+  /// compared exactly: 'disk*' matches only a metric named disk*.
+  std::optional<std::vector<std::string>> metric_names;
   /// Extra tag constraints (from WHERE tag['k'] = 'v').
   TagSet tag_filter;
   /// Advisory: columns the query actually reads (providers may use this
@@ -82,7 +90,8 @@ struct ScanHints {
   RollupAggregate rollup = RollupAggregate::kNone;
 
   bool empty() const {
-    return !range.has_value() && metric_glob.empty() && tag_filter.empty() &&
+    return !range.has_value() && !metric_names.has_value() &&
+           tag_filter.empty() &&
            projection.empty() && min_step_seconds == 0;
   }
 };
@@ -107,8 +116,11 @@ struct ScanRequest {
 /// The additive counters of a scan: each scan sums its series' counters
 /// and merges the total into the store's ScanStats.
 struct ScanCounters {
-  /// Raw points decoded from Gorilla blocks (head + raw-served
-  /// segments). Rollup-served segments decode nothing raw.
+  /// Raw points actually decoded from Gorilla blocks (head +
+  /// raw-served segments): a windowed scan counts only the stretch it
+  /// decoded — from the seek checkpoint up to and including the first
+  /// point at or past the window's end — not whole blocks. Rollup-served
+  /// segments decode nothing raw.
   size_t points_decoded = 0;
   size_t points_returned = 0;
   /// Per-tier breakdown of points_decoded / rollup service.
@@ -149,8 +161,9 @@ struct ScanStats : ScanCounters {
   /// Effective window of the most recent scan — the pushdown tests assert
   /// this shrank below the registered table range.
   TimeRange last_range;
-  /// Effective metric constraint of the most recent scan ("glob" or
-  /// "glob&hint" when both applied).
+  /// Effective metric constraint of the most recent scan: the request
+  /// glob, the hinted names ("cpu" for one name, "{cpu,mem}" for
+  /// several), or "glob&names" when both applied.
   std::string last_metric_glob;
 };
 
@@ -164,6 +177,9 @@ struct StorageStats {
   size_t sealed_points = 0;    // points in sealed segments
   size_t retention_evicted_segments = 0;  // TTL-dropped sealed segments
   size_t retention_evicted_points = 0;    // points inside those segments
+  /// Bytes of the sealed segments' seek indexes: derived state, rebuilt
+  /// on reload and not counted in compressed_bytes().
+  size_t index_bytes = 0;
 };
 
 /// Tiering/maintenance knobs.

@@ -57,6 +57,29 @@ const char* const kCorpus[] = {
     "WHERE metric_name = 'mem' AND value NOT BETWEEN 5 AND 20",
     "SELECT value FROM tsdb WHERE metric_name = 'cpu' AND value > NULL",
     "SELECT value FROM tsdb WHERE value = NULL OR metric_name = 'sparse'",
+    // Metric-name sets: IN lists, ORs of equalities and their
+    // intersections push down as one set of exact names; NOT IN, NULL
+    // and non-literal items push nothing. A disjoint intersection scans
+    // nothing and must still answer.
+    "SELECT timestamp, value FROM tsdb "
+    "WHERE metric_name IN ('mem', 'sparse', 'nope') AND timestamp >= 60",
+    "SELECT tag['host'] AS h, SUM(value) AS s FROM tsdb "
+    "WHERE metric_name = 'sparse' OR metric_name = 'cpu' "
+    "GROUP BY tag['host']",
+    "SELECT value FROM tsdb WHERE metric_name IN ('cpu', 'mem') "
+    "AND metric_name = 'mem' AND tag['host'] = 'h2'",
+    "SELECT COUNT(*) AS n, SUM(value) AS s FROM tsdb "
+    "WHERE metric_name IN ('cpu') AND metric_name = 'mem'",
+    "SELECT value FROM tsdb WHERE metric_name = 'cpu' "
+    "AND metric_name = 'mem'",
+    "SELECT value FROM tsdb WHERE metric_name NOT IN ('cpu', 'mem')",
+    "SELECT value FROM tsdb WHERE metric_name IN ('sparse', NULL)",
+    "SELECT value FROM tsdb "
+    "WHERE metric_name IN ('cpu', tag['host']) AND timestamp < 300",
+    "SELECT value FROM tsdb WHERE metric_name = 'c*'",
+    // A global aggregate over an empty input, ordered by a column it
+    // does not project.
+    "SELECT COUNT(*) AS n FROM tsdb WHERE value > 1e9 ORDER BY value",
     // --- aggregation ------------------------------------------------------
     // A single non-string key, a mixed multi-key, and aggregates over
     // map-key arguments (string values sum as 0, a missing key is NULL).

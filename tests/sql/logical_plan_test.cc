@@ -26,7 +26,7 @@ TEST(LogicalPlanPrinter, ScanLineShowsHintsAndEstimate) {
   scan->qualifier = "f";
   scan->projection = std::vector<std::string>{"timestamp", "value"};
   scan->hints.range = TimeRange{0, 3600};
-  scan->hints.metric_glob = "cpu";
+  scan->hints.metric_names = std::vector<std::string>{"cpu"};
   scan->hints.tag_filter.Set("host", "h0");
   scan->hints.min_step_seconds = 60;
   scan->hints.rollup = tsdb::RollupAggregate::kCount;
@@ -35,6 +35,15 @@ TEST(LogicalPlanPrinter, ScanLineShowsHintsAndEstimate) {
   EXPECT_EQ(plan.ToString(),
             "Scan tsdb q=f cols=2 range metric='cpu' tags=1 "
             "rollup=count@60 rows~1234\n");
+}
+
+TEST(LogicalPlanPrinter, ScanLineListsSeveralMetricNames) {
+  LogicalPlan plan;
+  auto scan = std::make_unique<LogicalNode>(LogicalOp::kScan);
+  scan->table_name = "tsdb";
+  scan->hints.metric_names = std::vector<std::string>{"cpu", "mem"};
+  plan.root = std::move(scan);
+  EXPECT_EQ(plan.ToString(), "Scan tsdb metric in ('cpu', 'mem')\n");
 }
 
 TEST(LogicalPlanPrinter, TreeIndentsChildrenAndMarksRewrites) {
@@ -152,7 +161,7 @@ TEST(CostModel, ScanSelectivityShrinksWithHints) {
   tsdb::ScanHints none;
   tsdb::ScanHints narrowed;
   narrowed.range = TimeRange{0, 60};
-  narrowed.metric_glob = "cpu";
+  narrowed.metric_names = std::vector<std::string>{"cpu"};
   narrowed.tag_filter.Set("host", "h0");
   EXPECT_EQ(cost::ScanSelectivity(none), 1.0);
   EXPECT_LT(cost::ScanSelectivity(narrowed), cost::ScanSelectivity(none));
@@ -160,6 +169,20 @@ TEST(CostModel, ScanSelectivityShrinksWithHints) {
   rolled.min_step_seconds = 60;
   rolled.rollup = tsdb::RollupAggregate::kSum;
   EXPECT_LT(cost::ScanSelectivity(rolled), cost::ScanSelectivity(narrowed));
+}
+
+TEST(CostModel, MetricNameSetSelectivityScalesWithItsSize) {
+  // One name keeps 1/5 of the table, k names k/5, capped at the whole.
+  tsdb::ScanHints hints;
+  hints.metric_names = std::vector<std::string>{"cpu"};
+  EXPECT_DOUBLE_EQ(cost::ScanSelectivity(hints), 0.2);
+  hints.metric_names = std::vector<std::string>{"a", "b", "c"};
+  EXPECT_DOUBLE_EQ(cost::ScanSelectivity(hints), 0.6);
+  hints.metric_names =
+      std::vector<std::string>{"a", "b", "c", "d", "e", "f", "g"};
+  EXPECT_DOUBLE_EQ(cost::ScanSelectivity(hints), 1.0);
+  hints.metric_names = std::vector<std::string>{};
+  EXPECT_DOUBLE_EQ(cost::ScanSelectivity(hints), 0.0);
 }
 
 TEST(CostModel, JoinOutputFavoursEqualities) {

@@ -101,6 +101,124 @@ TEST_F(PlannerTest, MetricAndTagPushdown) {
   EXPECT_EQ(t.At(0, 0).AsDouble(), 200.0);
 }
 
+TEST_F(PlannerTest, SingletonMetricPlanTextIsUnchanged) {
+  MustQuery("SELECT value FROM tsdb WHERE metric_name = 'cpu'");
+  EXPECT_NE(executor_->last_stats().plan_text.find("Scan tsdb"),
+            std::string::npos);
+  EXPECT_NE(executor_->last_stats().plan_text.find(" metric='cpu'"),
+            std::string::npos)
+      << executor_->last_stats().plan_text;
+  EXPECT_EQ(store_->scan_stats().last_metric_glob, "cpu");
+}
+
+TEST_F(PlannerTest, InListPushesAMetricNameSet) {
+  store_->ResetScanStats();
+  Table t = MustQuery(
+      "SELECT value FROM tsdb WHERE metric_name IN ('nope', 'cpu', 'nope')");
+  EXPECT_EQ(t.num_rows(), 4u * kPoints);
+  const tsdb::ScanStats& st = store_->scan_stats();
+  EXPECT_EQ(st.last_metric_glob, "{cpu,nope}");  // sorted, de-duplicated
+  EXPECT_EQ(st.series_matched, 4u);
+  EXPECT_EQ(st.points_decoded, 4u * kPoints);
+  EXPECT_NE(executor_->last_stats().plan_text.find(
+                " metric in ('cpu', 'nope')"),
+            std::string::npos)
+      << executor_->last_stats().plan_text;
+}
+
+TEST_F(PlannerTest, OrOfEqualitiesPushesAMetricNameSet) {
+  Table t = MustQuery(
+      "SELECT value FROM tsdb WHERE (metric_name = 'mem' "
+      "OR 'nope' = metric_name OR metric_name IN ('x')) "
+      "AND tag['host'] = 'h1'");
+  EXPECT_EQ(t.num_rows(), static_cast<size_t>(kPoints));
+  const tsdb::ScanStats& st = store_->scan_stats();
+  EXPECT_EQ(st.last_metric_glob, "{mem,nope,x}");
+  EXPECT_EQ(st.series_matched, 1u);
+}
+
+TEST_F(PlannerTest, MetricNameConjunctsIntersect) {
+  Table t = MustQuery(
+      "SELECT value FROM tsdb WHERE metric_name IN ('cpu', 'mem') "
+      "AND metric_name = 'mem'");
+  EXPECT_EQ(t.num_rows(), 4u * kPoints);
+  EXPECT_EQ(store_->scan_stats().last_metric_glob, "mem");
+  EXPECT_EQ(store_->scan_stats().series_matched, 4u);
+  EXPECT_NE(executor_->last_stats().plan_text.find(" metric='mem'"),
+            std::string::npos)
+      << executor_->last_stats().plan_text;
+}
+
+TEST_F(PlannerTest, DisjointMetricNameSetsScanNothing) {
+  // cpu ∩ mem is empty: the store matches no series and decodes nothing,
+  // and the statement still answers (an empty scan, a zero count).
+  store_->ResetScanStats();
+  Table rows = MustQuery(
+      "SELECT value FROM tsdb WHERE metric_name IN ('cpu') "
+      "AND metric_name = 'mem'");
+  EXPECT_EQ(rows.num_rows(), 0u);
+  EXPECT_EQ(store_->scan_stats().series_matched, 0u);
+  EXPECT_EQ(store_->scan_stats().points_decoded, 0u);
+  EXPECT_EQ(store_->scan_stats().last_metric_glob, "{}");
+  EXPECT_NE(executor_->last_stats().plan_text.find(" metric in ()"),
+            std::string::npos)
+      << executor_->last_stats().plan_text;
+  Table count = MustQuery(
+      "SELECT COUNT(*) AS n FROM tsdb WHERE metric_name = 'cpu' "
+      "AND metric_name = 'mem'");
+  ASSERT_EQ(count.num_rows(), 1u);
+  EXPECT_EQ(count.At(0, 0).AsInt(), 0);
+}
+
+TEST_F(PlannerTest, UnpushableMetricShapesPushNothing) {
+  // NOT IN, a NULL item, a non-literal item, a non-string item and an OR
+  // with a non-equality all leave the metric unconstrained; the residual
+  // filter still answers them.
+  const std::pair<const char*, size_t> cases[] = {
+      {"metric_name NOT IN ('cpu')", 4 * kPoints},
+      {"metric_name IN ('cpu', NULL)", 4 * kPoints},
+      {"metric_name IN ('cpu', tag['host'])", 4 * kPoints},
+      {"metric_name IN ('cpu', 1)", 4 * kPoints},
+      {"(metric_name = 'cpu' OR value < 0)", 4 * kPoints},
+      {"metric_name != 'cpu'", 4 * kPoints},
+  };
+  for (const auto& [where, rows] : cases) {
+    SCOPED_TRACE(where);
+    Table t = MustQuery(std::string("SELECT value FROM tsdb WHERE ") + where);
+    EXPECT_EQ(t.num_rows(), rows);
+    EXPECT_EQ(store_->scan_stats().last_metric_glob, "*");
+    EXPECT_EQ(store_->scan_stats().series_matched, 8u);
+    const std::string& plan = executor_->last_stats().plan_text;
+    EXPECT_EQ(plan.find(" metric="), std::string::npos) << plan;
+    EXPECT_EQ(plan.find(" metric in"), std::string::npos) << plan;
+  }
+}
+
+TEST_F(PlannerTest, MetricNameEqualityIsExactNotAGlob) {
+  // 'disk*' names one metric; pushed down, it must not act as a glob.
+  auto store = std::make_shared<tsdb::SeriesStore>();
+  for (const char* name : {"disk*", "disk_read", "diskx"}) {
+    ASSERT_TRUE(store->Write(name, tsdb::TagSet{{"host", "h0"}}, 0, 1.0).ok());
+  }
+  catalog_.RegisterHintedProvider(
+      "disks", [store](const tsdb::ScanHints& hints) -> Result<table::Table> {
+        tsdb::ScanRequest req;
+        req.range = kFullRange;
+        req.hints = hints;
+        return store->ScanToTable(req);
+      });
+  Table t = MustQuery(
+      "SELECT metric_name FROM disks WHERE metric_name = 'disk*'");
+  ASSERT_EQ(t.num_rows(), 1u);
+  EXPECT_EQ(t.At(0, 0).AsString(), "disk*");
+  EXPECT_EQ(store->scan_stats().series_matched, 1u);
+  Table in = MustQuery(
+      "SELECT metric_name FROM disks WHERE metric_name IN ('disk?', 'diskx')");
+  ASSERT_EQ(in.num_rows(), 1u);
+  EXPECT_EQ(in.At(0, 0).AsString(), "diskx");
+  EXPECT_EQ(store->scan_stats().series_matched, 1u);
+}
+
 TEST_F(PlannerTest, PushdownMatchesUnpushedResults) {
   // The same query against a hinted provider and a plain materialised
   // copy must agree (the materialised path keeps the full filter).

@@ -3,12 +3,29 @@
 #include <gtest/gtest.h>
 
 #include <bit>
+#include <algorithm>
 #include <cmath>
 
 #include "common/random.h"
+#include "tsdb/segment.h"
 
 namespace explainit::tsdb {
 namespace {
+
+using Points = std::vector<std::pair<EpochSeconds, double>>;
+
+// Decodes every point of `block` (the unbounded form) as pairs.
+Result<Points> DecodeAll(const CompressedBlock& block) {
+  std::vector<EpochSeconds> ts;
+  std::vector<double> vs;
+  EXPLAINIT_ASSIGN_OR_RETURN(size_t decoded, block.Decode(&ts, &vs));
+  if (decoded != block.num_points() || ts.size() != decoded) {
+    return Status::Internal("unbounded decode skipped points");
+  }
+  Points out;
+  for (size_t i = 0; i < ts.size(); ++i) out.emplace_back(ts[i], vs[i]);
+  return out;
+}
 
 TEST(BitStreamTest, RoundTripMixedWidths) {
   BitWriter w;
@@ -24,6 +41,29 @@ TEST(BitStreamTest, RoundTripMixedWidths) {
   EXPECT_EQ(r.bits_remaining(), 0u);
 }
 
+TEST(BitStreamTest, RandomWidthsRoundTripAtEveryAlignment) {
+  // Long enough that most reads take the word-load path and the last
+  // ones the byte-wise tail, at every bit alignment.
+  Rng rng(5);
+  std::vector<std::pair<uint64_t, int>> fields;
+  BitWriter w;
+  for (int i = 0; i < 2000; ++i) {
+    const int bits = 1 + static_cast<int>(rng.UniformInt(64));
+    uint64_t v = (rng.UniformInt(1ull << 32) << 32) | rng.UniformInt(1ull << 32);
+    if (bits < 64) v &= (1ull << bits) - 1;
+    w.WriteBits(v, bits);
+    fields.emplace_back(v, bits);
+  }
+  BitReader r(w.bytes(), w.bit_count());
+  for (const auto& [v, bits] : fields) {
+    auto got = r.ReadBits(bits);
+    ASSERT_TRUE(got.ok());
+    ASSERT_EQ(*got, v) << bits;
+  }
+  EXPECT_EQ(r.bits_remaining(), 0u);
+  EXPECT_FALSE(r.ReadBits(1).ok());
+}
+
 TEST(BitStreamTest, ReadPastEndFails) {
   BitWriter w;
   w.WriteBits(1, 1);
@@ -35,7 +75,7 @@ TEST(BitStreamTest, ReadPastEndFails) {
 TEST(CompressedBlockTest, SinglePoint) {
   CompressedBlock block;
   ASSERT_TRUE(block.Append(1000, 3.25).ok());
-  auto points = block.Decode();
+  auto points = DecodeAll(block);
   ASSERT_TRUE(points.ok());
   ASSERT_EQ(points->size(), 1u);
   EXPECT_EQ((*points)[0].first, 1000);
@@ -53,7 +93,7 @@ TEST(CompressedBlockTest, RegularMinuteGridRoundTrip) {
     expected.emplace_back(t, v);
     ASSERT_TRUE(block.Append(t, v).ok());
   }
-  auto points = block.Decode();
+  auto points = DecodeAll(block);
   ASSERT_TRUE(points.ok());
   ASSERT_EQ(points->size(), expected.size());
   for (size_t i = 0; i < expected.size(); ++i) {
@@ -82,7 +122,7 @@ TEST(CompressedBlockTest, IrregularTimestampsRoundTrip) {
   for (size_t i = 0; i < ts.size(); ++i) {
     ASSERT_TRUE(block.Append(ts[i], vs[i]).ok()) << i;
   }
-  auto points = block.Decode();
+  auto points = DecodeAll(block);
   ASSERT_TRUE(points.ok());
   ASSERT_EQ(points->size(), ts.size());
   for (size_t i = 0; i < ts.size(); ++i) {
@@ -96,7 +136,7 @@ TEST(CompressedBlockTest, NanRoundTrip) {
   ASSERT_TRUE(block.Append(0, std::nan("")).ok());
   ASSERT_TRUE(block.Append(60, 1.0).ok());
   ASSERT_TRUE(block.Append(120, std::nan("")).ok());
-  auto points = block.Decode();
+  auto points = DecodeAll(block);
   ASSERT_TRUE(points.ok());
   EXPECT_TRUE(std::isnan((*points)[0].second));
   EXPECT_EQ((*points)[1].second, 1.0);
@@ -115,7 +155,7 @@ TEST(CompressedBlockTest, NegativeDeltaOfDelta) {
   ASSERT_TRUE(block.Append(0, 1.0).ok());
   ASSERT_TRUE(block.Append(100, 2.0).ok());
   ASSERT_TRUE(block.Append(110, 3.0).ok());
-  auto points = block.Decode();
+  auto points = DecodeAll(block);
   ASSERT_TRUE(points.ok());
   EXPECT_EQ((*points)[2].first, 110);
 }
@@ -159,7 +199,7 @@ TEST(CompressedBlockTest, SnapshotRoundTripContinuesAppending) {
   append(*restored, t += 60, v = 42.0);
   append(*restored, t, v);  // duplicate timestamp (dod flips sign)
 
-  auto points = restored->Decode();
+  auto points = DecodeAll(*restored);
   ASSERT_TRUE(points.ok());
   ASSERT_EQ(points->size(), expected.size());
   for (size_t i = 0; i < expected.size(); ++i) {
@@ -198,7 +238,7 @@ TEST(CompressedBlockTest, SnapshotEveryFewPointsStaysLossless) {
       block = std::move(restored).value();
     }
   }
-  auto points = block.Decode();
+  auto points = DecodeAll(block);
   ASSERT_TRUE(points.ok());
   ASSERT_EQ(points->size(), expected.size());
   for (size_t i = 0; i < expected.size(); ++i) {
@@ -226,6 +266,223 @@ TEST(CompressedBlockTest, DeserializeConsumesConcatenatedBlocks) {
   EXPECT_FALSE(CompressedBlock::Deserialize(buffer, &offset).ok());
 }
 
+// --- Range decoding ------------------------------------------------------
+
+// A random block exercising every encoding path near checkpoint
+// boundaries: 64-bit delta-of-delta escapes, XOR window reuse running
+// across a checkpoint (a low-bit flip repeated around each boundary),
+// and a duplicate timestamp straddling each boundary.
+struct RandomBlock {
+  CompressedBlock block;
+  std::vector<EpochSeconds> ts;
+  std::vector<double> vs;
+};
+
+RandomBlock MakeRandomBlock(uint64_t seed, size_t n) {
+  Rng rng(seed);
+  RandomBlock out;
+  EpochSeconds t = -5000 + static_cast<EpochSeconds>(rng.UniformInt(10000));
+  double v = 100.0;
+  for (size_t i = 0; i < n; ++i) {
+    const size_t to_boundary = (i + 8) % kCheckpointInterval;
+    if (i > 0) {
+      if (i % kCheckpointInterval == 0) {
+        // Point i - 1 ends a checkpoint stretch; point i repeats its
+        // timestamp.
+      } else if (rng.UniformInt(25) == 0) {
+        t += 1000000 + static_cast<EpochSeconds>(rng.UniformInt(1000));
+      } else if (rng.UniformInt(10) == 0) {
+        t += static_cast<EpochSeconds>(rng.UniformInt(3));  // 0 repeats
+      } else {
+        t += 60;
+      }
+    }
+    if (to_boundary < 16) {
+      v = FlipLowBit(v);  // same XOR window on both sides of the boundary
+    } else if (rng.UniformInt(6) == 0) {
+      // exact repeat: XOR of zero
+    } else {
+      v += rng.Normal() * 3.0;
+    }
+    EXPECT_TRUE(out.block.Append(t, v).ok());
+    out.ts.push_back(t);
+    out.vs.push_back(v);
+  }
+  return out;
+}
+
+// The reference: points[from..] inside `window`.
+void FilterReference(const RandomBlock& b, size_t from, const TimeRange& w,
+                     std::vector<EpochSeconds>* ts, std::vector<double>* vs) {
+  for (size_t i = from; i < b.ts.size(); ++i) {
+    if (!w.Contains(b.ts[i])) continue;
+    ts->push_back(b.ts[i]);
+    vs->push_back(b.vs[i]);
+  }
+}
+
+// Windows before, inside, straddling either end of, and after the block,
+// an empty one, and windows starting just before, at and just after
+// every checkpoint's timestamp.
+std::vector<TimeRange> WindowsFor(const RandomBlock& b,
+                                  const std::vector<DecodeCheckpoint>& cps) {
+  const EpochSeconds lo = b.ts.front();
+  const EpochSeconds hi = b.ts.back();
+  const EpochSeconds mid = b.ts[b.ts.size() / 2];
+  std::vector<TimeRange> out = {
+      {lo - 1000, lo - 10},  {lo - 1000, lo},  {lo - 10, lo + 600},
+      {mid, mid + 3600},     {mid - 1, mid},   {hi - 600, hi + 10},
+      {hi, hi + 1},          {hi + 1, hi + 1000}, {mid, mid},
+      {lo, hi + 1},
+  };
+  for (const DecodeCheckpoint& cp : cps) {
+    for (EpochSeconds d : {-61, -1, 0, 1, 61}) {
+      out.push_back({cp.timestamp + d, cp.timestamp + d + 1800});
+    }
+  }
+  return out;
+}
+
+bool SameState(const DecodeCheckpoint& a, const DecodeCheckpoint& b) {
+  return a.bit_offset == b.bit_offset && a.timestamp == b.timestamp &&
+         a.delta == b.delta && a.value_bits == b.value_bits &&
+         a.points == b.points && a.leading == b.leading &&
+         a.trailing == b.trailing && a.have_window == b.have_window;
+}
+
+TEST(RangeDecodeTest, CheckpointsMatchTheEncoderState) {
+  // Merge takes its seek index from the encoder, Seal from the decoder:
+  // both must describe the same state after every checkpointed point.
+  const RandomBlock b = MakeRandomBlock(3, 5 * kCheckpointInterval + 17);
+  CompressedBlock replay;
+  std::vector<DecodeCheckpoint> from_encoder;
+  for (size_t i = 0; i < b.ts.size(); ++i) {
+    ASSERT_TRUE(replay.Append(b.ts[i], b.vs[i]).ok());
+    if (CheckpointAfter(i + 1, b.ts.size())) {
+      from_encoder.push_back(replay.Checkpoint());
+    }
+  }
+  std::vector<EpochSeconds> ts;
+  std::vector<double> vs;
+  std::vector<DecodeCheckpoint> from_decoder;
+  ASSERT_TRUE(b.block.Decode(&ts, &vs, nullptr, nullptr, &from_decoder).ok());
+  ASSERT_EQ(from_decoder.size(), 5u);
+  ASSERT_EQ(from_encoder.size(), from_decoder.size());
+  for (size_t j = 0; j < from_decoder.size(); ++j) {
+    EXPECT_TRUE(SameState(from_encoder[j], from_decoder[j])) << j;
+    EXPECT_EQ(from_decoder[j].points, (j + 1) * kCheckpointInterval);
+    EXPECT_EQ(from_decoder[j].timestamp, b.ts[from_decoder[j].points - 1]);
+  }
+  // The XOR window is live at every checkpoint (the low-bit flips).
+  for (const DecodeCheckpoint& cp : from_decoder) {
+    EXPECT_TRUE(cp.have_window);
+  }
+}
+
+TEST(RangeDecodeTest, RangeDecodeEqualsDecodeAllThenFilter) {
+  for (uint64_t seed = 1; seed <= 12; ++seed) {
+    SCOPED_TRACE(seed);
+    const size_t n = 3 * kCheckpointInterval + 1 + seed * 37;
+    const RandomBlock b = MakeRandomBlock(seed, n);
+    std::vector<EpochSeconds> all_ts;
+    std::vector<double> all_vs;
+    std::vector<DecodeCheckpoint> cps;
+    auto all = b.block.Decode(&all_ts, &all_vs, nullptr, nullptr, &cps);
+    ASSERT_TRUE(all.ok());
+    ASSERT_EQ(*all, n);
+    ASSERT_EQ(all_ts, b.ts);
+    ASSERT_EQ(cps.size(), (n - 1) / kCheckpointInterval);
+
+    // Resuming at every checkpoint offset, under every window.
+    std::vector<const DecodeCheckpoint*> starts = {nullptr};
+    for (const DecodeCheckpoint& cp : cps) starts.push_back(&cp);
+    for (const TimeRange& w : WindowsFor(b, cps)) {
+      for (const DecodeCheckpoint* from : starts) {
+        const size_t first = from == nullptr ? 0 : from->points;
+        std::vector<EpochSeconds> want_ts, got_ts;
+        std::vector<double> want_vs, got_vs;
+        FilterReference(b, first, w, &want_ts, &want_vs);
+        auto decoded = b.block.Decode(&got_ts, &got_vs, &w, from);
+        ASSERT_TRUE(decoded.ok());
+        ASSERT_EQ(got_ts, want_ts) << w.start << ".." << w.end << " @" << first;
+        ASSERT_EQ(got_vs.size(), want_vs.size());
+        for (size_t i = 0; i < want_vs.size(); ++i) {
+          ASSERT_EQ(std::bit_cast<uint64_t>(got_vs[i]),
+                    std::bit_cast<uint64_t>(want_vs[i]));
+        }
+        // The pass stops at the first point at or past the window's end.
+        size_t stop = first;
+        while (stop < n && b.ts[stop] < w.end) ++stop;
+        EXPECT_EQ(*decoded, std::min(stop + 1, n) - first);
+      }
+    }
+  }
+}
+
+TEST(RangeDecodeTest, SegmentSeekEqualsDecodeAllThenFilter) {
+  for (uint64_t seed = 21; seed <= 26; ++seed) {
+    SCOPED_TRACE(seed);
+    const size_t n = 6 * kCheckpointInterval + seed;
+    RandomBlock b = MakeRandomBlock(seed, n);
+    auto sealed = SealedSegment::Seal(b.block);
+    ASSERT_TRUE(sealed.ok());
+    const SealedSegment& seg = **sealed;
+    ASSERT_EQ(seg.checkpoints().size(), 6u);
+    EXPECT_EQ(seg.index_bytes(), 6 * sizeof(DecodeCheckpoint));
+
+    // Compaction builds the same index from the encoder.
+    std::vector<std::shared_ptr<const SealedSegment>> parts;
+    for (size_t begin = 0; begin < n; begin += 200) {
+      CompressedBlock part;
+      for (size_t i = begin; i < std::min(n, begin + 200); ++i) {
+        ASSERT_TRUE(part.Append(b.ts[i], b.vs[i]).ok());
+      }
+      auto p = SealedSegment::Seal(std::move(part));
+      ASSERT_TRUE(p.ok());
+      parts.push_back(*p);
+    }
+    auto merged = SealedSegment::Merge(parts);
+    ASSERT_TRUE(merged.ok());
+    ASSERT_EQ((*merged)->checkpoints().size(), seg.checkpoints().size());
+    for (size_t j = 0; j < seg.checkpoints().size(); ++j) {
+      EXPECT_TRUE(
+          SameState((*merged)->checkpoints()[j], seg.checkpoints()[j]))
+          << j;
+    }
+
+    for (const TimeRange& w : WindowsFor(b, seg.checkpoints())) {
+      std::vector<EpochSeconds> want_ts, got_ts;
+      std::vector<double> want_vs, got_vs;
+      FilterReference(b, 0, w, &want_ts, &want_vs);
+      auto decoded = seg.Decode(&w, &got_ts, &got_vs);
+      ASSERT_TRUE(decoded.ok());
+      ASSERT_EQ(got_ts, want_ts) << w.start << ".." << w.end;
+      ASSERT_EQ(got_vs, want_vs);
+      // The seek starts after the last checkpoint strictly before the
+      // window and the pass stops at its first point at or past the end.
+      size_t first = 0;
+      for (const DecodeCheckpoint& cp : seg.checkpoints()) {
+        if (cp.timestamp < w.start) first = cp.points;
+      }
+      size_t stop = first;
+      while (stop < n && b.ts[stop] < w.end) ++stop;
+      EXPECT_EQ(*decoded, std::min(stop + 1, n) - first)
+          << w.start << ".." << w.end;
+    }
+  }
+}
+
+TEST(RangeDecodeTest, ResumeRejectsAForeignCheckpoint) {
+  CompressedBlock block;
+  ASSERT_TRUE(block.Append(0, 1.0).ok());
+  ASSERT_TRUE(block.Append(60, 2.0).ok());
+  DecodeCheckpoint foreign;
+  foreign.points = 5;
+  std::vector<EpochSeconds> ts;
+  std::vector<double> vs;
+  EXPECT_FALSE(block.Decode(&ts, &vs, nullptr, &foreign).ok());
+}
+
 // Property sweep over random walks with different volatilities.
 class CompressionRoundTrip : public ::testing::TestWithParam<double> {};
 
@@ -242,7 +499,7 @@ TEST_P(CompressionRoundTrip, LosslessAcrossVolatility) {
     expected.push_back(v);
     ASSERT_TRUE(block.Append(t, v).ok());
   }
-  auto points = block.Decode();
+  auto points = DecodeAll(block);
   ASSERT_TRUE(points.ok());
   for (size_t i = 0; i < expected.size(); ++i) {
     EXPECT_EQ((*points)[i].second, expected[i]);

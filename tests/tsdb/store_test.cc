@@ -291,6 +291,55 @@ TEST(SnapshotTest, TieredStateRoundTripsWithDirtyHead) {
   }
 }
 
+TEST(SnapshotTest, ReloadRebuildsTheSeekIndex) {
+  // 1000-point segments hold several checkpoints each. The index is not
+  // in the snapshot; reload reseals every block and so rebuilds it, and
+  // windowed scans of the reloaded store decode exactly as many points
+  // and return exactly the same rows.
+  StoreOptions opts;
+  opts.seal_max_points = 1000;
+  opts.background_seal = false;
+  opts.compact_min_segments = 0;
+  SeriesStore store(opts);
+  for (int host = 0; host < 3; ++host) {
+    const TagSet tags{{"host", "h" + std::to_string(host)}};
+    for (int i = 0; i < 2500; ++i) {
+      ASSERT_TRUE(
+          store.Write("m", tags, i * 10, std::sin(i * 0.01) + host).ok());
+    }
+  }
+  const StorageStats before = store.storage_stats();
+  ASSERT_EQ(before.sealed_segments, 6u);
+  ASSERT_EQ(before.index_bytes, 6 * 7 * sizeof(DecodeCheckpoint));
+
+  const std::string path = ::testing::TempDir() + "/seek_index.bin";
+  ASSERT_TRUE(store.SaveSnapshot(path).ok());
+  SeriesStore loaded(opts);
+  ASSERT_TRUE(loaded.LoadSnapshot(path).ok());
+  EXPECT_EQ(loaded.storage_stats().index_bytes, before.index_bytes);
+  EXPECT_EQ(loaded.compressed_bytes(), store.compressed_bytes());
+
+  for (const TimeRange w : {TimeRange{5000, 5600}, TimeRange{9990, 10010},
+                            TimeRange{24000, 26000}}) {
+    store.ResetScanStats();
+    loaded.ResetScanStats();
+    ScanRequest req;
+    req.range = w;
+    auto a = store.Scan(req);
+    auto b = loaded.Scan(req);
+    ASSERT_TRUE(a.ok() && b.ok());
+    ASSERT_EQ(a->size(), b->size());
+    for (size_t i = 0; i < a->size(); ++i) {
+      EXPECT_EQ((*a)[i].timestamps, (*b)[i].timestamps);
+      EXPECT_EQ((*a)[i].values, (*b)[i].values);
+    }
+    EXPECT_EQ(loaded.scan_stats().points_decoded,
+              store.scan_stats().points_decoded);
+    // The seek keeps the decode well short of the whole segments.
+    EXPECT_LT(loaded.scan_stats().points_decoded, 3 * 1000u);
+  }
+}
+
 TEST(SnapshotTest, SeedV1FormatStillLoads) {
   // Hand-build a v1 (seed-format) snapshot byte stream: u32 magic "EXTS",
   // u64 series count, then per series metric / tag strings (u64 length

@@ -332,8 +332,43 @@ TEST(TieredStoreTest, TimePruningSkipsDisjointSegments) {
   auto res = store.Scan(req);
   ASSERT_TRUE(res.ok());
   EXPECT_EQ((*res)[0].timestamps.size(), 6u);
-  // Only the overlapping segment decoded: 30 points, not 60.
-  EXPECT_EQ(store.scan_stats().points_decoded, 30u);
+  // The disjoint second segment is skipped outright, and the first one
+  // stops at its first point past the window: the six points at 0..50
+  // plus the one at 60 that ends the pass, not the whole segment's 30.
+  EXPECT_EQ(store.scan_stats().points_decoded, 7u);
+}
+
+TEST(TieredStoreTest, WindowedScanSeeksToTheLastCheckpointBeforeIt) {
+  // One sealed segment of 1000 points at a 10s cadence holds a
+  // checkpoint after every kCheckpointInterval points.
+  const size_t n = 1000;
+  SeriesStore store = MakeTenSecondStore(InlineSealEvery(n), n);
+  ASSERT_EQ(store.storage_stats().sealed_segments, 1u);
+  ASSERT_EQ(kCheckpointInterval, 128u);
+  store.ResetScanStats();
+  ScanRequest req;
+  req.range = {5000, 5100};  // points 500..509
+  auto res = store.Scan(req);
+  ASSERT_TRUE(res.ok());
+  ASSERT_EQ((*res)[0].timestamps.size(), 10u);
+  EXPECT_EQ((*res)[0].timestamps.front(), 5000);
+  EXPECT_EQ((*res)[0].timestamps.back(), 5090);
+  // The last checkpoint before t=5000 is the one after point 383
+  // (t=3830), so the pass decodes points 384..510: 116 before the
+  // window, 10 inside it and the one at t=5100 that ends it.
+  EXPECT_EQ(store.scan_stats().points_decoded, 127u);
+  EXPECT_EQ(store.scan_stats().segment_points_decoded, 127u);
+
+  // A window that starts before the first checkpoint decodes from the
+  // first point; one past the segment's end decodes nothing.
+  store.ResetScanStats();
+  req.range = {0, 30};
+  ASSERT_TRUE(store.Scan(req).ok());
+  EXPECT_EQ(store.scan_stats().points_decoded, 4u);
+  store.ResetScanStats();
+  req.range = {n * 10, n * 10 + 100};
+  ASSERT_TRUE(store.Scan(req).ok());
+  EXPECT_EQ(store.scan_stats().points_decoded, 0u);
 }
 
 TEST(TieredStoreTest, BackgroundSealerSealsEventually) {
