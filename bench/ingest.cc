@@ -13,7 +13,10 @@
 // prove (via ScanStats) that they were served from rollup tiers, not raw
 // decodes, and the windowed metric-set query reads only the stretch of
 // each sealed segment its window needs; the query phase reports how many
-// raw points it decoded in all. Emits BENCH_ingest.json.
+// raw points it decoded in all. A bulk phase writes every streamed series
+// back with one WriteSeries call into a fresh store, which must scan
+// exactly as the streamed store does, and reports the bulk write rate.
+// Emits BENCH_ingest.json.
 //
 // Usage: ingest [--smoke] [output.json]
 #include <algorithm>
@@ -185,6 +188,53 @@ int Main(int argc, char** argv) {
       points, live->num_series(), ingest_seconds, points / ingest_seconds,
       live_queries.load(), storage.seals, storage.compactions);
 
+  // Bulk phase: every streamed series written back with one WriteSeries
+  // call into a fresh store tiered like the live one (best of 3 fresh
+  // stores), which must then scan exactly as the streamed store does.
+  auto streamed = live->Scan(tsdb::ScanRequest{});
+  if (!streamed.ok()) {
+    std::fprintf(stderr, "scan failed: %s\n",
+                 streamed.status().ToString().c_str());
+    return 1;
+  }
+  double bulk_seconds = 1e300;
+  bool bulk_parity = true;
+  for (int round = 0; round < 3; ++round) {
+    tsdb::SeriesStore bulk(live_opts);
+    const double b0 = MonotonicSeconds();
+    for (const tsdb::SeriesData& s : *streamed) {
+      if (auto st = bulk.WriteSeries(s.meta.metric_name, s.meta.tags,
+                                     s.timestamps, s.values);
+          !st.ok()) {
+        std::fprintf(stderr, "bulk write failed: %s\n",
+                     st.ToString().c_str());
+        return 1;
+      }
+    }
+    bulk_seconds = std::min(bulk_seconds, MonotonicSeconds() - b0);
+    if (auto st = bulk.Flush(); !st.ok()) {
+      std::fprintf(stderr, "flush failed: %s\n", st.ToString().c_str());
+      return 1;
+    }
+    auto reread = bulk.Scan(tsdb::ScanRequest{});
+    bool same = reread.ok() && reread->size() == streamed->size();
+    for (size_t i = 0; same && i < streamed->size(); ++i) {
+      const tsdb::SeriesData& a = (*streamed)[i];
+      const tsdb::SeriesData& b = (*reread)[i];
+      same = a.meta.metric_name == b.meta.metric_name &&
+             a.meta.tags == b.meta.tags && a.timestamps == b.timestamps &&
+             a.values == b.values;
+    }
+    if (!same) {
+      std::fprintf(stderr, "bulk parity FAILED in round %d\n", round);
+      bulk_parity = false;
+    }
+  }
+  std::printf("  bulk-loaded %zu points / %zu series in %.3fs "
+              "(%.0f points/s), parity %s\n",
+              points, streamed->size(), bulk_seconds, points / bulk_seconds,
+              bulk_parity ? "ok" : "FAILED");
+
   // Reference store: the identical trace (same seed) bulk-loaded into an
   // untiered store (huge thresholds — everything stays in the head).
   tsdb::StoreOptions ref_opts;
@@ -274,6 +324,8 @@ int Main(int argc, char** argv) {
       "  \"smoke\": %s,\n"
       "  \"steps\": %zu,\n  \"series\": %zu,\n  \"points\": %zu,\n"
       "  \"ingest_seconds\": %.6f,\n  \"write_points_per_sec\": %.1f,\n"
+      "  \"bulk_write_seconds\": %.6f,\n"
+      "  \"bulk_write_points_per_sec\": %.1f,\n  \"bulk_parity\": %s,\n"
       "  \"concurrent_queries\": %zu,\n  \"seals\": %zu,\n"
       "  \"compactions\": %zu,\n  \"sealed_segments\": %zu,\n"
       "  \"rollup_points_served\": %zu,\n  \"raw_points_skipped\": %zu,\n"
@@ -281,6 +333,7 @@ int Main(int argc, char** argv) {
       "  \"parity\": %s,\n  \"rollup_served\": %s,\n  \"queries\": [\n",
       std::thread::hardware_concurrency(), smoke ? "true" : "false", steps,
       live->num_series(), points, ingest_seconds, points / ingest_seconds,
+      bulk_seconds, points / bulk_seconds, bulk_parity ? "true" : "false",
       live_queries.load(),
       storage.seals, storage.compactions, storage.sealed_segments,
       scans.rollup_points_returned, scans.rollup_points_skipped,
@@ -299,7 +352,7 @@ int Main(int argc, char** argv) {
   std::fclose(f);
   std::printf("  wrote %s\n", out_path.c_str());
 
-  return (parity && rollup_served) ? 0 : 1;
+  return (parity && bulk_parity && rollup_served) ? 0 : 1;
 }
 
 }  // namespace

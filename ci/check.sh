@@ -142,7 +142,7 @@ if [[ "${STAGE}" == "tsan" || "${STAGE}" == "all" ]]; then
   cmake --build "${ROOT}/build-tsan" -j "${JOBS}"
   echo "=== ctest (tsan): operator, differential and worker-pool suites ==="
   ctest --test-dir "${ROOT}/build-tsan" --output-on-failure -j "${JOBS}" \
-    -R 'operators_test|differential_test|executor_test|planner_test|logical_plan_test|optimizer_test|fuzz_roundtrip_test|worker_pool_test|explain_e2e_test|server_test|concurrency_test|tiered_store_test|ranking_test|ridge_test|anomaly_test|monitor_test|monitor_stress_test|engine_test|pipeline_test'
+    -R 'operators_test|differential_test|executor_test|planner_test|logical_plan_test|optimizer_test|fuzz_roundtrip_test|worker_pool_test|explain_e2e_test|server_test|concurrency_test|store_test|tiered_store_test|ranking_test|ridge_test|anomaly_test|monitor_test|monitor_stress_test|engine_test|pipeline_test'
 fi
 
 echo "=== checks passed (${STAGE}) ==="

@@ -70,18 +70,23 @@ la::Matrix CausalNetwork::Simulate(
   return values;
 }
 
+std::vector<EpochSeconds> MinuteGrid(size_t steps, EpochSeconds start) {
+  std::vector<EpochSeconds> out(steps);
+  for (size_t t = 0; t < steps; ++t) {
+    out[t] = start + static_cast<int64_t>(t) * kSecondsPerMinute;
+  }
+  return out;
+}
+
 Status CausalNetwork::WriteTo(
     tsdb::SeriesStore* store, size_t steps, EpochSeconds start, Rng& rng,
     const std::vector<Intervention>& interventions) const {
   la::Matrix values = Simulate(steps, rng, interventions);
+  const std::vector<EpochSeconds> timestamps = MinuteGrid(steps, start);
   for (size_t i = 0; i < nodes_.size(); ++i) {
     const NodeSpec& spec = nodes_[i];
-    for (size_t t = 0; t < steps; ++t) {
-      EXPLAINIT_RETURN_IF_ERROR(
-          store->Write(spec.metric_name, spec.tags,
-                       start + static_cast<int64_t>(t) * kSecondsPerMinute,
-                       values(t, i)));
-    }
+    EXPLAINIT_RETURN_IF_ERROR(store->WriteSeries(spec.metric_name, spec.tags,
+                                                 timestamps, values.Col(i)));
   }
   return Status::OK();
 }

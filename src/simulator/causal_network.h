@@ -61,6 +61,9 @@ struct Intervention {
   std::function<double(size_t)> shape;  // optional; added when set
 };
 
+/// The timestamps of `steps` one-minute steps from `start`.
+std::vector<EpochSeconds> MinuteGrid(size_t steps, EpochSeconds start);
+
 /// A causal DAG whose topological order is the insertion order.
 class CausalNetwork {
  public:
@@ -78,7 +81,7 @@ class CausalNetwork {
                       const std::vector<Intervention>& interventions = {}) const;
 
   /// Simulates and writes every node as a minutely series starting at
-  /// `start` into the store.
+  /// `start` into the store, one WriteSeries per node.
   Status WriteTo(tsdb::SeriesStore* store, size_t steps, EpochSeconds start,
                  Rng& rng,
                  const std::vector<Intervention>& interventions = {}) const;

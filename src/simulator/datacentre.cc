@@ -326,15 +326,12 @@ Status DatacentreModel::WriteTo(
     tsdb::SeriesStore* store, size_t steps, EpochSeconds start, Rng& rng,
     const std::vector<Intervention>& interventions) const {
   la::Matrix values = network_.Simulate(steps, rng, interventions);
-  const int64_t step_seconds = kSecondsPerMinute;
+  const std::vector<EpochSeconds> timestamps = MinuteGrid(steps, start);
   for (size_t i = 0; i < network_.num_nodes(); ++i) {
     if (hidden_[i]) continue;  // unmonitored counters stay unmonitored
     const NodeSpec& spec = network_.node(i);
-    for (size_t t = 0; t < steps; ++t) {
-      EXPLAINIT_RETURN_IF_ERROR(store->Write(
-          spec.metric_name, spec.tags,
-          start + static_cast<int64_t>(t) * step_seconds, values(t, i)));
-    }
+    EXPLAINIT_RETURN_IF_ERROR(store->WriteSeries(spec.metric_name, spec.tags,
+                                                 timestamps, values.Col(i)));
   }
   return Status::OK();
 }

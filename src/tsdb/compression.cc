@@ -6,12 +6,26 @@
 namespace explainit::tsdb {
 
 void BitWriter::WriteBits(uint64_t value, int bits) {
-  for (int i = bits - 1; i >= 0; --i) {
-    const bool bit = (value >> i) & 1;
-    const size_t byte_idx = bit_count_ / 8;
-    if (byte_idx >= bytes_.size()) bytes_.push_back(0);
-    if (bit) bytes_[byte_idx] |= static_cast<uint8_t>(1u << (7 - bit_count_ % 8));
-    ++bit_count_;
+  if (bits <= 0) return;
+  if (bits < 64) value &= (uint64_t{1} << bits) - 1;
+  // Grow once, then OR whole byte-sized chunks (at most nine per call)
+  // MSB-first: the encoder writes several fields per point on the write
+  // path. Bytes already past bit_count_ (a restored image may carry
+  // them) are ORed into, never dropped, so blocks stay byte-identical.
+  const size_t end = bit_count_ + static_cast<size_t>(bits);
+  if (const size_t need = (end + 7) / 8; need > bytes_.size()) {
+    bytes_.resize(need);
+  }
+  uint8_t* data = bytes_.data();
+  int remaining = bits;
+  while (remaining > 0) {
+    const int room = 8 - static_cast<int>(bit_count_ & 7);
+    const int take = remaining < room ? remaining : room;
+    remaining -= take;
+    const auto chunk =
+        static_cast<unsigned>(value >> remaining) & ((1u << take) - 1);
+    data[bit_count_ >> 3] |= static_cast<uint8_t>(chunk << (room - take));
+    bit_count_ += static_cast<size_t>(take);
   }
 }
 

@@ -39,9 +39,36 @@ namespace {
 /// below this the thread handoff costs more than the decode.
 constexpr size_t kParallelScanThreshold = 64;
 
-std::string SeriesKey(const std::string& metric_name, const TagSet& tags) {
-  return metric_name + "{" + tags.Encode() + "}";
-}
+/// A series' structural identity, (metric, tags), by reference: the
+/// series map's key. Keys point into their entry's immutable `meta`, and
+/// lookups point at the caller's arguments, so resolving a series builds
+/// and allocates no key string. Equality compares the metric and every
+/// tag pair, so no tag text can alias another tag set (a joined string
+/// key read {a: "1,b=2"} and {a: "1", b: "2"} as one series).
+struct SeriesIdentity {
+  const std::string* metric_name;
+  const TagSet* tags;
+
+  bool operator==(const SeriesIdentity& o) const {
+    return *metric_name == *o.metric_name && *tags == *o.tags;
+  }
+};
+
+struct SeriesIdentityHash {
+  size_t operator()(const SeriesIdentity& id) const {
+    const std::hash<std::string> hash;
+    size_t h = hash(*id.metric_name);
+    // Boost's hash_combine mixing; pairs are visited in key order.
+    auto mix = [&h](size_t v) {
+      h ^= v + 0x9e3779b97f4a7c15ULL + (h << 6) + (h >> 2);
+    };
+    for (const auto& [key, value] : id.tags->entries()) {
+      mix(hash(key));
+      mix(hash(value));
+    }
+    return h;
+  }
+};
 
 table::Value MakeTagsValue(const TagSet& tags) {
   table::ValueMap map;
@@ -77,7 +104,9 @@ struct SeriesStore::Impl {
   /// Writers take it shared on the hot path; only first-write-of-a-series
   /// and LoadSnapshot take it exclusive.
   mutable std::shared_mutex map_mutex;
-  std::unordered_map<std::string, std::shared_ptr<SeriesEntry>> by_key;
+  std::unordered_map<SeriesIdentity, std::shared_ptr<SeriesEntry>,
+                     SeriesIdentityHash>
+      by_key;
   std::vector<std::shared_ptr<SeriesEntry>> order;  // creation order
 
   /// Lock stripes for entry tier state; a series maps to a fixed stripe
@@ -144,21 +173,21 @@ struct SeriesStore::Impl {
 
   std::shared_ptr<SeriesEntry> GetOrCreate(const std::string& metric_name,
                                            const TagSet& tags) {
-    const std::string key = SeriesKey(metric_name, tags);
+    const SeriesIdentity probe{&metric_name, &tags};
     {
       std::shared_lock<std::shared_mutex> lock(map_mutex);
-      auto it = by_key.find(key);
+      auto it = by_key.find(probe);
       if (it != by_key.end()) return it->second;
     }
     std::unique_lock<std::shared_mutex> lock(map_mutex);
-    auto it = by_key.find(key);
+    auto it = by_key.find(probe);
     if (it != by_key.end()) return it->second;
     auto e = std::make_shared<SeriesEntry>();
     e->meta.metric_name = metric_name;
     e->meta.tags = tags;
     e->tags_value = MakeTagsValue(tags);
-    e->stripe = std::hash<std::string>{}(key) % kStripeCount;
-    by_key.emplace(key, e);
+    e->stripe = SeriesIdentityHash{}(probe) % kStripeCount;
+    by_key.emplace(SeriesIdentity{&e->meta.metric_name, &e->meta.tags}, e);
     order.push_back(e);
     return e;
   }
@@ -265,6 +294,92 @@ struct SeriesStore::Impl {
     std::shared_lock<std::shared_mutex> lock(map_mutex);
     return order;
   }
+
+  /// The one write path (Write is a run of one): resolves the series
+  /// once and appends the run under its stripe lock, sealing inline or
+  /// scheduling maintenance after every point exactly as a loop of
+  /// single writes would. Stops at the first rejected point, keeping the
+  /// points before it. The store-wide counters move once per run (and
+  /// before any maintenance the run schedules), and the observer then
+  /// sees every appended point in order, outside the stripe lock.
+  Status AppendRun(const std::string& metric_name, const TagSet& tags,
+                   const EpochSeconds* timestamps, const double* values,
+                   size_t n) {
+    std::shared_ptr<SeriesEntry> e = GetOrCreate(metric_name, tags);
+    Status status = Status::OK();
+    size_t written = 0;
+    size_t counted = 0;  // points already added to the store counters
+    // Counts points [counted, upto) and raises the high-water timestamp
+    // (fetch-max; the retention cutoff reference) to the last of them: a
+    // run's timestamps never decrease.
+    auto publish = [&](size_t upto) {
+      if (upto == counted) return;
+      total_points.fetch_add(upto - counted, std::memory_order_relaxed);
+      counted = upto;
+      const int64_t last = timestamps[upto - 1];
+      int64_t seen = max_timestamp.load(std::memory_order_relaxed);
+      while (last > seen && !max_timestamp.compare_exchange_weak(
+                                seen, last, std::memory_order_relaxed)) {
+      }
+    };
+    {
+      std::unique_lock<std::mutex> lock(StripeFor(*e));
+      // Appends since the lock was last taken. A background-sealed run
+      // drops the lock whenever its head reaches the seal threshold, and
+      // again every head's worth of appends while the maintenance task
+      // has not sealed it yet, so scans and that task never wait longer.
+      size_t held = 0;
+      for (; written < n; ++written) {
+        status = e->head.Append(timestamps[written], values[written]);
+        if (!status.ok()) break;
+        ++held;
+        if (!ShouldSeal(e->head)) continue;
+        if (!options.background_seal) {
+          status = SealLocked(*e);
+          if (!status.ok()) {
+            ++written;  // appended; only its seal failed
+            break;
+          }
+          continue;
+        }
+        const bool schedule = !e->maintenance_scheduled;
+        if (!schedule && held < options.seal_max_points) continue;
+        e->maintenance_scheduled = true;
+        lock.unlock();
+        publish(written + 1);
+        if (schedule) {
+          maintenance_group->Submit([this, e] { Maintain(e); },
+                                    "tsdb.maintenance");
+        }
+        held = 0;
+        lock.lock();
+      }
+    }
+    if (written == 0) return status;
+    publish(written);
+    if (has_observer.load(std::memory_order_acquire)) {
+      // Invoked under the shared lock so SetWriteObserver (unique lock)
+      // doubles as a quiescence barrier: once it returns, no thread is
+      // still inside the old observer.
+      std::shared_lock<std::shared_mutex> lock(observer_mutex);
+      if (observer && *observer) {
+        for (size_t i = 0; i < written; ++i) {
+          (*observer)(e->meta, timestamps[i], values[i]);
+        }
+      }
+    }
+    // Periodic store-wide retention sweep: series that stopped receiving
+    // writes never hit Maintain, so their expired segments are swept here.
+    if (options.retention_seconds > 0 && maintenance_group &&
+        writes_since_sweep.fetch_add(written, std::memory_order_relaxed) +
+                written >=
+            kRetentionSweepInterval) {
+      writes_since_sweep.store(0, std::memory_order_relaxed);
+      maintenance_group->Submit([this] { SweepRetention(); },
+                                "tsdb.maintenance");
+    }
+    return status;
+  }
 };
 
 SeriesStore::SeriesStore(StoreOptions options)
@@ -277,54 +392,7 @@ const StoreOptions& SeriesStore::options() const { return impl_->options; }
 
 Status SeriesStore::Write(const std::string& metric_name, const TagSet& tags,
                           EpochSeconds timestamp, double value) {
-  std::shared_ptr<SeriesEntry> e = impl_->GetOrCreate(metric_name, tags);
-  bool schedule = false;
-  {
-    std::lock_guard<std::mutex> lock(impl_->StripeFor(*e));
-    EXPLAINIT_RETURN_IF_ERROR(e->head.Append(timestamp, value));
-    if (impl_->ShouldSeal(e->head)) {
-      if (impl_->options.background_seal) {
-        if (!e->maintenance_scheduled) {
-          e->maintenance_scheduled = true;
-          schedule = true;
-        }
-      } else {
-        EXPLAINIT_RETURN_IF_ERROR(impl_->SealLocked(*e));
-      }
-    }
-  }
-  impl_->total_points.fetch_add(1, std::memory_order_relaxed);
-  // High-water timestamp (fetch-max): the retention cutoff reference.
-  int64_t seen = impl_->max_timestamp.load(std::memory_order_relaxed);
-  while (timestamp > seen &&
-         !impl_->max_timestamp.compare_exchange_weak(
-             seen, timestamp, std::memory_order_relaxed)) {
-  }
-  if (impl_->has_observer.load(std::memory_order_acquire)) {
-    // Invoked under the shared lock so SetWriteObserver (unique lock)
-    // doubles as a quiescence barrier: once it returns, no thread is
-    // still inside the old observer.
-    std::shared_lock<std::shared_mutex> lock(impl_->observer_mutex);
-    if (impl_->observer && *impl_->observer) {
-      (*impl_->observer)(e->meta, timestamp, value);
-    }
-  }
-  if (schedule) {
-    Impl* impl = impl_.get();
-    impl->maintenance_group->Submit(
-        [impl, e = std::move(e)] { impl->Maintain(e); }, "tsdb.maintenance");
-  }
-  // Periodic store-wide retention sweep: series that stopped receiving
-  // writes never hit Maintain, so their expired segments are swept here.
-  if (impl_->options.retention_seconds > 0 && impl_->maintenance_group &&
-      impl_->writes_since_sweep.fetch_add(1, std::memory_order_relaxed) + 1 >=
-          Impl::kRetentionSweepInterval) {
-    impl_->writes_since_sweep.store(0, std::memory_order_relaxed);
-    Impl* impl = impl_.get();
-    impl->maintenance_group->Submit([impl] { impl->SweepRetention(); },
-                                    "tsdb.maintenance");
-  }
-  return Status::OK();
+  return impl_->AppendRun(metric_name, tags, &timestamp, &value, 1);
 }
 
 void SeriesStore::SetWriteObserver(WriteObserver observer) {
@@ -346,11 +414,9 @@ Status SeriesStore::WriteSeries(const std::string& metric_name,
   if (timestamps.size() != values.size()) {
     return Status::InvalidArgument("timestamps/values size mismatch");
   }
-  for (size_t i = 0; i < timestamps.size(); ++i) {
-    EXPLAINIT_RETURN_IF_ERROR(Write(metric_name, tags, timestamps[i],
-                                    values[i]));
-  }
-  return Status::OK();
+  if (timestamps.empty()) return Status::OK();
+  return impl_->AppendRun(metric_name, tags, timestamps.data(), values.data(),
+                          timestamps.size());
 }
 
 size_t SeriesStore::num_series() const {
@@ -872,7 +938,7 @@ Status SeriesStore::LoadSnapshot(const std::string& path) {
   std::memcpy(&count, buf.data() + offset, sizeof(count));
   offset += sizeof(count);
 
-  std::unordered_map<std::string, std::shared_ptr<SeriesEntry>> by_key;
+  decltype(impl_->by_key) by_key;
   std::vector<std::shared_ptr<SeriesEntry>> order;
   size_t points = 0;
   for (uint64_t i = 0; i < count; ++i) {
@@ -918,10 +984,15 @@ Status SeriesStore::LoadSnapshot(const std::string& path) {
       points += block.num_points();
       if (block.num_points() > 0) e->head.Restore(std::move(block));
     }
-    const std::string key = SeriesKey(e->meta.metric_name, e->meta.tags);
-    e->stripe = std::hash<std::string>{}(key) % Impl::kStripeCount;
-    order.push_back(e);
-    by_key[key] = std::move(e);
+    const SeriesIdentity id{&e->meta.metric_name, &e->meta.tags};
+    if (!by_key.emplace(id, e).second) {
+      // Two entries for one series would both count and scan while
+      // writes reached only one of them.
+      return Status::ParseError("snapshot repeats series " +
+                                e->meta.ToString());
+    }
+    e->stripe = SeriesIdentityHash{}(id) % Impl::kStripeCount;
+    order.push_back(std::move(e));
   }
   std::unique_lock<std::shared_mutex> lock(impl_->map_mutex);
   impl_->by_key = std::move(by_key);

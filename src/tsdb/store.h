@@ -234,7 +234,14 @@ class SeriesStore {
   Status Write(const std::string& metric_name, const TagSet& tags,
                EpochSeconds timestamp, double value);
 
-  /// Bulk append of an aligned vector of points for one series.
+  /// Bulk append of an aligned vector of points for one series: the
+  /// same store contents, seals and compactions as a loop of Write, but
+  /// the series is resolved once and the run appended under one lock
+  /// hold. Points are appended in order up to the first rejected one
+  /// (a timestamp below its predecessor): the points before it stay
+  /// written and its error is returned. Mismatched vector sizes write
+  /// nothing. The write observer sees every appended point, in order,
+  /// once the run is in the store.
   Status WriteSeries(const std::string& metric_name, const TagSet& tags,
                      const std::vector<EpochSeconds>& timestamps,
                      const std::vector<double>& values);
@@ -249,8 +256,9 @@ class SeriesStore {
   /// rollups built. The lifecycle hook tests and benches use.
   Status Flush();
 
-  /// Observer invoked synchronously after every accepted Write, outside
-  /// the series' stripe lock — the monitor subsystem's head tap for the
+  /// Observer invoked synchronously for every accepted point (after a
+  /// Write, or for each point of a WriteSeries run), outside the
+  /// series' stripe lock — the monitor subsystem's head tap for the
   /// online anomaly detector. Must be cheap and thread-safe (called
   /// concurrently from writer threads), and must not call back into
   /// SetWriteObserver. An empty function clears it; SetWriteObserver

@@ -30,8 +30,9 @@ class TagSet {
   bool empty() const { return tags_.empty(); }
   const std::map<std::string, std::string>& entries() const { return tags_; }
 
-  /// Canonical encoding "k1=v1,k2=v2" (keys sorted); used as a hash key for
-  /// series identity.
+  /// Canonical display encoding "k1=v1,k2=v2" (keys sorted). Separators
+  /// are not escaped, so distinct tag sets can encode alike: compare
+  /// TagSets, not encodings, for identity.
   std::string Encode() const;
 
   /// True when every key in `filter` is present with a glob-matching value

@@ -72,6 +72,118 @@ TEST(BitStreamTest, ReadPastEndFails) {
   EXPECT_FALSE(r.ReadBit().ok());
 }
 
+// The bit-at-a-time writer BitWriter replaced, kept as the reference
+// the byte-chunked one must match byte for byte.
+class ReferenceBitWriter {
+ public:
+  void WriteBits(uint64_t value, int bits) {
+    for (int i = bits - 1; i >= 0; --i) {
+      const bool bit = (value >> i) & 1;
+      const size_t byte_idx = bit_count_ / 8;
+      if (byte_idx >= bytes_.size()) bytes_.push_back(0);
+      if (bit) {
+        bytes_[byte_idx] |= static_cast<uint8_t>(1u << (7 - bit_count_ % 8));
+      }
+      ++bit_count_;
+    }
+  }
+  void Restore(std::vector<uint8_t> bytes, size_t bit_count) {
+    bytes_ = std::move(bytes);
+    bit_count_ = bit_count;
+  }
+  size_t bit_count() const { return bit_count_; }
+  const std::vector<uint8_t>& bytes() const { return bytes_; }
+
+ private:
+  std::vector<uint8_t> bytes_;
+  size_t bit_count_ = 0;
+};
+
+TEST(BitStreamTest, WriterMatchesTheBitAtATimeReference) {
+  // Widths 0..64 with values that carry set bits above the width (the
+  // writer keeps only the low `width`), from every starting bit offset.
+  Rng rng(23);
+  for (int offset = 0; offset < 8; ++offset) {
+    BitWriter w;
+    ReferenceBitWriter ref;
+    const uint64_t lead = rng.Next();
+    w.WriteBits(lead, offset);
+    ref.WriteBits(lead, offset);
+    ASSERT_EQ(w.bit_count(), static_cast<size_t>(offset));
+    ASSERT_EQ(w.bytes(), ref.bytes());
+    for (int i = 0; i < 3000; ++i) {
+      const int width = static_cast<int>(rng.UniformInt(65));
+      const uint64_t value = rng.Next() | (width < 64 ? ~uint64_t{0} << width
+                                                      : uint64_t{0});
+      w.WriteBits(value, width);
+      ref.WriteBits(value, width);
+      ASSERT_EQ(w.bit_count(), ref.bit_count()) << offset << "/" << i;
+      ASSERT_EQ(w.bytes(), ref.bytes()) << offset << "/" << i;
+    }
+  }
+}
+
+TEST(BitStreamTest, RestoredWriterOrsIntoTrailingPayloadBytes) {
+  // A restored image may carry bytes past its bit count (a snapshot's
+  // payload length is only bounded below); both writers OR into them.
+  const std::vector<uint8_t> image = {0xA5, 0x80, 0x0F, 0x00};
+  for (size_t bits = 9; bits <= 16; ++bits) {
+    BitWriter w;
+    ReferenceBitWriter ref;
+    w.Restore(image, bits);
+    ref.Restore(image, bits);
+    for (const auto& [value, width] :
+         std::vector<std::pair<uint64_t, int>>{{0x5A, 7}, {~0ull, 33}}) {
+      w.WriteBits(value, width);
+      ref.WriteBits(value, width);
+    }
+    EXPECT_EQ(w.bit_count(), ref.bit_count());
+    EXPECT_EQ(w.bytes(), ref.bytes()) << bits;
+  }
+}
+
+TEST(CompressedBlockTest, SerializedImageIsPinned) {
+  // One block covering every encoder branch: the first point's 128
+  // bits; delta-of-delta 0, the 7/9/12-bit buckets (one negative) and
+  // the 64-bit escape both ways; XOR zero, window reuse (one with the
+  // 5-bit leading-zero field capped at 31) and new windows. The image is
+  // the snapshot format's block payload, so an encoder change that moves
+  // one bit fails here.
+  const double ulp_off = std::bit_cast<double>(
+      std::bit_cast<uint64_t>(4.5) ^ uint64_t{1});
+  const EpochSeconds ts[] = {1000,   1060,   1120,   1380,  3640,
+                             105900, 105960, 106020, 106079};
+  const double vs[] = {1.0, 1.0, 2.0, 4.0, 4.5, ulp_off, ulp_off, 4.5, -4.5};
+  CompressedBlock block;
+  for (size_t i = 0; i < std::size(ts); ++i) {
+    ASSERT_TRUE(block.Append(ts[i], vs[i]).ok());
+  }
+  const std::vector<uint8_t> golden = {
+      0x09, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xe8, 0x03, 0x00,
+      0x00, 0x00, 0x00, 0x00, 0x00, 0x5f, 0x9e, 0x01, 0x00, 0x00, 0x00,
+      0x00, 0x00, 0x3b, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+      0x00, 0x00, 0x00, 0x00, 0x00, 0x12, 0xc0, 0x00, 0x00, 0x00, 0x00,
+      0x3f, 0x00, 0x00, 0x00, 0xcc, 0x01, 0x00, 0x00, 0x00, 0x00, 0x00,
+      0x00, 0x3a, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+      0x00, 0x00, 0x00, 0x00, 0x03, 0xe8, 0x3f, 0xf0, 0x00, 0x00, 0x00,
+      0x00, 0x00, 0x00, 0xbd, 0x98, 0x4a, 0xff, 0xfb, 0x8f, 0x00, 0x1e,
+      0xfc, 0xfd, 0xc0, 0x7c, 0x00, 0x00, 0x00, 0x00, 0x00, 0x06, 0x1a,
+      0x83, 0xfc, 0x00, 0x00, 0x00, 0x00, 0x1f, 0xff, 0xff, 0xff, 0xff,
+      0xff, 0xfe, 0x70, 0xc8, 0x20, 0x00, 0x00, 0x00, 0x0c, 0xfb, 0x00,
+      0x10};
+  std::vector<uint8_t> image;
+  block.Serialize(&image);
+  EXPECT_EQ(image, golden);
+  auto points = DecodeAll(block);
+  ASSERT_TRUE(points.ok());
+  ASSERT_EQ(points->size(), std::size(ts));
+  for (size_t i = 0; i < std::size(ts); ++i) {
+    EXPECT_EQ((*points)[i].first, ts[i]);
+    EXPECT_EQ(std::bit_cast<uint64_t>((*points)[i].second),
+              std::bit_cast<uint64_t>(vs[i]));
+  }
+}
+
 TEST(CompressedBlockTest, SinglePoint) {
   CompressedBlock block;
   ASSERT_TRUE(block.Append(1000, 3.25).ok());

@@ -137,5 +137,71 @@ TEST(ConcurrencyTest, ConcurrentFlushAndWritesDontLosePoints) {
   EXPECT_EQ((*res)[0].timestamps.size(), 1000u);
 }
 
+TEST(ConcurrencyTest, BackgroundSealedWriteSeriesBesideScans) {
+  // One long WriteSeries run holds its stripe lock while it appends and
+  // drops it at every seal threshold; scans of the other series (128 of
+  // them, so every stripe holds some) and of the run's own series proceed
+  // beside it and always see a prefix.
+  StoreOptions opts;
+  opts.seal_max_points = 512;
+  opts.seal_max_bytes = 1 << 20;
+  opts.background_seal = true;
+  opts.compact_min_segments = 8;
+  SeriesStore store(opts);
+  constexpr size_t kOthers = 128;
+  constexpr int64_t kOtherPoints = 50;
+  for (size_t i = 0; i < kOthers; ++i) {
+    const TagSet tags{{"id", std::to_string(i)}};
+    for (int64_t t = 0; t < kOtherPoints; ++t) {
+      ASSERT_TRUE(store.Write("other", tags, t, static_cast<double>(t)).ok());
+    }
+  }
+  constexpr int64_t kRun = 100000;
+  std::vector<EpochSeconds> ts(kRun);
+  std::vector<double> vs(kRun);
+  for (int64_t t = 0; t < kRun; ++t) {
+    ts[t] = t;
+    vs[t] = static_cast<double>(t);
+  }
+
+  std::atomic<bool> done{false};
+  std::atomic<size_t> scans{0};
+  std::vector<std::thread> readers;
+  for (size_t r = 0; r < 2; ++r) {
+    readers.emplace_back([&, r] {
+      ScanRequest req;
+      req.metric_glob = r == 0 ? "other" : "bulk";
+      do {
+        auto res = store.Scan(req);
+        ASSERT_TRUE(res.ok());
+        if (r == 0) {
+          ASSERT_EQ(res->size(), kOthers);
+          for (const SeriesData& s : *res) {
+            ASSERT_EQ(s.timestamps.size(), static_cast<size_t>(kOtherPoints));
+          }
+        }
+        for (const SeriesData& s : *res) CheckSeries(s);
+        scans.fetch_add(1, std::memory_order_relaxed);
+      } while (!done.load(std::memory_order_acquire));
+    });
+  }
+  const Status st = store.WriteSeries("bulk", TagSet{}, ts, vs);
+  done.store(true, std::memory_order_release);
+  for (std::thread& t : readers) t.join();
+  ASSERT_TRUE(st.ok()) << st.ToString();
+  EXPECT_GE(scans.load(), 2u);
+
+  ASSERT_TRUE(store.Flush().ok());
+  EXPECT_EQ(store.num_points(), kOthers * kOtherPoints + kRun);
+  ScanRequest req;
+  req.metric_glob = "bulk";
+  auto res = store.Scan(req);
+  ASSERT_TRUE(res.ok());
+  ASSERT_EQ(res->size(), 1u);
+  ASSERT_EQ((*res)[0].timestamps.size(), static_cast<size_t>(kRun));
+  CheckSeries((*res)[0]);
+  EXPECT_GT(store.storage_stats().seals, 1u);
+}
+
 }  // namespace
 }  // namespace explainit::tsdb

@@ -158,6 +158,143 @@ TEST(StoreTest, WriteSeriesBulk) {
   EXPECT_FALSE(store.WriteSeries("m", TagSet{}, ts, {1.0}).ok());
 }
 
+// value == f(timestamp), irregular steps so every delta-of-delta bucket
+// and XOR shape is written.
+void MakeRun(size_t n, std::vector<EpochSeconds>* ts, std::vector<double>* vs) {
+  EpochSeconds t = 0;
+  for (size_t i = 0; i < n; ++i) {
+    t += 60 + static_cast<EpochSeconds>((i * 7919) % 97);
+    ts->push_back(t);
+    vs->push_back(std::sin(static_cast<double>(i) * 0.01) * 100.0 +
+                  static_cast<double>(i % 13));
+  }
+}
+
+TEST(StoreTest, WriteSeriesEqualsAWriteLoop) {
+  StoreOptions opts;
+  opts.seal_max_points = 4096;
+  opts.background_seal = false;
+  std::vector<EpochSeconds> ts;
+  std::vector<double> vs;
+  MakeRun(10000, &ts, &vs);
+  const TagSet tags{{"host", "h1"}};
+  SeriesStore bulk(opts), loop(opts);
+  ASSERT_TRUE(bulk.WriteSeries("cpu", tags, ts, vs).ok());
+  for (size_t i = 0; i < ts.size(); ++i) {
+    ASSERT_TRUE(loop.Write("cpu", tags, ts[i], vs[i]).ok());
+  }
+  EXPECT_EQ(bulk.num_series(), 1u);
+  EXPECT_EQ(bulk.num_points(), loop.num_points());
+  EXPECT_EQ(bulk.compressed_bytes(), loop.compressed_bytes());
+  const StorageStats a = bulk.storage_stats();
+  const StorageStats b = loop.storage_stats();
+  EXPECT_EQ(a.seals, 2u);  // two full 4,096-point heads
+  EXPECT_EQ(a.seals, b.seals);
+  EXPECT_EQ(a.sealed_segments, b.sealed_segments);
+  EXPECT_EQ(a.compactions, b.compactions);
+  EXPECT_EQ(a.head_points, b.head_points);
+  EXPECT_EQ(a.sealed_points, b.sealed_points);
+  for (const TimeRange range : {TimeRange{}, TimeRange{ts[4000], ts[8200]}}) {
+    ScanRequest req;
+    req.range = range;
+    auto x = bulk.Scan(req);
+    auto y = loop.Scan(req);
+    ASSERT_TRUE(x.ok() && y.ok());
+    ASSERT_EQ(x->size(), 1u);
+    ASSERT_EQ(y->size(), 1u);
+    EXPECT_EQ((*x)[0].timestamps, (*y)[0].timestamps);
+    EXPECT_EQ((*x)[0].values, (*y)[0].values);
+  }
+}
+
+TEST(StoreTest, WriteSeriesKeepsThePointsBeforeARejectedOne) {
+  for (const bool inline_seal : {true, false}) {
+    StoreOptions opts;
+    opts.seal_max_points = 16;
+    opts.background_seal = !inline_seal;
+    SeriesStore store(opts);
+    std::vector<EpochSeconds> ts;
+    std::vector<double> vs;
+    MakeRun(100, &ts, &vs);
+    const size_t k = 37;
+    ts[k] = ts[k - 1] - 1;  // the first timestamp below its predecessor
+    const Status st = store.WriteSeries("m", TagSet{{"k", "v"}}, ts, vs);
+    EXPECT_TRUE(st.IsInvalidArgument()) << st.ToString();
+    EXPECT_EQ(store.num_points(), k);
+    ASSERT_TRUE(store.Flush().ok());
+    auto res = store.Scan(ScanRequest{});
+    ASSERT_TRUE(res.ok());
+    ASSERT_EQ(res->size(), 1u);
+    EXPECT_EQ((*res)[0].timestamps,
+              std::vector<EpochSeconds>(ts.begin(), ts.begin() + k));
+    EXPECT_EQ(store.storage_stats().sealed_points, k);
+    // The series keeps taking writes after its last accepted point.
+    ASSERT_TRUE(store.Write("m", TagSet{{"k", "v"}}, ts[k - 1], 1.0).ok());
+    EXPECT_EQ(store.num_points(), k + 1);
+  }
+}
+
+TEST(StoreTest, WriteSeriesFeedsTheObserverEveryPointInOrder) {
+  StoreOptions opts;
+  opts.seal_max_points = 64;
+  opts.background_seal = false;
+  SeriesStore store(opts);
+  std::vector<std::pair<EpochSeconds, double>> seen;
+  std::string series;
+  store.SetWriteObserver(
+      [&](const SeriesMeta& meta, EpochSeconds t, double v) {
+        series = meta.ToString();
+        seen.emplace_back(t, v);
+      });
+  std::vector<EpochSeconds> ts;
+  std::vector<double> vs;
+  MakeRun(300, &ts, &vs);
+  ASSERT_TRUE(store.WriteSeries("m", TagSet{{"a", "b"}}, ts, vs).ok());
+  ts.push_back(ts.back() - 5);  // rejected: the observer never sees it
+  vs.push_back(0.0);
+  EXPECT_FALSE(store.WriteSeries("m", TagSet{{"a", "b"}}, {ts.back()},
+                                 {vs.back()})
+                   .ok());
+  store.SetWriteObserver(nullptr);
+  EXPECT_EQ(series, "m{a=b}");
+  ASSERT_EQ(seen.size(), 300u);
+  for (size_t i = 0; i < seen.size(); ++i) {
+    EXPECT_EQ(seen[i].first, ts[i]);
+    EXPECT_EQ(seen[i].second, vs[i]);
+  }
+}
+
+TEST(StoreTest, AmbiguousTagSetsAreTwoSeries) {
+  // Both tag sets render as "a=1,b=2", but they are different series.
+  const TagSet joined{{"a", "1,b=2"}};
+  const TagSet split{{"a", "1"}, {"b", "2"}};
+  ASSERT_EQ(joined.Encode(), split.Encode());
+  SeriesStore store;
+  ASSERT_TRUE(store.Write("m", joined, 0, 1.0).ok());
+  ASSERT_TRUE(store.Write("m", split, 0, 2.0).ok());
+  ASSERT_TRUE(store.WriteSeries("m", joined, {60, 120}, {3.0, 4.0}).ok());
+  EXPECT_EQ(store.num_series(), 2u);
+
+  const std::string path = ::testing::TempDir() + "/ambiguous_tags.bin";
+  ASSERT_TRUE(store.SaveSnapshot(path).ok());
+  SeriesStore loaded;
+  const Status st = loaded.LoadSnapshot(path);
+  ASSERT_TRUE(st.ok()) << st.ToString();
+  ASSERT_TRUE(loaded.Write("m", split, 60, 5.0).ok());
+  EXPECT_EQ(loaded.num_series(), 2u);
+  for (const auto& [tags, values] :
+       {std::pair{joined, std::vector<double>{1.0, 3.0, 4.0}},
+        std::pair{split, std::vector<double>{2.0, 5.0}}}) {
+    ScanRequest req;
+    req.tag_filter = tags;
+    auto res = loaded.Scan(req);
+    ASSERT_TRUE(res.ok());
+    ASSERT_EQ(res->size(), 1u);  // tag filters match per key
+    EXPECT_EQ((*res)[0].meta.tags, tags);
+    EXPECT_EQ((*res)[0].values, values);
+  }
+}
+
 }  // namespace
 }  // namespace explainit::tsdb
 
@@ -542,6 +679,55 @@ TEST(SnapshotTest, CorruptV3LengthFieldsAreParseErrors) {
     EXPECT_TRUE(st.IsParseError()) << "offset " << offset << ": "
                                    << st.ToString();
   }
+}
+
+TEST(SnapshotTest, RejectsARepeatedSeries) {
+  // A hand-built v3 file naming one series twice would load both copies:
+  // counted and scanned twice while writes reach only one.
+  CompressedBlock block;
+  ASSERT_TRUE(block.Append(0, 1.0).ok());
+  ASSERT_TRUE(block.Append(60, 2.0).ok());
+  std::vector<uint8_t> buf;
+  auto put_u64 = [&buf](uint64_t n) {
+    const size_t at = buf.size();
+    buf.resize(at + sizeof(n));
+    std::memcpy(buf.data() + at, &n, sizeof(n));
+  };
+  auto put_string = [&](const std::string& s) {
+    put_u64(s.size());
+    buf.insert(buf.end(), s.begin(), s.end());
+  };
+  auto put_series = [&](const std::string& host) {
+    put_string("m");
+    put_u64(1);  // tag pairs
+    put_string("host");
+    put_string(host);
+    put_u64(0);  // sealed segments
+    block.Serialize(&buf);
+  };
+  const uint32_t magic = 0x33545845;  // "EXT3"
+  buf.resize(sizeof(magic));
+  std::memcpy(buf.data(), &magic, sizeof(magic));
+  put_u64(3);
+  put_series("a");
+  put_series("b");
+  const size_t two_series = buf.size();
+  put_series("a");
+
+  // The first two series alone are a valid snapshot.
+  std::vector<uint8_t> valid(buf.begin(), buf.begin() + two_series);
+  PokeU64(&valid, sizeof(magic), 2);
+  const std::string path = ::testing::TempDir() + "/repeated_series.bin";
+  WriteBytes(path, valid, valid.size());
+  SeriesStore store;
+  ASSERT_TRUE(store.LoadSnapshot(path).ok());
+  EXPECT_EQ(store.num_series(), 2u);
+  EXPECT_EQ(store.num_points(), 4u);
+
+  const Status st = LoadBytes(buf, buf.size());
+  EXPECT_TRUE(st.IsParseError()) << st.ToString();
+  EXPECT_NE(st.ToString().find("m{host=a}"), std::string::npos)
+      << st.ToString();
 }
 
 TEST(SnapshotTest, CorruptV2LengthFieldsAreParseErrors) {
