@@ -131,8 +131,10 @@ if [[ "${STAGE}" == "tsan" || "${STAGE}" == "all" ]]; then
   # worker pool itself, the tiered store's write/scan/seal concurrency,
   # the monitor scheduler/write-tap/shared-scan paths, Session vs
   # EXPLAIN parity at parallelism 4 through the shared family builder,
-  # and the engine and pipeline suites, which run Session and EXPLAIN at
-  # the engine's default parallelism (hardware concurrency).
+  # the engine and pipeline suites, which run Session and EXPLAIN at
+  # the engine's default parallelism (hardware concurrency), and the
+  # table and family-builder suites, whose dictionaries and code arrays
+  # are shared read-only across shards.
   # (ASan and TSan cannot share a build tree.)
   echo "=== configure: ${ROOT}/build-tsan (ThreadSanitizer) ==="
   cmake -B "${ROOT}/build-tsan" -S "${ROOT}" \
@@ -142,7 +144,7 @@ if [[ "${STAGE}" == "tsan" || "${STAGE}" == "all" ]]; then
   cmake --build "${ROOT}/build-tsan" -j "${JOBS}"
   echo "=== ctest (tsan): operator, differential and worker-pool suites ==="
   ctest --test-dir "${ROOT}/build-tsan" --output-on-failure -j "${JOBS}" \
-    -R 'operators_test|differential_test|executor_test|planner_test|logical_plan_test|optimizer_test|fuzz_roundtrip_test|worker_pool_test|explain_e2e_test|server_test|concurrency_test|store_test|tiered_store_test|ranking_test|ridge_test|anomaly_test|monitor_test|monitor_stress_test|engine_test|pipeline_test'
+    -R 'operators_test|differential_test|executor_test|planner_test|logical_plan_test|optimizer_test|fuzz_roundtrip_test|worker_pool_test|explain_e2e_test|server_test|concurrency_test|store_test|tiered_store_test|ranking_test|ridge_test|anomaly_test|monitor_test|monitor_stress_test|engine_test|pipeline_test|table_test|feature_family_test'
 fi
 
 echo "=== checks passed (${STAGE}) ==="

@@ -26,15 +26,21 @@ struct ColumnRoles {
   size_t name;  // kNone: every row belongs to the default family
 };
 
-/// One feature cell of a row: its key and its value.
-using Cell = std::pair<const std::string*, const table::Value*>;
+/// One feature cell of a row: its key, its value, and its column when
+/// the column itself is the feature (kNone for a MAP column's entry).
+struct Cell {
+  const std::string* key;
+  const table::Value* value;
+  size_t column;
+};
 
 /// First column other than `skip` whose first non-null cell has `type`.
 std::optional<size_t> FirstColumnOfType(const table::Table& t,
                                         table::DataType type, size_t skip) {
   for (size_t c = 0; c < t.num_columns(); ++c) {
     if (c == skip) continue;
-    for (const table::Value& v : t.column(c)) {
+    for (size_t r = 0; r < t.num_rows(); ++r) {
+      const table::Value& v = t.At(r, c);
       if (v.is_null()) continue;
       if (v.type() == type) return c;
       break;
@@ -59,15 +65,23 @@ Result<ColumnRoles> LocateColumns(const table::Table& t) {
   return ColumnRoles{*ts, name.value_or(kNone)};
 }
 
-/// Row r's family: its name cell as text, else `fallback`. `scratch`
-/// holds the text of a non-string name.
+/// The family a name cell names: its text, else `fallback` when it is
+/// NULL (or there is no name column). `scratch` holds the text of a
+/// non-string name.
+const std::string& FamilyName(const table::Value* name,
+                              const std::string& fallback,
+                              std::string* scratch) {
+  if (name == nullptr || name->is_null()) return fallback;
+  if (const std::string* s = name->TryString()) return *s;
+  return *scratch = name->AsString();
+}
+
+/// Row r's family (see FamilyName).
 const std::string& FamilyOf(const table::Table& t, const ColumnRoles& roles,
                             size_t r, const std::string& fallback,
                             std::string* scratch) {
-  if (roles.name == kNone || t.At(r, roles.name).is_null()) return fallback;
-  const table::Value& v = t.At(r, roles.name);
-  if (const std::string* s = v.TryString()) return *s;
-  return *scratch = v.AsString();
+  return FamilyName(roles.name == kNone ? nullptr : &t.At(r, roles.name),
+                    fallback, scratch);
 }
 
 /// Row r's feature cells in column order: a MAP cell contributes its
@@ -79,9 +93,9 @@ void RowCells(const table::Table& t, const ColumnRoles& roles, size_t r,
     if (c == roles.ts || c == roles.name) continue;
     const table::Value& v = t.At(r, c);
     if (const table::ValueMap* m = v.AsMap()) {
-      for (const auto& [key, mv] : *m) cells->emplace_back(&key, &mv);
+      for (const auto& [key, mv] : *m) cells->push_back(Cell{&key, &mv, kNone});
     } else {
-      cells->emplace_back(&t.schema().field(c).name, &v);
+      cells->push_back(Cell{&t.schema().field(c).name, &v, c});
     }
   }
 }
@@ -116,7 +130,8 @@ Result<std::vector<FeatureFamily>> FamiliesFromTable(
     const table::Table& rows, const std::string& default_family) {
   EXPLAINIT_ASSIGN_OR_RETURN(const ColumnRoles roles, LocateColumns(rows));
   std::vector<EpochSeconds> grid;
-  for (const table::Value& v : rows.column(roles.ts)) {
+  for (size_t r = 0; r < rows.num_rows(); ++r) {
+    const table::Value& v = rows.At(r, roles.ts);
     if (!v.is_null()) grid.push_back(v.AsTimestamp());
   }
   SortUnique(&grid);
@@ -124,24 +139,48 @@ Result<std::vector<FeatureFamily>> FamiliesFromTable(
   struct Builder {
     FeatureFamily family;  // name and feature names so far
     std::unordered_map<std::string, size_t> feature_index;
+    /// Per table column: the feature slot it fills (kNone: not yet seen).
+    std::vector<size_t> column_slot;
     std::vector<std::vector<double>> columns;  // NaN = no cell yet
   };
   std::vector<Builder> builders;
   std::unordered_map<std::string, size_t> builder_of;
+  // A dictionary-coded name column resolves each code to its builder on
+  // the code's first row, by value (a dictionary may repeat a name).
+  const table::Column* names =
+      roles.name == kNone ? nullptr : &rows.column(roles.name);
+  const bool coded = names != nullptr && names->is_dictionary();
+  std::vector<size_t> builder_of_code(
+      coded ? names->dictionary()->size() : 0, kNone);
   std::vector<Cell> cells;
   std::string scratch;
   const auto by_key = [](const Cell& a, const Cell& b) {
-    return *a.first < *b.first;
+    return *a.key < *b.key;
+  };
+  const auto resolve = [&](const std::string& family) {
+    const auto [it, added] = builder_of.try_emplace(family, builders.size());
+    if (added) {
+      Builder& b = builders.emplace_back();
+      b.family.name = family;
+      b.column_slot.assign(rows.num_columns(), kNone);
+    }
+    return it->second;
   };
   for (size_t r = 0; r < rows.num_rows(); ++r) {
     const table::Value& ts = rows.At(r, roles.ts);
     if (ts.is_null()) continue;
     const size_t g = GridRow(grid, ts.AsTimestamp());
-    const std::string& family =
-        FamilyOf(rows, roles, r, default_family, &scratch);
-    const auto [it, added] = builder_of.try_emplace(family, builders.size());
-    if (added) builders.emplace_back().family.name = family;
-    Builder& b = builders[it->second];
+    size_t bi = kNone;
+    if (coded) {
+      size_t& slot = builder_of_code[names->codes()[r]];
+      if (slot == kNone) {
+        slot = resolve(FamilyName(&(*names)[r], default_family, &scratch));
+      }
+      bi = slot;
+    } else {
+      bi = resolve(FamilyOf(rows, roles, r, default_family, &scratch));
+    }
+    Builder& b = builders[bi];
     // In key order, the last of equal keys winning (the sort is stable),
     // a row reads exactly as the ValueMap of its Figure 4 table row. Most
     // rows arrive in key order, so the allocating sort is usually skipped.
@@ -150,15 +189,23 @@ Result<std::vector<FeatureFamily>> FamiliesFromTable(
       std::stable_sort(cells.begin(), cells.end(), by_key);
     }
     for (size_t i = 0; i < cells.size(); ++i) {
-      const auto [key, value] = cells[i];
-      if (i + 1 < cells.size() && *cells[i + 1].first == *key) continue;
-      const auto [fit, fresh] =
-          b.feature_index.try_emplace(*key, b.columns.size());
-      if (fresh) {
-        b.family.feature_names.push_back(*key);
-        b.columns.emplace_back(grid.size(), kNaN);
+      const Cell& cell = cells[i];
+      if (i + 1 < cells.size() && *cells[i + 1].key == *cell.key) continue;
+      // A non-MAP column resolves to its slot once per builder.
+      size_t* cached =
+          cell.column != kNone ? &b.column_slot[cell.column] : nullptr;
+      size_t slot = cached != nullptr ? *cached : kNone;
+      if (slot == kNone) {
+        const auto [fit, fresh] =
+            b.feature_index.try_emplace(*cell.key, b.columns.size());
+        if (fresh) {
+          b.family.feature_names.push_back(*cell.key);
+          b.columns.emplace_back(grid.size(), kNaN);
+        }
+        slot = fit->second;
+        if (cached != nullptr) *cached = slot;
       }
-      if (!value->is_null()) b.columns[fit->second][g] = value->AsDouble();
+      if (!cell.value->is_null()) b.columns[slot][g] = cell.value->AsDouble();
     }
   }
   std::vector<FeatureFamily> out;
@@ -189,23 +236,53 @@ Result<table::Table> NormalizeToFeatureFamilyTable(
     const table::Table& query_result, const std::string& default_family) {
   EXPLAINIT_ASSIGN_OR_RETURN(const ColumnRoles roles,
                              LocateColumns(query_result));
-  table::Table out(table::Schema({{"ts", table::DataType::kTimestamp},
-                                  {"name", table::DataType::kString},
-                                  {"v", table::DataType::kMap}}));
-  std::vector<Cell> cells;
+  // A dictionary-coded name column stays coded: one family name per
+  // dictionary entry, over the kept rows' codes.
+  const table::Column* names =
+      roles.name == kNone ? nullptr : &query_result.column(roles.name);
+  const bool coded = names != nullptr && names->is_dictionary();
   std::string scratch;
+  auto family_names = std::make_shared<table::Dictionary>();
+  if (coded) {
+    for (const table::Value& name : *names->dictionary()) {
+      family_names->push_back(table::Value::String(
+          FamilyName(&name, default_family, &scratch)));
+    }
+  }
+  std::vector<table::Value> ts_cells;
+  std::vector<table::Value> name_cells;
+  auto codes = std::make_shared<table::CodeArray>();
+  std::vector<table::Value> v_cells;
+  std::vector<Cell> cells;
   for (size_t r = 0; r < query_result.num_rows(); ++r) {
     const table::Value& ts = query_result.At(r, roles.ts);
     if (ts.is_null()) continue;
     RowCells(query_result, roles, r, &cells);
     table::ValueMap v;
-    for (const auto& [key, value] : cells) v[*key] = *value;
-    out.AppendRow({table::Value::Timestamp(ts.AsTimestamp()),
-                   table::Value::String(FamilyOf(query_result, roles, r,
-                                                 default_family, &scratch)),
-                   table::Value::Map(std::move(v))});
+    for (const Cell& cell : cells) v[*cell.key] = *cell.value;
+    ts_cells.push_back(table::Value::Timestamp(ts.AsTimestamp()));
+    if (coded) {
+      codes->push_back(names->codes()[r]);
+    } else {
+      name_cells.push_back(table::Value::String(
+          FamilyOf(query_result, roles, r, default_family, &scratch)));
+    }
+    v_cells.push_back(table::Value::Map(std::move(v)));
   }
-  return out;
+  const size_t rows = ts_cells.size();
+  std::vector<table::Column> cols;
+  cols.emplace_back(std::move(ts_cells));
+  if (coded) {
+    cols.emplace_back(std::move(family_names), std::move(codes), 0, rows);
+  } else {
+    cols.emplace_back(std::move(name_cells));
+  }
+  cols.emplace_back(std::move(v_cells));
+  return table::Table::FromColumns(
+      table::Schema({{"ts", table::DataType::kTimestamp},
+                     {"name", table::DataType::kString},
+                     {"v", table::DataType::kMap}}),
+      std::move(cols));
 }
 
 FeatureFamily MergeFamilies(const std::vector<FeatureFamily>& families,

@@ -41,7 +41,9 @@ struct FeatureFamily {
 /// keys instead, and a later column wins a repeated key. Families and
 /// features keep first-seen order, all span the table's sorted distinct
 /// timestamps (the later row wins a repeated one), and missing cells take
-/// the nearest observation.
+/// the nearest observation. A dictionary-coded name column (a scan's
+/// series-coded metric_name, or a series-level CONCAT) resolves each
+/// code to its family on the code's first row, by value.
 Result<std::vector<FeatureFamily>> FamiliesFromTable(
     const table::Table& rows, const std::string& default_family = "family");
 
@@ -54,6 +56,7 @@ Result<FeatureFamily> FamilyFromRows(table::Table rows,
 
 /// Renders a query result as the Figure 4 table (ts, name, v MAP) under
 /// FamiliesFromTable's rules, which build the same families from either.
+/// A dictionary-coded name column comes out dictionary-coded.
 Result<table::Table> NormalizeToFeatureFamilyTable(
     const table::Table& query_result,
     const std::string& default_family = "family");

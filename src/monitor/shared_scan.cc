@@ -9,42 +9,6 @@ namespace {
 
 std::string SeriesKey(const tsdb::SeriesMeta& meta) { return meta.ToString(); }
 
-/// Replicates SeriesStore::ScanToTable's no-projection materialisation
-/// exactly (column order, cell construction, series-major row order) so
-/// the cached window is byte-identical to a fresh store scan.
-table::Table MaterialiseWindow(const std::vector<tsdb::SeriesData>& series) {
-  size_t total = 0;
-  for (const tsdb::SeriesData& s : series) total += s.timestamps.size();
-
-  table::Schema schema;
-  schema.AddField({"timestamp", table::DataType::kTimestamp});
-  schema.AddField({"metric_name", table::DataType::kString});
-  schema.AddField({"tag", table::DataType::kMap});
-  schema.AddField({"value", table::DataType::kDouble});
-
-  std::vector<std::vector<table::Value>> columns(4);
-  for (auto& col : columns) col.reserve(total);
-
-  for (const tsdb::SeriesData& s : series) {
-    const size_t n = s.timestamps.size();
-    if (n == 0) continue;  // fresh scans omit point-less series
-    for (size_t i = 0; i < n; ++i) {
-      columns[0].push_back(table::Value::Timestamp(s.timestamps[i]));
-    }
-    const table::Value name = table::Value::String(s.meta.metric_name);
-    columns[1].insert(columns[1].end(), n, name);
-    columns[2].insert(columns[2].end(), n, s.tags_value);
-    for (size_t i = 0; i < n; ++i) {
-      columns[3].push_back(table::Value::Double(s.values[i]));
-    }
-  }
-  auto result = table::Table::FromColumns(std::move(schema),
-                                          std::move(columns));
-  // FromColumns only fails on column-count/length mismatches, which the
-  // construction above rules out.
-  return std::move(result).value();
-}
-
 }  // namespace
 
 SharedWindowScan::SharedWindowScan(tsdb::SeriesStore* store,
@@ -161,7 +125,7 @@ Result<table::Table> SharedWindowScan::Get() {
     return Status::FailedPrecondition(
         "shared scan read before SetWindow positioned it");
   }
-  if (!table_.has_value()) table_ = MaterialiseWindow(series_);
+  if (!table_.has_value()) table_ = tsdb::SeriesTable(series_);
   ++stats_.consumer_reads;
   return *table_;
 }

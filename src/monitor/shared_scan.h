@@ -19,8 +19,9 @@
 // rescan (its older in-window points were never decoded).
 //
 // The materialised table is byte-identical to SeriesStore::ScanToTable
-// over the same window: same series order (store creation order), same
-// per-series point order, same cell construction.
+// over the same window: both build it with tsdb::SeriesTable from the
+// same series in the same order (store creation order), so the cached
+// window carries the same series-coded metric_name and tag columns.
 #pragma once
 
 #include <memory>

@@ -1,7 +1,9 @@
 #include "sql/evaluator.h"
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
+#include <unordered_set>
 
 #include "common/strings.h"
 
@@ -121,6 +123,7 @@ struct BoundNode {
     kUnary,
     kBinary,
     kInList,
+    kInSet,    // kInList whose items are all literals: `keys` holds them
     kBetween,
     kIsNull,
     kCase,
@@ -134,9 +137,80 @@ struct BoundNode {
   Value literal;
   Status error;
   const ScalarFn* fn = nullptr;  // kCall
+  /// kInSet: the AppendKey encodings of the list's non-NULL, non-NaN
+  /// items (the items `=` can match).
+  std::unique_ptr<const std::unordered_set<std::string>> keys;
+  /// Index of this node's SeriesMemo table when it is a candidate
+  /// sub-program (see BoundExpr::Candidate), else -1.
+  int memo = -1;
   /// Children in ast.h slot order (left, right, between bounds, CASE
   /// ELSE, args, IN list, CASE branches).
   std::vector<BoundNode> kids;
+};
+
+/// True when every one of `columns` (at least one) is a dictionary column
+/// of `in` and all of them share one code array.
+bool SharedCodes(const std::vector<size_t>& columns, const ColumnBatch& in) {
+  const uint32_t* codes = in.column(columns[0]).codes();
+  for (const size_t c : columns) {
+    const table::ColumnView& col = in.column(c);
+    if (!col.is_dictionary() || col.codes() != codes) return false;
+  }
+  return true;
+}
+
+/// One candidate sub-program's per-code entries in one SeriesMemo.
+struct MemoTable {
+  enum : uint8_t { kValue = 1, kError = 2, kKeyed = 4, kMatchable = 8 };
+  bool active = false;
+  const uint32_t* codes = nullptr;  // the prepared batch's codes
+  std::vector<std::shared_ptr<const table::Dictionary>> dicts;
+  std::vector<uint8_t> state;  // per code
+  std::vector<const Value*> values;
+  std::vector<Value> owned;
+  std::vector<std::string> keys;
+  std::unordered_map<uint32_t, Status> errors;
+
+  /// Activates the table for `in` when `columns` are series-level there,
+  /// clearing the entries when their dictionaries changed.
+  bool Prepare(const std::vector<size_t>& columns, const ColumnBatch& in) {
+    active = SharedCodes(columns, in);
+    if (!active) return false;
+    bool same_dicts = dicts.size() == columns.size();
+    for (size_t i = 0; i < columns.size() && same_dicts; ++i) {
+      same_dicts = dicts[i] == in.column(columns[i]).dictionary();
+    }
+    if (!same_dicts) {
+      dicts.clear();
+      for (const size_t c : columns) dicts.push_back(in.column(c).dictionary());
+      const size_t n = dicts[0]->size();
+      state.assign(n, 0);
+      values.assign(n, nullptr);
+      owned.clear();
+      owned.resize(n);
+      keys.clear();
+      errors.clear();
+    }
+    codes = in.column(columns[0]).codes();
+    return true;
+  }
+};
+
+/// One evaluation's inputs; `error` receives the failure of a null
+/// return. With `memo`, the candidate nodes it prepared read its tables.
+struct Frame {
+  const ColumnBatch* in;
+  const SlotReader* slots;
+  const Value* lifted;
+  Status* error;
+  SeriesMemo* memo;
+
+  /// `n`'s active table when it has one.
+  MemoTable* Table(const BoundNode& n) const {
+    if (n.memo < 0 || memo == nullptr) return nullptr;
+    MemoTable& t = memo->tables_[static_cast<size_t>(n.memo)];
+    return t.active ? &t : nullptr;
+  }
 };
 
 }  // namespace internal
@@ -144,6 +218,8 @@ struct BoundNode {
 namespace {
 
 using Node = internal::BoundNode;
+using internal::Frame;
+using internal::MemoTable;
 using Op = Node::Op;
 
 const Value kNull;
@@ -233,8 +309,25 @@ struct Binder {
         n.binary_op = e.binary_op;
         break;
       case ExprKind::kInList:
-        n.op = Op::kInList;
         n.negated = e.negated;
+        if (!lifted && !e.list.empty() &&
+            std::all_of(e.list.begin(), e.list.end(),
+                        [](const ExprPtr& i) {
+                          return i->kind == ExprKind::kLiteral;
+                        })) {
+          // Bound once: `subject = item` holds exactly when their key
+          // encodings match and both are matchable (non-NULL, non-NaN).
+          n.op = Op::kInSet;
+          auto keys = std::make_unique<std::unordered_set<std::string>>();
+          for (const ExprPtr& i : e.list) {
+            std::string key;
+            if (AppendKey(i->literal, &key)) keys->insert(std::move(key));
+          }
+          n.keys = std::move(keys);
+          n.kids.push_back(Bind(*e.left));
+          return n;
+        }
+        n.op = Op::kInList;
         break;
       case ExprKind::kBetween:
         n.op = Op::kBetween;
@@ -263,15 +356,6 @@ struct Binder {
   }
 };
 
-/// One evaluation's inputs; `error` receives the failure of a null
-/// return.
-struct Frame {
-  const ColumnBatch* in;
-  const SlotReader* slots;
-  const Value* lifted;
-  Status* error;
-};
-
 const Value* Fail(const Frame& f, Status s) {
   *f.error = std::move(s);
   return nullptr;
@@ -288,17 +372,44 @@ bool LagOffset(const Value& v, int64_t* out) {
   return true;
 }
 
+const Value* EvalOp(const Node& n, const Frame& f, size_t row, Value* s);
+
 /// Evaluates `n` at `row`: the result lives in `f.in`, the program, the
-/// lifted values, or `*s`; null on error. Children evaluate into their
-/// own locals, so a child's address never aliases `*s`.
+/// lifted values, a memo table, or `*s`; null on error. Children
+/// evaluate into their own locals, so a child's address never aliases
+/// `*s`. A node with an active memo table runs once per code: its
+/// result (or error) is kept at the code's first evaluation, and that
+/// result stays valid, living in the table, the program or a dictionary
+/// the table holds.
 const Value* EvalNode(const Node& n, const Frame& f, size_t row, Value* s) {
+  MemoTable* t = f.Table(n);
+  if (t == nullptr) return EvalOp(n, f, row, s);
+  const uint32_t c = t->codes[row];
+  if (t->state[c] & MemoTable::kValue) return t->values[c];
+  if (t->state[c] & MemoTable::kError) {
+    *f.error = t->errors.at(c);
+    return nullptr;
+  }
+  const Value* v = EvalOp(n, f, row, &t->owned[c]);
+  if (v == nullptr) {
+    t->errors[c] = *f.error;
+    t->state[c] = MemoTable::kError;
+    return nullptr;
+  }
+  t->values[c] = v;
+  t->state[c] = MemoTable::kValue;
+  return v;
+}
+
+/// `n`'s own operation (EvalNode without the memo).
+const Value* EvalOp(const Node& n, const Frame& f, size_t row, Value* s) {
   switch (n.op) {
     case Op::kError:
       return Fail(f, n.error);
     case Op::kLiteral:
       return &n.literal;
     case Op::kColumn:
-      return &f.in->column(n.index)[row];
+      return &f.in->At(row, n.index);
     case Op::kLifted:
       return &f.lifted[n.index];
     case Op::kSlot: {
@@ -449,6 +560,16 @@ const Value* EvalNode(const Node& n, const Frame& f, size_t row, Value* s) {
       }
       return Bool(n.negated ? !found : found);
     }
+    case Op::kInSet: {
+      Value t;
+      const Value* subject = EvalNode(n.kids[0], f, row, &t);
+      if (subject == nullptr) return nullptr;
+      if (subject->is_null()) return &kNull;
+      thread_local std::string key;
+      key.clear();
+      const bool found = AppendKey(*subject, &key) && n.keys->count(key) > 0;
+      return Bool(n.negated ? !found : found);
+    }
     case Op::kBetween: {
       Value a, b, c;
       const Value* subject = EvalNode(n.kids[0], f, row, &a);
@@ -490,34 +611,168 @@ BoundExpr::~BoundExpr() = default;
 BoundExpr::BoundExpr(BoundExpr&&) noexcept = default;
 BoundExpr& BoundExpr::operator=(BoundExpr&&) noexcept = default;
 
+namespace {
+
+/// Appends the columns `n` reads to `columns` and numbers its candidate
+/// sub-programs into `candidates` (children first); false when `n` reads
+/// another row (LAG) or group state (slots).
+template <typename Candidate>
+bool AssignCandidates(Node& n, std::vector<size_t>* columns,
+                      std::vector<Candidate>* candidates) {
+  if (n.op == Op::kColumn) {
+    columns->push_back(n.index);
+    return true;
+  }
+  std::vector<size_t> mine;
+  bool local = n.op != Op::kLag && n.op != Op::kSlot &&
+               n.op != Op::kEager && n.op != Op::kLifted;
+  for (Node& k : n.kids) local = AssignCandidates(k, &mine, candidates) && local;
+  std::sort(mine.begin(), mine.end());
+  mine.erase(std::unique(mine.begin(), mine.end()), mine.end());
+  if (local && !mine.empty()) {
+    n.memo = static_cast<int>(candidates->size());
+    candidates->push_back(Candidate{&n, mine});
+  }
+  columns->insert(columns->end(), mine.begin(), mine.end());
+  return local;
+}
+
+/// Activates the tables of the largest series-level candidates under
+/// `n`; true when `n` itself is one.
+template <typename Candidate>
+bool PrepareTables(const Node& n, const ColumnBatch& in,
+                   const std::vector<Candidate>& candidates,
+                   std::vector<MemoTable>* tables) {
+  if (n.memo >= 0) {
+    const size_t i = static_cast<size_t>(n.memo);
+    if ((*tables)[i].Prepare(candidates[i].columns, in)) return true;
+  }
+  for (const Node& k : n.kids) PrepareTables(k, in, candidates, tables);
+  return false;
+}
+
+}  // namespace
+
 BoundExpr::BoundExpr(const Expr& expr, const table::Schema& schema,
                      const FunctionRegistry* functions,
-                     const std::unordered_map<const Expr*, size_t>* slots)
-    : root_(std::make_unique<const Node>(
-          Binder{schema, functions, slots}.Bind(expr))) {}
-
-const Value* BoundExpr::Ref(const ColumnBatch& in, size_t row,
-                            Value* scratch, Status* error) const {
-  return EvalNode(*root_, Frame{&in, nullptr, nullptr, error}, row, scratch);
+                     const std::unordered_map<const Expr*, size_t>* slots) {
+  auto root =
+      std::make_unique<Node>(Binder{schema, functions, slots}.Bind(expr));
+  row_local_ = AssignCandidates(*root, &columns_, &candidates_);
+  if (root->op == Op::kColumn) {
+    // A bare column read is a candidate only as a whole program, where
+    // its memo caches key bytes and dictionary emission reads it.
+    root->memo = static_cast<int>(candidates_.size());
+    candidates_.push_back(Candidate{root.get(), {root->index}});
+  }
+  std::sort(columns_.begin(), columns_.end());
+  columns_.erase(std::unique(columns_.begin(), columns_.end()),
+                 columns_.end());
+  row_local_ = row_local_ && !columns_.empty();
+  root_ = std::move(root);
 }
 
 Result<Value> BoundExpr::Eval(const ColumnBatch& in, size_t row,
                               const SlotReader* slots) const {
   Status error;
   Value scratch;
-  const Value* v =
-      EvalNode(*root_, Frame{&in, slots, nullptr, &error}, row, &scratch);
+  const Value* v = EvalNode(
+      *root_, Frame{&in, slots, nullptr, &error, nullptr}, row, &scratch);
   if (v == nullptr) return error;
   if (v == &scratch) return scratch;
   return *v;
 }
 
-Result<bool> BoundExpr::Test(const ColumnBatch& in, size_t row) const {
+bool SeriesLevel(const BoundExpr& expr, const ColumnBatch& in) {
+  return expr.row_local() && internal::SharedCodes(expr.columns(), in);
+}
+
+SeriesMemo::SeriesMemo() = default;
+SeriesMemo::SeriesMemo(const BoundExpr* expr)
+    : expr_(expr),
+      tables_(expr != nullptr ? expr->candidates_.size() : 0) {}
+SeriesMemo::SeriesMemo(const SeriesMemo&) = default;
+SeriesMemo::SeriesMemo(SeriesMemo&&) noexcept = default;
+SeriesMemo& SeriesMemo::operator=(const SeriesMemo&) = default;
+SeriesMemo& SeriesMemo::operator=(SeriesMemo&&) noexcept = default;
+SeriesMemo::~SeriesMemo() = default;
+
+bool SeriesMemo::Prepare(const ColumnBatch& in) {
+  active_ = false;
+  if (tables_.empty()) return false;
+  for (MemoTable& t : tables_) t.active = false;
+  active_ = PrepareTables(*expr_->root_, in, expr_->candidates_, &tables_);
+  return active_;
+}
+
+const Value* SeriesMemo::Ref(const ColumnBatch& in, size_t row,
+                             Value* scratch, Status* error,
+                             const SlotReader* slots) {
+  return EvalNode(*expr_->root_, Frame{&in, slots, nullptr, error, this},
+                  row, scratch);
+}
+
+Result<Value> SeriesMemo::Eval(const ColumnBatch& in, size_t row,
+                               const SlotReader* slots) {
+  Status error;
+  Value scratch;
+  const Value* v = EvalNode(
+      *expr_->root_, Frame{&in, slots, nullptr, &error, this}, row, &scratch);
+  if (v == nullptr) return error;
+  if (v == &scratch) return scratch;
+  return *v;
+}
+
+Result<bool> SeriesMemo::Test(const ColumnBatch& in, size_t row) {
   Status error;
   Value scratch;
   const Value* v = Ref(in, row, &scratch, &error);
   if (v == nullptr) return error;
   return !v->is_null() && v->AsBool();
+}
+
+Result<bool> SeriesMemo::AppendKey(const ColumnBatch& in, size_t row,
+                                   std::string* key) {
+  Status error;
+  Value scratch;
+  if (!active_) {
+    const Value* v = Ref(in, row, &scratch, &error);
+    if (v == nullptr) return error;
+    return sql::AppendKey(*v, key);
+  }
+  MemoTable& t = tables_[static_cast<size_t>(expr_->root_->memo)];
+  const uint32_t c = t.codes[row];
+  if (!(t.state[c] & MemoTable::kKeyed)) {
+    const Value* v = Ref(in, row, &scratch, &error);
+    if (v == nullptr) return error;
+    if (t.keys.empty()) t.keys.resize(t.state.size());
+    if (sql::AppendKey(*v, &t.keys[c])) t.state[c] |= MemoTable::kMatchable;
+    t.state[c] |= MemoTable::kKeyed;
+  }
+  key->append(t.keys[c]);
+  return (t.state[c] & MemoTable::kMatchable) != 0;
+}
+
+uint32_t SeriesMemo::code(size_t row) const {
+  return tables_[static_cast<size_t>(expr_->root_->memo)].codes[row];
+}
+
+size_t SeriesMemo::num_codes() const {
+  return active_ ? tables_[static_cast<size_t>(expr_->root_->memo)]
+                       .state.size()
+                 : 0;
+}
+
+const Value* SeriesMemo::entry(uint32_t c) const {
+  const MemoTable& t = tables_[static_cast<size_t>(expr_->root_->memo)];
+  return t.state[c] & MemoTable::kValue ? t.values[c] : nullptr;
+}
+
+std::vector<SeriesMemo> MakeMemos(const std::vector<BoundExpr>& exprs) {
+  std::vector<SeriesMemo> memos;
+  memos.reserve(exprs.size());
+  for (const BoundExpr& e : exprs) memos.emplace_back(&e);
+  return memos;
 }
 
 Result<Value> Evaluator::Eval(const Expr& expr, size_t row) const {
@@ -526,12 +781,21 @@ Result<Value> Evaluator::Eval(const Expr& expr, size_t row) const {
                               " is past the input's " +
                               std::to_string(num_rows()) + " rows");
   }
-  const BoundExpr bound(expr, *schema_, functions_);
-  if (batch_ != nullptr) return bound.Eval(*batch_, row);
+  // One evaluation: bind the bare program, without numbering the
+  // candidate sub-programs a SeriesMemo would need.
+  const Node root = Binder{*schema_, functions_, nullptr}.Bind(expr);
   const ColumnBatch rows =
       table_ != nullptr ? ColumnBatch::View(*table_, 0, table_->num_rows())
                         : ColumnBatch(schema_, 0);
-  return bound.Eval(rows, row);
+  Status error;
+  Value scratch;
+  const Value* v =
+      EvalNode(root, Frame{batch_ != nullptr ? batch_ : &rows, nullptr,
+                           nullptr, &error, nullptr},
+               row, &scratch);
+  if (v == nullptr) return error;
+  if (v == &scratch) return scratch;
+  return *v;
 }
 
 }  // namespace explainit::sql

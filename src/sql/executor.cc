@@ -61,40 +61,33 @@ Result<table::Table> Executor::ExecuteTree(Operator* root) {
     // Parallel result materialisation: a stable root's batches stay
     // valid until the tree is destroyed, so the drain buffers views and
     // the final table assembles column-wise across the pool — per-batch
-    // chunks copy into disjoint row ranges of preallocated columns,
-    // replacing the serial per-batch AppendTo copy. Trade-off: batches
+    // chunks copy into disjoint row ranges of preallocated columns
+    // (dictionary columns copy codes only), replacing the serial
+    // per-batch AppendTo copy. Trade-off: batches
     // with owned storage are all held until assembly, so peak transient
     // memory can approach twice the result set (the serial path frees
     // each batch right after appending it).
     std::vector<table::ColumnBatch> batches;
-    std::vector<size_t> offsets;
-    size_t total = 0;
     while (true) {
       EXPLAINIT_ASSIGN_OR_RETURN(table::ColumnBatch batch,
                                  root->Next(&eof));
       if (eof) break;
       if (batch.num_rows() == 0) continue;
-      offsets.push_back(total);
-      total += batch.num_rows();
       batches.push_back(std::move(batch));
     }
-    std::vector<std::vector<table::Value>> cols(width);
-    for (auto& c : cols) c.resize(total);
-    EXPLAINIT_RETURN_IF_ERROR(RunSharded(
-        &ctx_, batches.size(), [&](size_t b) -> Status {
-          const table::ColumnBatch& batch = batches[b];
-          const size_t base = offsets[b];
-          for (size_t c = 0; c < width; ++c) {
-            const table::Value* src = batch.column(c);
-            std::vector<table::Value>& dst = cols[c];
-            for (size_t r = 0; r < batch.num_rows(); ++r) {
-              dst[base + r] = src[r];
-            }
-          }
-          return Status::OK();
-        }));
     EXPLAINIT_ASSIGN_OR_RETURN(
-        out, Table::FromColumns(root->output_schema(), std::move(cols)));
+        out,
+        Table::FromColumns(
+            root->output_schema(),
+            table::ConcatBatches(
+                root->output_schema(), batches,
+                [this](size_t n, const std::function<void(size_t)>& fn) {
+                  // Copies cannot fail, so neither can the run.
+                  (void)RunSharded(&ctx_, n, [&fn](size_t b) {
+                    fn(b);
+                    return Status::OK();
+                  });
+                })));
     materialize_chunks = std::max<size_t>(1, batches.size());
   } else {
     while (true) {

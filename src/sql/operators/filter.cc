@@ -20,15 +20,18 @@ FilterOperator::FilterOperator(std::unique_ptr<Operator> input,
 Status FilterOperator::OpenImpl() {
   EXPLAINIT_RETURN_IF_ERROR(input_->Open());
   bound_ = BoundExpr(*predicate_, input_->output_schema(), functions_);
+  stream_memo_ = SeriesMemo(&bound_);
   return Status::OK();
 }
 
 Status FilterOperator::Select(const ColumnBatch& in, RowRange range,
-                              std::vector<uint32_t>* selected) const {
+                              SeriesMemo* memo,
+                              std::vector<uint32_t>* selected) {
+  memo->Prepare(in);
   Status error;
   Value scratch;
   for (size_t r = range.begin; r < range.end; ++r) {
-    const Value* v = bound_.Ref(in, r, &scratch, &error);
+    const Value* v = memo->Ref(in, r, &scratch, &error);
     if (v == nullptr) return error;
     if (!v->is_null() && v->AsBool()) {
       selected->push_back(static_cast<uint32_t>(r));
@@ -58,7 +61,8 @@ Result<ColumnBatch> FilterOperator::ShardedNext(bool* eof) {
           const RowRange& range = shards[s];
           std::vector<uint32_t> selected;
           selected.reserve(range.size());
-          EXPLAINIT_RETURN_IF_ERROR(Select(view, range, &selected));
+          SeriesMemo memo(&bound_);
+          EXPLAINIT_RETURN_IF_ERROR(Select(view, range, &memo, &selected));
           if (selected.empty()) return Status::OK();
           if (selected.size() == range.size()) {
             // All pass: a zero-copy view over the shard's rows.
@@ -97,7 +101,8 @@ Result<ColumnBatch> FilterOperator::NextImpl(bool* eof) {
     std::vector<uint32_t> selected;
     selected.reserve(batch.num_rows());
     EXPLAINIT_RETURN_IF_ERROR(
-        Select(batch, RowRange{0, batch.num_rows()}, &selected));
+        Select(batch, RowRange{0, batch.num_rows()}, &stream_memo_,
+               &selected));
     if (selected.empty()) continue;
     *eof = false;
     if (selected.size() == batch.num_rows()) return batch;  // all pass

@@ -13,7 +13,9 @@
 // the one that stops pulling early under a LIMIT.
 //
 // The predicate is bound once at Open against the child's schema; every
-// shard and batch evaluates that one program.
+// shard and batch evaluates that one program through a SeriesMemo (one
+// per shard, and one for the stream), so a series-level predicate such
+// as `metric_name = 'x'` runs once per series.
 #pragma once
 
 #include "sql/evaluator.h"
@@ -44,12 +46,13 @@ class FilterOperator : public Operator {
  private:
   Result<table::ColumnBatch> ShardedNext(bool* eof);
   /// Appends the rows of `range` that pass the predicate to `selected`.
-  Status Select(const table::ColumnBatch& in, RowRange range,
-                std::vector<uint32_t>* selected) const;
+  static Status Select(const table::ColumnBatch& in, RowRange range,
+                       SeriesMemo* memo, std::vector<uint32_t>* selected);
 
   Operator* input_;
   ExprPtr predicate_;
   BoundExpr bound_;  // predicate_ bound at Open
+  SeriesMemo stream_memo_;  // the streaming path's memo
   const FunctionRegistry* functions_;
   const ExecContext* ctx_;
   bool sharded_ = false;  // sharded morsel path (parallel ctx or LAG)

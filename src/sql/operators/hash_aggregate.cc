@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <numeric>
+#include <utility>
 
 namespace explainit::sql {
 
@@ -13,13 +14,14 @@ using table::Value;
 
 namespace {
 
-// Computes one aggregate over a set of row indices; `args` are the call's
-// arguments bound to `in`.
-Result<Value> ComputeAggregate(const Expr& agg,
-                               const std::vector<BoundExpr>& args,
+// Computes one aggregate over a set of row indices; `args` evaluate the
+// call's arguments, bound to `in`.
+Result<Value> ComputeAggregate(const Expr& agg, std::vector<SeriesMemo>* memos,
                                const ColumnBatch& in,
                                const std::vector<size_t>& rows) {
   const std::string& name = agg.function_name;
+  PrepareMemos(memos, in);
+  std::vector<SeriesMemo>& args = *memos;
   if (name == "COUNT") {
     if (agg.args.size() != 1) {
       return Status::InvalidArgument("COUNT expects 1 argument");
@@ -186,7 +188,7 @@ Result<ColumnBatch> HashAggregateOperator::NextImpl(bool* eof) {
 }
 
 table::ColumnBatch HashAggregateOperator::EmitRows(
-    std::vector<std::vector<Value>> cols, size_t rows) {
+    std::vector<table::Column> cols, size_t rows) {
   ColumnBatch out(&schema_, rows);
   for (auto& col : cols) out.AddOwnedColumn(std::move(col));
   return out;
@@ -205,18 +207,138 @@ Status HashAggregateOperator::MaterializeInputShards() {
   return Status::OK();
 }
 
-Result<bool> HashAggregateOperator::FinishGroup(
-    const ColumnBatch& in, size_t row, const SlotReader& slots,
-    std::vector<std::vector<Value>>* values, size_t group) const {
-  if (having_.has_value()) {
-    EXPLAINIT_ASSIGN_OR_RETURN(Value v, having_->Eval(in, row, &slots));
-    if (v.is_null() || !v.AsBool()) return false;
+Result<ColumnBatch> HashAggregateOperator::FinishGroups(
+    size_t num_groups, const std::vector<const ColumnBatch*>& inputs,
+    const std::function<GroupRow(size_t)>& group_row,
+    const SlotValue& slot_value) {
+  const size_t num_items = items_.size();
+  // An item that is series-level over every input batch, with the same
+  // dictionaries throughout, reads the memo per group and comes out as a
+  // dictionary column. Items whose code arrays coincide in every input
+  // code every group alike, so they share one output code array.
+  std::vector<char> series(num_items, 0);
+  std::vector<std::vector<const uint32_t*>> signature(num_items);
+  for (size_t i = 0; i < num_items; ++i) {
+    std::vector<const table::Dictionary*> dicts;
+    bool ok = !inputs.empty();
+    for (const ColumnBatch* in : inputs) {
+      ok = ok && in->num_rows() > 0 && SeriesLevel(items_[i], *in);
+      if (!ok) break;
+      std::vector<const table::Dictionary*> here;
+      for (const size_t c : items_[i].columns()) {
+        here.push_back(in->column(c).dictionary().get());
+      }
+      if (dicts.empty()) dicts = here;
+      ok = here == dicts;
+      signature[i].push_back(in->column(items_[i].columns()[0]).codes());
+    }
+    series[i] = ok ? 1 : 0;
   }
-  for (size_t i = 0; i < items_.size(); ++i) {
-    EXPLAINIT_ASSIGN_OR_RETURN((*values)[i][group],
-                               items_[i].Eval(in, row, &slots));
+
+  const std::vector<RowRange> shards =
+      ShardRows(num_groups, EffectiveParallelism(ctx_));
+  std::vector<char> keep(num_groups, 1);
+  std::vector<std::vector<Value>> values(num_items);
+  std::vector<std::vector<uint32_t>> codes(num_items);
+  for (size_t i = 0; i < num_items; ++i) {
+    if (series[i]) {
+      codes[i].resize(num_groups);
+    } else {
+      values[i].resize(num_groups);
+    }
   }
-  return true;
+  std::vector<std::vector<SeriesMemo>> item_memos(shards.size(),
+                                                  MakeMemos(items_));
+  EXPLAINIT_RETURN_IF_ERROR(RunSharded(
+      ctx_, shards.size(), [&](size_t s) -> Status {
+        std::vector<SeriesMemo>& memos = item_memos[s];
+        SeriesMemo having(having_.has_value() ? &*having_ : nullptr);
+        size_t gi = 0;
+        const SlotReader slots = [&](size_t slot) {
+          return slot_value(gi, slot, s);
+        };
+        const ColumnBatch* prepared = nullptr;  // the memos' batch
+        Status error;
+        Value scratch;
+        for (gi = shards[s].begin; gi < shards[s].end; ++gi) {
+          const GroupRow g = group_row(gi);
+          if (g.in == nullptr) {
+            // Global aggregate over an empty input: NULL/0 per item.
+            for (size_t i = 0; i < num_items; ++i) {
+              values[i][gi] = EmptyInputValue(*stmt_->items[i].expr);
+            }
+            continue;
+          }
+          if (g.in != prepared) {
+            PrepareMemos(&memos, *g.in);
+            if (having_.has_value()) having.Prepare(*g.in);
+            prepared = g.in;
+          }
+          if (having_.has_value()) {
+            EXPLAINIT_ASSIGN_OR_RETURN(Value v,
+                                       having.Eval(*g.in, g.row, &slots));
+            if (v.is_null() || !v.AsBool()) {
+              keep[gi] = 0;
+              continue;
+            }
+          }
+          for (size_t i = 0; i < num_items; ++i) {
+            SeriesMemo& memo = memos[i];
+            Value& out = series[i] ? scratch : values[i][gi];
+            const Value* v = memo.Ref(*g.in, g.row, &out, &error, &slots);
+            if (v == nullptr) return error;
+            if (series[i]) {
+              codes[i][gi] = memo.code(g.row);
+            } else if (v != &out) {
+              out = *v;
+            }
+          }
+        }
+        return Status::OK();
+      }));
+
+  // Emit the kept groups in first-appearance order.
+  std::vector<uint32_t> kept;
+  kept.reserve(num_groups);
+  for (size_t gi = 0; gi < num_groups; ++gi) {
+    if (keep[gi]) kept.push_back(static_cast<uint32_t>(gi));
+  }
+  std::vector<table::Column> cols(num_items);
+  std::vector<std::shared_ptr<const table::CodeArray>> out_codes(num_items);
+  for (size_t i = 0; i < num_items; ++i) {
+    if (!series[i]) {
+      std::vector<Value> col;
+      if (kept.size() == num_groups) {
+        col = std::move(values[i]);
+      } else {
+        col.reserve(kept.size());
+        for (const uint32_t gi : kept) col.push_back(std::move(values[i][gi]));
+      }
+      cols[i] = table::Column(std::move(col));
+      continue;
+    }
+    size_t num_codes = 0;
+    for (const auto& memos : item_memos) {
+      num_codes = std::max(num_codes, memos[i].num_codes());
+    }
+    auto dict = std::make_shared<table::Dictionary>(num_codes);
+    for (const auto& memos : item_memos) {
+      for (uint32_t k = 0; k < memos[i].num_codes(); ++k) {
+        if (const Value* v = memos[i].entry(k)) (*dict)[k] = *v;
+      }
+    }
+    for (size_t j = 0; j < i && out_codes[i] == nullptr; ++j) {
+      if (series[j] && signature[j] == signature[i]) out_codes[i] = out_codes[j];
+    }
+    if (out_codes[i] == nullptr) {
+      auto c = std::make_shared<table::CodeArray>();
+      c->reserve(kept.size());
+      for (const uint32_t gi : kept) c->push_back(codes[i][gi]);
+      out_codes[i] = std::move(c);
+    }
+    cols[i] = table::Column(std::move(dict), out_codes[i], 0, kept.size());
+  }
+  return EmitRows(std::move(cols), kept.size());
 }
 
 // ---------------------------------------------------------------------------
@@ -225,26 +347,28 @@ Result<bool> HashAggregateOperator::FinishGroup(
 
 Status HashAggregateOperator::PartialAccumulate(const ColumnBatch& batch,
                                                 uint32_t batch_index,
-                                                ShardGroups* local) const {
+                                                ShardGroups* local,
+                                                ShardMemos* memos) const {
   const size_t num_slots = agg_nodes_.size();
+  PrepareMemos(&memos->keys, batch);
+  PrepareMemos(&memos->args, batch);
   std::string key;
   Value scratch;
   for (size_t r = 0; r < batch.num_rows(); ++r) {
     // The key encodes into reused storage; only a first-seen key pays a
     // std::string copy.
-    EXPLAINIT_RETURN_IF_ERROR(EncodeKey(keys_, batch, r, &key).status());
-    auto it = local->index.find(key);
-    if (it == local->index.end()) {
-      it = local->index.emplace(key, local->groups.size()).first;
-      local->order.push_back(&it->first);
+    EXPLAINIT_RETURN_IF_ERROR(EncodeKey(&memos->keys, batch, r, &key).status());
+    bool inserted = false;
+    const size_t id = local->keys.FindOrInsert(key, &inserted);
+    if (inserted) {
       GroupPartial g;
       g.first_batch = batch_index;
       g.first_row = static_cast<uint32_t>(r);
       local->groups.push_back(g);
       local->slots.resize(local->slots.size() + num_slots);
     }
-    GroupPartial& g = local->groups[it->second];
-    PartialState* slots = local->slots.data() + it->second * num_slots;
+    GroupPartial& g = local->groups[id];
+    PartialState* slots = local->slots.data() + id * num_slots;
     ++g.rows;
     for (size_t i = 0; i < num_slots; ++i) {
       if (agg_nodes_[i]->args[0]->kind == ExprKind::kStar) continue;
@@ -252,7 +376,7 @@ Status HashAggregateOperator::PartialAccumulate(const ColumnBatch& batch,
       if (!st.error.ok()) continue;
       // An argument error is deferred like index mode's: it surfaces
       // only if the group survives HAVING and the slot is consulted.
-      const Value* v = agg_args_[i][0].Ref(batch, r, &scratch, &st.error);
+      const Value* v = memos->args[i].Ref(batch, r, &scratch, &st.error);
       if (v == nullptr || v->is_null()) continue;
       st.Accumulate(v->AsDouble());
     }
@@ -280,13 +404,13 @@ Result<ColumnBatch> HashAggregateOperator::PartialNext(bool* eof) {
   if (total_rows == 0 && !stmt_->group_by.empty()) {
     *eof = false;
     stats_.detail = "0 groups (partial)";
-    return EmitRows(std::vector<std::vector<Value>>(schema_.num_fields()), 0);
+    return EmitRows(std::vector<table::Column>(schema_.num_fields()), 0);
   }
   if (total_rows == 0) {
     // Global aggregate over an empty input: aggregates yield NULL/0.
-    std::vector<std::vector<Value>> cols(schema_.num_fields());
+    std::vector<table::Column> cols(schema_.num_fields());
     for (size_t i = 0; i < stmt_->items.size(); ++i) {
-      cols[i].push_back(EmptyInputValue(*stmt_->items[i].expr));
+      cols[i].Push(EmptyInputValue(*stmt_->items[i].expr));
     }
     *eof = false;
     stats_.detail = "1 group (partial)";
@@ -318,15 +442,13 @@ Result<ColumnBatch> HashAggregateOperator::PartialNext(bool* eof) {
   EXPLAINIT_RETURN_IF_ERROR(RunSharded(
       ctx_, runs.size(), [&](size_t s) -> Status {
         ShardGroups& local = shards[s];
-        size_t run_rows = 0;
-        for (size_t b = runs[s].first; b < runs[s].second; ++b) {
-          run_rows += morsels_[b].num_rows();
+        ShardMemos memos{MakeMemos(keys_), {}};
+        for (const std::vector<BoundExpr>& args : agg_args_) {
+          memos.args.emplace_back(args.empty() ? nullptr : &args[0]);
         }
-        // Upper bound on this shard's group count: no rehash mid-shard.
-        local.index.reserve(run_rows);
         for (size_t b = runs[s].first; b < runs[s].second; ++b) {
           EXPLAINIT_RETURN_IF_ERROR(PartialAccumulate(
-              morsels_[b], static_cast<uint32_t>(b), &local));
+              morsels_[b], static_cast<uint32_t>(b), &local, &memos));
         }
         return Status::OK();
       }));
@@ -335,29 +457,25 @@ Result<ColumnBatch> HashAggregateOperator::PartialNext(bool* eof) {
   // is row order, so first-appearance order and first-error-wins both
   // match index mode).
   const size_t num_slots = agg_nodes_.size();
-  size_t total_groups = 0;
-  for (const ShardGroups& local : shards) total_groups += local.groups.size();
   ShardGroups merged;
   for (ShardGroups& local : shards) {
     if (merged.groups.empty()) {
       merged = std::move(local);
-      merged.index.reserve(total_groups);
       continue;
     }
     for (size_t li = 0; li < local.groups.size(); ++li) {
       const GroupPartial& lg = local.groups[li];
       const PartialState* lslots = local.slots.data() + li * num_slots;
-      auto [it, inserted] =
-          merged.index.try_emplace(*local.order[li], merged.groups.size());
+      bool inserted = false;
+      const size_t id = merged.keys.FindOrInsert(local.keys.key(li), &inserted);
       if (inserted) {
-        merged.order.push_back(&it->first);
         merged.groups.push_back(lg);
         merged.slots.insert(merged.slots.end(), lslots,
                             lslots + num_slots);
         continue;
       }
-      GroupPartial& g = merged.groups[it->second];
-      PartialState* slots = merged.slots.data() + it->second * num_slots;
+      GroupPartial& g = merged.groups[id];
+      PartialState* slots = merged.slots.data() + id * num_slots;
       g.rows += lg.rows;
       for (size_t i = 0; i < num_slots; ++i) {
         const PartialState& a = lslots[i];
@@ -380,69 +498,61 @@ Result<ColumnBatch> HashAggregateOperator::PartialNext(bool* eof) {
   // Finalisation: the slot leaves of HAVING and the select list read the
   // merged partials; groups evaluate in parallel.
   const size_t num_groups = merged.groups.size();
-  std::vector<char> keep(num_groups, 1);
-  std::vector<std::vector<Value>> values(schema_.num_fields());
-  for (auto& col : values) col.resize(num_groups);
-
-  auto finalize_slot = [&](size_t gi, size_t slot) -> Result<Value> {
-    const Expr& agg = *agg_nodes_[slot];
-    const GroupPartial& g = merged.groups[gi];
-    const PartialState& st = merged.slots[gi * num_slots + slot];
+  enum class Kind { kCountStar, kCount, kSumCount, kSum, kAvg, kMin, kMax };
+  std::vector<Kind> kinds;
+  for (const Expr* agg : agg_nodes_) {
+    const std::string& n = agg->function_name;
+    kinds.push_back(n == "COUNT" ? (agg->args[0]->kind == ExprKind::kStar
+                                        ? Kind::kCountStar
+                                        : Kind::kCount)
+                    : n == "__SUM_COUNT" ? Kind::kSumCount
+                    : n == "SUM"         ? Kind::kSum
+                    : n == "AVG"         ? Kind::kAvg
+                    : n == "MIN"         ? Kind::kMin
+                                         : Kind::kMax);
+  }
+  auto finalize_slot = [&](size_t gi, size_t slot, size_t) -> Result<Value> {
+    const size_t at = gi * num_slots + slot;
+    const PartialState& st = merged.slots[at];
     if (!st.error.ok()) return st.error;
-    const std::string& n = agg.function_name;
-    if (n == "COUNT") {
-      return agg.args[0]->kind == ExprKind::kStar
-                 ? Value::Int(static_cast<int64_t>(g.rows))
-                 : Value::Int(st.non_null);
-    }
-    if (n == "__SUM_COUNT") {
-      return st.non_null == 0 ? Value::Int(0)
-                              : Value::Int(std::llround(st.sum));
+    switch (kinds[slot]) {
+      case Kind::kCountStar:
+        return Value::Int(static_cast<int64_t>(merged.groups[gi].rows));
+      case Kind::kCount:
+        return Value::Int(st.non_null);
+      case Kind::kSumCount:
+        return st.non_null == 0 ? Value::Int(0)
+                                : Value::Int(std::llround(st.sum));
+      default:
+        break;
     }
     if (st.non_null == 0) return Value::Null();
-    if (n == "SUM") return Value::Double(st.sum);
-    if (n == "AVG") {
-      return Value::Double(st.sum / static_cast<double>(st.non_null));
+    switch (kinds[slot]) {
+      case Kind::kSum:
+        return Value::Double(st.sum);
+      case Kind::kAvg:
+        return Value::Double(st.sum / static_cast<double>(st.non_null));
+      case Kind::kMin:
+        return Value::Double(st.min);
+      default:
+        return Value::Double(st.max);
     }
-    if (n == "MIN") return Value::Double(st.min);
-    return Value::Double(st.max);  // MAX
   };
-
-  const std::vector<RowRange> group_shards =
-      ShardRows(num_groups, EffectiveParallelism(ctx_));
-  EXPLAINIT_RETURN_IF_ERROR(RunSharded(
-      ctx_, group_shards.size(), [&](size_t s) -> Status {
-        size_t gi = 0;
-        const SlotReader slots = [&](size_t slot) {
-          return finalize_slot(gi, slot);
-        };
-        for (gi = group_shards[s].begin; gi < group_shards[s].end; ++gi) {
-          const GroupPartial& g = merged.groups[gi];
-          EXPLAINIT_ASSIGN_OR_RETURN(
-              keep[gi], FinishGroup(morsels_[g.first_batch], g.first_row,
-                                    slots, &values, gi));
-        }
-        return Status::OK();
-      }));
-
+  std::vector<const ColumnBatch*> inputs;
+  for (const ColumnBatch& m : morsels_) inputs.push_back(&m);
+  EXPLAINIT_ASSIGN_OR_RETURN(
+      ColumnBatch out,
+      FinishGroups(
+          num_groups, inputs,
+          [&](size_t gi) {
+            const GroupPartial& g = merged.groups[gi];
+            return GroupRow{&morsels_[g.first_batch], g.first_row};
+          },
+          finalize_slot));
   *eof = false;
   stats_.detail = std::to_string(num_groups) + " groups (partial, " +
                   std::to_string(runs.size()) + " shards)";
-  if (stmt_->having == nullptr) {
-    // Nothing can drop a group: the per-group arrays are the output.
-    return EmitRows(std::move(values), num_groups);
-  }
-  // Compact kept groups in first-appearance order.
-  std::vector<std::vector<Value>> cols(schema_.num_fields());
-  size_t out_rows = 0;
-  for (size_t gi = 0; gi < num_groups; ++gi) {
-    if (!keep[gi]) continue;
-    for (size_t c = 0; c < cols.size(); ++c) {
-      cols[c].push_back(std::move(values[c][gi]));
-    }
-    ++out_rows;
-  }
-  return EmitRows(std::move(cols), out_rows);
+  return out;
 }
 
 // ---------------------------------------------------------------------------
@@ -456,96 +566,78 @@ Result<ColumnBatch> HashAggregateOperator::IndexNext(bool* eof) {
       ShardRows(acc_.num_rows(), EffectiveParallelism(ctx_));
 
   // Phase 1: per-shard grouping of row indices (ascending within a
-  // shard); the order vector borrows the map's node-stable keys.
+  // shard), group ids in first-seen key order.
   struct ShardIndex {
-    std::unordered_map<std::string, std::vector<size_t>> groups;
-    std::vector<const std::string*> order;
+    KeyIndex keys;
+    std::vector<std::vector<size_t>> rows;  // by group id
   };
   std::vector<ShardIndex> locals(shards.size());
-  std::unordered_map<std::string, std::vector<size_t>> groups;
-  std::vector<std::string> group_order;
+  std::vector<std::vector<size_t>> groups;  // rows by group, in order
   if (!stmt_->group_by.empty()) {
     EXPLAINIT_RETURN_IF_ERROR(RunSharded(
         ctx_, shards.size(), [&](size_t s) -> Status {
           ShardIndex& local = locals[s];
+          std::vector<SeriesMemo> memos = MakeMemos(keys_);
+          PrepareMemos(&memos, all);
           std::string key;
           for (size_t r = shards[s].begin; r < shards[s].end; ++r) {
-            EXPLAINIT_RETURN_IF_ERROR(EncodeKey(keys_, all, r, &key).status());
-            auto [it, inserted] = local.groups.try_emplace(key);
-            if (inserted) local.order.push_back(&it->first);
-            it->second.push_back(r);
+            EXPLAINIT_RETURN_IF_ERROR(
+                EncodeKey(&memos, all, r, &key).status());
+            bool inserted = false;
+            const size_t id = local.keys.FindOrInsert(key, &inserted);
+            if (inserted) local.rows.emplace_back();
+            local.rows[id].push_back(r);
           }
           return Status::OK();
         }));
     // Merge in shard order: concatenation keeps row indices ascending and
     // first-appearance order identical to the seed's row order.
+    KeyIndex merged;
     for (ShardIndex& local : locals) {
-      for (const std::string* k : local.order) {
-        std::vector<size_t>& rows = local.groups.at(*k);
-        auto [it, inserted] = groups.try_emplace(*k);
+      for (size_t li = 0; li < local.rows.size(); ++li) {
+        std::vector<size_t>& rows = local.rows[li];
+        bool inserted = false;
+        const size_t id = merged.FindOrInsert(local.keys.key(li), &inserted);
         if (inserted) {
-          group_order.push_back(*k);
-          it->second = std::move(rows);
+          groups.push_back(std::move(rows));
         } else {
-          it->second.insert(it->second.end(), rows.begin(), rows.end());
+          groups[id].insert(groups[id].end(), rows.begin(), rows.end());
         }
       }
     }
   } else {
-    std::vector<size_t> all_rows(acc_.num_rows());
+    std::vector<size_t>& all_rows = groups.emplace_back(acc_.num_rows());
     std::iota(all_rows.begin(), all_rows.end(), size_t{0});
-    groups[""] = std::move(all_rows);
-    group_order.push_back("");
   }
 
   // Phase 2: per-group evaluation, fanned out across groups. Slot leaves
   // compute their aggregate over the group's rows.
-  const size_t num_groups = group_order.size();
-  std::vector<char> keep(num_groups, 1);
-  std::vector<std::vector<Value>> values(schema_.num_fields());
-  for (auto& col : values) col.resize(num_groups);
-  const std::vector<RowRange> group_shards =
-      ShardRows(num_groups, EffectiveParallelism(ctx_));
-  EXPLAINIT_RETURN_IF_ERROR(RunSharded(
-      ctx_, group_shards.size(), [&](size_t s) -> Status {
-        const std::vector<size_t>* rows = nullptr;
-        const SlotReader slots = [&](size_t slot) {
-          return ComputeAggregate(*agg_nodes_[slot], agg_args_[slot], all,
-                                  *rows);
-        };
-        for (size_t gi = group_shards[s].begin; gi < group_shards[s].end;
-             ++gi) {
-          rows = &groups.at(group_order[gi]);
-          if (rows->empty()) {
-            // Global aggregate over an empty table: NULL/0 per item.
-            for (size_t i = 0; i < stmt_->items.size(); ++i) {
-              values[i][gi] = EmptyInputValue(*stmt_->items[i].expr);
-            }
-            continue;
-          }
-          EXPLAINIT_ASSIGN_OR_RETURN(
-              keep[gi], FinishGroup(all, (*rows)[0], slots, &values, gi));
-        }
-        return Status::OK();
-      }));
-
+  const size_t num_groups = groups.size();
+  const size_t num_shards =
+      ShardRows(num_groups, EffectiveParallelism(ctx_)).size();
+  std::vector<std::vector<std::vector<SeriesMemo>>> arg_memos(num_shards);
+  for (auto& memos : arg_memos) {
+    for (const std::vector<BoundExpr>& args : agg_args_) {
+      memos.push_back(MakeMemos(args));
+    }
+  }
+  EXPLAINIT_ASSIGN_OR_RETURN(
+      ColumnBatch out,
+      FinishGroups(
+          num_groups, {&all},
+          [&](size_t gi) {
+            const std::vector<size_t>& rows = groups[gi];
+            return rows.empty() ? GroupRow{nullptr, 0}
+                                : GroupRow{&all, rows[0]};
+          },
+          [&](size_t gi, size_t slot, size_t s) {
+            return ComputeAggregate(*agg_nodes_[slot], &arg_memos[s][slot],
+                                    all, groups[gi]);
+          }));
   *eof = false;
   stats_.detail = std::to_string(num_groups) + " groups (" +
                   std::to_string(shards.size()) + " shards)";
-  if (stmt_->having == nullptr) {
-    // No HAVING: nothing drops.
-    return EmitRows(std::move(values), num_groups);
-  }
-  std::vector<std::vector<Value>> cols(schema_.num_fields());
-  size_t out_rows = 0;
-  for (size_t gi = 0; gi < num_groups; ++gi) {
-    if (!keep[gi]) continue;
-    for (size_t c = 0; c < cols.size(); ++c) {
-      cols[c].push_back(std::move(values[c][gi]));
-    }
-    ++out_rows;
-  }
-  return EmitRows(std::move(cols), out_rows);
+  return out;
 }
 
 }  // namespace explainit::sql

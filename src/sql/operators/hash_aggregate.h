@@ -25,10 +25,15 @@
 // Both modes evaluate programs bound once at Open: group keys and
 // aggregate arguments against the input schema, and the select list and
 // HAVING in group context, where each aggregate call is a slot leaf that
-// reads the group's aggregate value.
+// reads the group's aggregate value. Every program runs through a
+// per-shard SeriesMemo: a series-level key (`CONCAT(metric_name, '@',
+// tag['host'])`) encodes once per referenced code, and a series-level
+// item is read from the memo per group and comes out as a dictionary
+// column.
 #pragma once
 
 #include <algorithm>
+#include <functional>
 #include <optional>
 #include <unordered_map>
 
@@ -91,35 +96,52 @@ class HashAggregateOperator : public Operator {
     uint32_t first_row = 0;
     size_t rows = 0;
   };
-  /// One worker's hash table plus first-seen key order. Groups and their
-  /// flat slot states live in contiguous arrays (groups[i]'s slot j is
-  /// slots[i * num_slots + j]) — no per-group heap allocation — and the
-  /// order vector borrows the map's node-stable key storage.
+  /// One worker's group index (ids in first-seen key order). Groups and
+  /// their flat slot states live in contiguous arrays (groups[i]'s slot
+  /// j is slots[i * num_slots + j]) — no per-group heap allocation.
   struct ShardGroups {
-    std::unordered_map<std::string, size_t> index;
-    std::vector<const std::string*> order;  // keys in first-seen order
-    std::vector<GroupPartial> groups;       // parallel to `order`
-    std::vector<PartialState> slots;        // groups.size() * num_slots
+    KeyIndex keys;
+    std::vector<GroupPartial> groups;  // by group id
+    std::vector<PartialState> slots;   // groups.size() * num_slots
   };
+
+  /// One partial-mode shard's memos: the group keys' and each slot's
+  /// first argument's (null program for argument-less calls).
+  struct ShardMemos {
+    std::vector<SeriesMemo> keys;
+    std::vector<SeriesMemo> args;
+  };
+  /// A group's representative row; `in` is null for the one group of a
+  /// global aggregate over an empty input.
+  struct GroupRow {
+    const table::ColumnBatch* in = nullptr;
+    size_t row = 0;
+  };
+  /// Group `gi`'s aggregate slot value, computed by group shard `shard`.
+  using SlotValue =
+      std::function<Result<table::Value>(size_t gi, size_t slot,
+                                         size_t shard)>;
 
   Result<table::ColumnBatch> PartialNext(bool* eof);
   Result<table::ColumnBatch> IndexNext(bool* eof);
   /// Folds one batch into a shard's partial states.
   Status PartialAccumulate(const table::ColumnBatch& batch,
-                           uint32_t batch_index, ShardGroups* local) const;
+                           uint32_t batch_index, ShardGroups* local,
+                           ShardMemos* memos) const;
   /// Evaluates HAVING (false drops the group) and the select list for
-  /// one group whose representative row is `row` of `in`.
-  Result<bool> FinishGroup(const table::ColumnBatch& in, size_t row,
-                           const SlotReader& slots,
-                           std::vector<std::vector<table::Value>>* values,
-                           size_t group) const;
+  /// every group, fanned out over group shards, and emits the kept
+  /// groups in order. `inputs` are every batch a representative row
+  /// lies in.
+  Result<table::ColumnBatch> FinishGroups(
+      size_t num_groups, const std::vector<const table::ColumnBatch*>& inputs,
+      const std::function<GroupRow(size_t)>& group_row,
+      const SlotValue& slot_value);
   /// Drains the input into acc_ and exposes it as one view batch per row
   /// shard (the morsel source of index mode and of partial mode over
   /// unstable batches).
   Status MaterializeInputShards();
-  /// Builds the final output batch given per-group item/HAVING values.
-  table::ColumnBatch EmitRows(std::vector<std::vector<table::Value>> cols,
-                              size_t rows);
+  /// Builds the final output batch from its columns.
+  table::ColumnBatch EmitRows(std::vector<table::Column> cols, size_t rows);
 
   Operator* input_;
   const SelectStatement* stmt_;

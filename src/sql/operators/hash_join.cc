@@ -16,6 +16,12 @@ namespace {
 /// morsel default grain (1024) would rarely split them.
 constexpr size_t kProbeShardMinRows = 128;
 
+/// Runs the tasks of table::ConcatBatches inline: a run's merge is
+/// small next to the shards that produced it.
+void Serially(size_t n, const std::function<void(size_t)>& fn) {
+  for (size_t i = 0; i < n; ++i) fn(i);
+}
+
 /// An expression "belongs" to a side when every column it references
 /// resolves there.
 bool ResolvesAgainst(const Expr& e, const Schema& schema) {
@@ -131,10 +137,12 @@ Status HashJoinOperator::OpenImpl() {
   EXPLAINIT_RETURN_IF_ERROR(RunSharded(
       ctx_, shards.size(), [&](size_t s) -> Status {
         if (num_partitions_ > 1) buckets[s].resize(num_partitions_);
+        std::vector<SeriesMemo> memos = MakeMemos(build_keys_);
+        PrepareMemos(&memos, build_rows);
         for (size_t j = shards[s].begin; j < shards[s].end; ++j) {
           EXPLAINIT_ASSIGN_OR_RETURN(
               const bool matchable,
-              EncodeKey(build_keys_, build_rows, j, &keys[j]));
+              EncodeKey(&memos, build_rows, j, &keys[j]));
           null_key[j] = matchable ? 0 : 1;
           if (num_partitions_ > 1 && matchable) {
             buckets[s][std::hash<std::string>{}(keys[j]) % num_partitions_]
@@ -170,6 +178,8 @@ Status HashJoinOperator::OpenImpl() {
       }));
 
   build_matched_.assign(n, 0);
+  probe_memos_.assign(parallelism_, MakeMemos(probe_keys_));
+  residual_memos_.assign(parallelism_, MakeMemos(residual_));
   stats_.detail = std::string("build=") + (build_left_ ? "left" : "right") +
                   " rows=" + std::to_string(n) +
                   " parts=" + std::to_string(num_partitions_) +
@@ -186,28 +196,29 @@ Result<ColumnBatch> HashJoinOperator::FinishBuildPads(bool* eof) {
   // whichever input it is. pad_pos_ persists the scan cursor between
   // calls; pads_emitted_ flips once the cursor exhausts the build table.
   const size_t total = build_table_.num_rows();
-  std::vector<std::vector<Value>> cols(schema_.num_fields());
-  size_t rows = 0;
-  while (pad_pos_ < total && rows < table::kDefaultBatchRows) {
+  std::vector<uint32_t> rows;
+  while (pad_pos_ < total && rows.size() < table::kDefaultBatchRows) {
     const size_t j = pad_pos_++;
-    if (build_matched_[j]) continue;
-    for (size_t c = 0; c < build_width_; ++c) {
-      cols[build_offset_ + c].push_back(build_table_.At(j, c));
-    }
-    for (size_t c = 0; c < probe_width_; ++c) {
-      cols[probe_offset_ + c].push_back(Value::Null());
-    }
-    ++rows;
+    if (!build_matched_[j]) rows.push_back(static_cast<uint32_t>(j));
   }
   if (pad_pos_ >= total) pads_emitted_ = true;
-  if (rows == 0) {
+  if (rows.empty()) {
     // Every remaining build row matched: report end of stream directly
     // instead of burning a Next() round-trip on an empty non-eof batch.
     *eof = true;
     return ColumnBatch{};
   }
-  ColumnBatch out(&schema_, rows);
-  for (auto& col : cols) out.AddOwnedColumn(std::move(col));
+  const ColumnBatch build = ColumnBatch::View(build_table_, 0, total);
+  std::vector<table::Column> build_cols =
+      table::GatherColumns(build.columns(), rows.data(), rows.size());
+  ColumnBatch out(&schema_, rows.size());
+  for (size_t c = 0; c < schema_.num_fields(); ++c) {
+    if (c >= build_offset_ && c < build_offset_ + build_width_) {
+      out.AddOwnedColumn(std::move(build_cols[c - build_offset_]));
+    } else {
+      out.AddOwnedColumn(std::vector<Value>(rows.size()));
+    }
+  }
   *eof = false;
   return out;
 }
@@ -224,11 +235,13 @@ Status HashJoinOperator::PullProbeBatch() {
   const std::vector<RowRange> shards =
       ShardRows(rows, parallelism_, kProbeShardMinRows);
   return RunSharded(ctx_, shards.size(), [&](size_t s) -> Status {
+    std::vector<SeriesMemo>& memos = probe_memos_[s];
+    PrepareMemos(&memos, probe_batch_);
     std::string key;
     for (size_t i = shards[s].begin; i < shards[s].end; ++i) {
       EXPLAINIT_ASSIGN_OR_RETURN(
           const bool matchable,
-          EncodeKey(probe_keys_, probe_batch_, i, &key));
+          EncodeKey(&memos, probe_batch_, i, &key));
       if (!matchable) continue;
       const size_t p =
           num_partitions_ > 1
@@ -281,8 +294,8 @@ Result<ColumnBatch> HashJoinOperator::JoinRun() {
         PairShard& local = locals[s];
         const size_t lo = shards[s].begin;
         const size_t hi = shards[s].end;
-        std::vector<uint32_t> cand_row;  // run row of each candidate
-        std::vector<size_t> cand_build;
+        std::vector<uint32_t> cand_row;    // probe row of each candidate
+        std::vector<uint32_t> cand_build;  // its build row
         cand_row.reserve(hi - lo);
         cand_build.reserve(hi - lo);
         size_t r = static_cast<size_t>(
@@ -294,43 +307,32 @@ Result<ColumnBatch> HashJoinOperator::JoinRun() {
           if (from >= to) continue;
           const std::vector<size_t>& matches = *probe_matches_[begin + r];
           for (size_t p = from; p < to; ++p) {
-            cand_row.push_back(static_cast<uint32_t>(r));
-            cand_build.push_back(matches[p - offsets[r]]);
+            cand_row.push_back(static_cast<uint32_t>(begin + r));
+            cand_build.push_back(
+                static_cast<uint32_t>(matches[p - offsets[r]]));
           }
         }
-        std::vector<std::vector<Value>> cand(schema_.num_fields());
-        for (size_t c = 0; c < build_width_; ++c) {
-          std::vector<Value>& col = cand[build_offset_ + c];
-          col.reserve(cand_build.size());
-          for (const size_t j : cand_build) {
-            col.push_back(build_table_.At(j, c));
-          }
-        }
-        for (size_t c = 0; c < probe_width_; ++c) {
-          std::vector<Value>& col = cand[probe_offset_ + c];
-          col.reserve(cand_row.size());
-          for (const uint32_t k : cand_row) {
-            col.push_back(probe_batch_.At(begin + k, c));
-          }
-        }
-        ColumnBatch cand_batch(&schema_, cand_row.size());
-        for (auto& col : cand) cand_batch.AddOwnedColumn(std::move(col));
+        ColumnBatch cand_batch =
+            JoinedRows(cand_build, probe_batch_, cand_row);
 
         // Residual conjuncts filter the candidates; only passing rows
         // count as matches.
+        std::vector<SeriesMemo>& memos = residual_memos_[s];
+        PrepareMemos(&memos, cand_batch);
         std::vector<uint32_t> kept;
         for (size_t k = 0; k < cand_batch.num_rows(); ++k) {
           bool ok = true;
-          for (const BoundExpr& e : residual_) {
+          for (SeriesMemo& e : memos) {
             EXPLAINIT_ASSIGN_OR_RETURN(ok, e.Test(cand_batch, k));
             if (!ok) break;
           }
           if (!ok) continue;
           kept.push_back(static_cast<uint32_t>(k));
           local.matched_build.push_back(cand_build[k]);
+          const uint32_t run_row = cand_row[k] - static_cast<uint32_t>(begin);
           if (local.matched_probe.empty() ||
-              local.matched_probe.back() != cand_row[k]) {
-            local.matched_probe.push_back(cand_row[k]);
+              local.matched_probe.back() != run_row) {
+            local.matched_probe.push_back(run_row);
           }
         }
         if (kept.size() == cand_batch.num_rows()) {
@@ -355,33 +357,54 @@ Result<ColumnBatch> HashJoinOperator::JoinRun() {
   // Pad the run's unmatched probe rows for LEFT (probe = left) / FULL
   // OUTER: probe values on the probe side's columns, nulls on the build
   // side's.
-  std::vector<size_t> pads;
+  std::vector<uint32_t> pads;
   if (NeedsProbePads()) {
     for (size_t r = 0; r < run_rows; ++r) {
-      if (!probe_matched[r]) pads.push_back(begin + r);
+      if (!probe_matched[r]) pads.push_back(static_cast<uint32_t>(begin + r));
     }
   }
   if (locals.size() == 1 && pads.empty()) return std::move(locals[0].out);
-  const size_t out_rows = match_rows + pads.size();
-  std::vector<std::vector<Value>> merged(schema_.num_fields());
+  std::vector<ColumnBatch> parts;
+  for (PairShard& local : locals) {
+    if (local.out.num_rows() > 0) parts.push_back(std::move(local.out));
+  }
+  if (!pads.empty()) {
+    // Probe values on the probe side's columns, nulls on the build side's.
+    std::vector<table::Column> probe_cols = table::GatherColumns(
+        probe_batch_.columns(), pads.data(), pads.size());
+    ColumnBatch pad(&schema_, pads.size());
+    for (size_t c = 0; c < schema_.num_fields(); ++c) {
+      if (c >= probe_offset_ && c < probe_offset_ + probe_width_) {
+        pad.AddOwnedColumn(std::move(probe_cols[c - probe_offset_]));
+      } else {
+        pad.AddOwnedColumn(std::vector<Value>(pads.size()));
+      }
+    }
+    parts.push_back(std::move(pad));
+  }
+  ColumnBatch out(&schema_, match_rows + pads.size());
+  for (table::Column& col : table::ConcatBatches(schema_, parts, Serially)) {
+    out.AddOwnedColumn(std::move(col));
+  }
+  return out;
+}
+
+ColumnBatch HashJoinOperator::JoinedRows(
+    const std::vector<uint32_t>& build_rows, const ColumnBatch& probe,
+    const std::vector<uint32_t>& probe_rows) const {
+  const ColumnBatch build =
+      ColumnBatch::View(build_table_, 0, build_table_.num_rows());
+  std::vector<table::Column> build_cols = table::GatherColumns(
+      build.columns(), build_rows.data(), build_rows.size());
+  std::vector<table::Column> probe_cols = table::GatherColumns(
+      probe.columns(), probe_rows.data(), probe_rows.size());
+  ColumnBatch out(&schema_, build_rows.size());
   for (size_t c = 0; c < schema_.num_fields(); ++c) {
-    merged[c].reserve(out_rows);
-    for (const PairShard& local : locals) {
-      if (local.out.num_rows() == 0) continue;
-      const Value* src = local.out.column(c);
-      merged[c].insert(merged[c].end(), src, src + local.out.num_rows());
-    }
+    const bool from_build = c >= build_offset_ && c < build_offset_ + build_width_;
+    out.AddOwnedColumn(std::move(
+        from_build ? build_cols[c - build_offset_]
+                   : probe_cols[c - probe_offset_]));
   }
-  for (const size_t i : pads) {
-    for (size_t c = 0; c < probe_width_; ++c) {
-      merged[probe_offset_ + c].push_back(probe_batch_.At(i, c));
-    }
-    for (size_t c = 0; c < build_width_; ++c) {
-      merged[build_offset_ + c].push_back(Value::Null());
-    }
-  }
-  ColumnBatch out(&schema_, out_rows);
-  for (auto& col : merged) out.AddOwnedColumn(std::move(col));
   return out;
 }
 

@@ -111,6 +111,11 @@ class HashJoinOperator : public Operator {
   /// order, then the run's probe pads.
   Result<table::ColumnBatch> JoinRun();
   Result<table::ColumnBatch> FinishBuildPads(bool* eof);
+  /// The joined rows (build_rows[i], probe_rows[i] of `probe`), columns
+  /// gathered with their representation kept (see GatherColumns).
+  table::ColumnBatch JoinedRows(const std::vector<uint32_t>& build_rows,
+                                const table::ColumnBatch& probe,
+                                const std::vector<uint32_t>& probe_rows) const;
 
   Operator* left_;
   Operator* right_;
@@ -127,6 +132,10 @@ class HashJoinOperator : public Operator {
   std::vector<BoundExpr> build_keys_;
   std::vector<BoundExpr> probe_keys_;
   std::vector<BoundExpr> residual_;
+  // Per-shard memos of the probe keys and the residual (probe batches
+  // shard into at most parallelism_ shards); kept across batches.
+  std::vector<std::vector<SeriesMemo>> probe_memos_;
+  std::vector<std::vector<SeriesMemo>> residual_memos_;
   std::vector<BuildPartition> partitions_;
   size_t num_partitions_ = 1;
   std::vector<char> build_matched_;       // for outer pads

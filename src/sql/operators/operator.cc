@@ -107,19 +107,54 @@ Status RunSharded(const ExecContext* ctx, size_t num_shards,
   return Status::OK();
 }
 
-Result<bool> EncodeKey(const std::vector<BoundExpr>& exprs,
+Result<bool> EncodeKey(std::vector<SeriesMemo>* memos,
                        const table::ColumnBatch& in, size_t row,
                        std::string* key) {
   key->clear();
   bool matchable = true;
-  Status error;
-  table::Value scratch;
-  for (const BoundExpr& e : exprs) {
-    const table::Value* v = e.Ref(in, row, &scratch, &error);
-    if (v == nullptr) return error;
-    matchable = AppendKey(*v, key) && matchable;
+  for (SeriesMemo& m : *memos) {
+    EXPLAINIT_ASSIGN_OR_RETURN(const bool ok, m.AppendKey(in, row, key));
+    matchable = ok && matchable;
   }
   return matchable;
+}
+
+size_t KeyIndex::FindOrInsert(std::string_view key, bool* inserted) {
+  if (2 * (size() + 1) > slots_.size()) Grow();
+  const size_t hash = std::hash<std::string_view>{}(key);
+  const size_t mask = slots_.size() - 1;
+  for (size_t i = hash & mask;; i = (i + 1) & mask) {
+    const uint32_t slot = slots_[i];
+    if (slot == 0) {
+      const size_t id = size();
+      slots_[i] = static_cast<uint32_t>(id + 1);
+      hashes_.push_back(hash);
+      arena_.append(key);
+      offsets_.push_back(arena_.size());
+      *inserted = true;
+      return id;
+    }
+    if (hashes_[slot - 1] == hash && this->key(slot - 1) == key) {
+      *inserted = false;
+      return slot - 1;
+    }
+  }
+}
+
+void KeyIndex::Grow() {
+  std::vector<uint32_t> slots(std::max<size_t>(64, 2 * slots_.size()), 0);
+  const size_t mask = slots.size() - 1;
+  for (size_t id = 0; id < size(); ++id) {
+    size_t i = hashes_[id] & mask;
+    while (slots[i] != 0) i = (i + 1) & mask;
+    slots[i] = static_cast<uint32_t>(id + 1);
+  }
+  slots_ = std::move(slots);
+}
+
+void PrepareMemos(std::vector<SeriesMemo>* memos,
+                  const table::ColumnBatch& in) {
+  for (SeriesMemo& m : *memos) m.Prepare(in);
 }
 
 void CollectConjuncts(const Expr* e, std::vector<const Expr*>* out) {

@@ -16,6 +16,7 @@
 #include <functional>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/result.h"
@@ -167,12 +168,41 @@ class Operator {
   const ExecContext* bound_ctx_ = nullptr;  // set by BindExecContext
 };
 
-/// Encodes the values of `exprs` at `row` of `in` into `*key` (reused
-/// storage) with AppendKey; false when one is NULL or NaN, which a join
-/// key never matches.
-Result<bool> EncodeKey(const std::vector<BoundExpr>& exprs,
+/// Encodes the values of the programs of `memos` (prepared for `in`) at
+/// `row` of `in` into `*key` (reused storage) with AppendKey; false when
+/// one is NULL or NaN, which a join key never matches. A series-level
+/// program appends its code's cached bytes.
+Result<bool> EncodeKey(std::vector<SeriesMemo>* memos,
                        const table::ColumnBatch& in, size_t row,
                        std::string* key);
+
+/// An insert-only map from encoded keys (EncodeKey bytes) to dense ids
+/// 0, 1, 2, ... in first-insertion order: the group index of
+/// HashAggregate. Keys live in one arena and the table is open-addressed
+/// on each key's stored hash, so an insert hashes once and copies the
+/// key bytes once, with no per-key allocation.
+class KeyIndex {
+ public:
+  /// The id of `key`, inserted as size() when new (*inserted tells).
+  size_t FindOrInsert(std::string_view key, bool* inserted);
+  size_t size() const { return hashes_.size(); }
+  std::string_view key(size_t id) const {
+    return std::string_view(arena_).substr(
+        offsets_[id], offsets_[id + 1] - offsets_[id]);
+  }
+
+ private:
+  void Grow();
+
+  std::string arena_;
+  std::vector<size_t> offsets_{0};  // key id's bytes: [offsets_[id], +1)
+  std::vector<size_t> hashes_;      // per id
+  std::vector<uint32_t> slots_;     // id + 1, 0 = empty; power-of-2 size
+};
+
+/// Prepares every memo of `memos` for `in`.
+void PrepareMemos(std::vector<SeriesMemo>* memos,
+                  const table::ColumnBatch& in);
 
 /// A contiguous run of input rows processed by one worker.
 struct RowRange {

@@ -1,8 +1,11 @@
 // Project: evaluates the select list over batches. `SELECT *` columns
-// pass through as borrowed (zero-copy) columns; computed items become
-// owned columns. When ORDER BY may reference unprojected columns, the
-// operator also retains its input rows (1:1 with the output) for the
-// sort to consult.
+// and items that name one input column pass through as borrowed
+// (zero-copy) columns; computed items become owned columns. A computed
+// item that is series-level over the batch (see SeriesMemo) runs once
+// per referenced code and comes out as a dictionary column holding just
+// the codes the batch references. When ORDER BY may reference
+// unprojected columns, the operator also retains its input rows (1:1
+// with the output) for the sort to consult.
 //
 // With a parallel ExecContext, or an item containing LAG, the projection
 // takes its sharded path: the input is materialised once (borrowed from
@@ -44,15 +47,25 @@ class ProjectOperator : public Operator {
 
  private:
   struct OutputColumn {
-    std::optional<BoundExpr> item;  // unset = star pass-through
+    std::optional<BoundExpr> item;  // unset = pass-through
     size_t pass_through = 0;        // input column index when unset
+  };
+
+  /// One shard's evaluation state: a memo per column (unused for
+  /// pass-through columns), and the scratch that renumbers a series-level
+  /// item's codes (input code -> output code, UINT32_MAX when unseen).
+  struct ShardState {
+    std::vector<SeriesMemo> memos;
+    std::vector<uint32_t> remap;
   };
 
   /// Projects rows `range` of `in`: pass-through columns borrow `in`'s
   /// storage; items evaluate over all of `in`, so LAG may read a row
   /// before the range.
   Result<table::ColumnBatch> ProjectRows(const table::ColumnBatch& in,
-                                         RowRange range) const;
+                                         RowRange range,
+                                         ShardState* state) const;
+  ShardState MakeShardState() const;
   Result<table::ColumnBatch> ShardedNext(bool* eof);
 
   Operator* input_;
@@ -65,6 +78,7 @@ class ProjectOperator : public Operator {
   table::Schema schema_;
   std::vector<OutputColumn> columns_;
   table::ColumnBatch current_input_;  // keeps pass-through storage alive
+  ShardState stream_state_;  // the streaming path's state
   table::Table retained_;
   const table::Table* retained_ptr_ = &retained_;
   bool done_ = false;

@@ -65,9 +65,11 @@ Status SortLimitOperator::BuildSortKeys(
     std::atomic<bool> failed{false};
     Status first_pass = RunSharded(
         ctx_, shards.size(), [&](size_t s) -> Status {
+          SeriesMemo memo(primary);
+          memo.Prepare(*primary_rows);
           for (size_t r = shards[s].begin; r < shards[s].end; ++r) {
             if (failed.load(std::memory_order_relaxed)) break;
-            Result<Value> v = primary->Eval(*primary_rows, r);
+            Result<Value> v = memo.Eval(*primary_rows, r);
             if (!v.ok()) {
               failed.store(true, std::memory_order_relaxed);
               break;
@@ -80,13 +82,15 @@ Status SortLimitOperator::BuildSortKeys(
     if (failed.load(std::memory_order_relaxed)) {
       EXPLAINIT_RETURN_IF_ERROR(RunSharded(
           ctx_, shards.size(), [&](size_t s) -> Status {
+            SeriesMemo memo(fallback);
+            memo.Prepare(*fallback_rows);
             for (size_t r = shards[s].begin; r < shards[s].end; ++r) {
               // A global aggregate over an empty input emits one row
               // that its empty retained input has no row for: that row
               // keeps a NULL key.
               if (r >= fallback_rows->num_rows()) continue;
               EXPLAINIT_ASSIGN_OR_RETURN(
-                  Value v, fallback->Eval(*fallback_rows, r));
+                  Value v, memo.Eval(*fallback_rows, r));
               col[r] = std::move(v);
             }
             return Status::OK();
@@ -107,23 +111,21 @@ Status SortLimitOperator::GatherSorted(const Table& output,
     for (size_t r = 0; r < m; ++r) sorted_.AppendRow({});
     return Status::OK();
   }
-  std::vector<std::vector<Value>> cols(width);
-  for (auto& c : cols) c.resize(m);
-  const std::vector<RowRange> shards =
-      ShardRows(m, EffectiveParallelism(ctx_));
-  EXPLAINIT_RETURN_IF_ERROR(RunSharded(
-      ctx_, shards.size(), [&](size_t s) -> Status {
-        for (size_t c = 0; c < width; ++c) {
-          const std::vector<Value>& src = output.column(c);
-          std::vector<Value>& dst = cols[c];
-          for (size_t r = shards[s].begin; r < shards[s].end; ++r) {
-            dst[r] = src[order[r]];
-          }
-        }
-        return Status::OK();
-      }));
+  const std::vector<uint32_t> rows(order.begin(), order.end());
+  const ColumnBatch all = ColumnBatch::View(output, 0, output.num_rows());
   EXPLAINIT_ASSIGN_OR_RETURN(
-      sorted_, Table::FromColumns(output.schema(), std::move(cols)));
+      sorted_,
+      Table::FromColumns(
+          output.schema(),
+          table::GatherColumns(
+              all.columns(), rows.data(), m,
+              [this](size_t n, const std::function<void(size_t)>& fn) {
+                // Gathers cannot fail, so neither can the run.
+                (void)RunSharded(ctx_, n, [&fn](size_t chunk) {
+                  fn(chunk);
+                  return Status::OK();
+                });
+              })));
   return Status::OK();
 }
 

@@ -1,8 +1,11 @@
 // ColumnBatch: the fixed-size unit of exchange between physical SQL
-// operators. A batch is a columnar *view*: each column is a contiguous
-// Value array that is either borrowed (zero-copy slices of a backing
-// Table, star pass-through in projections) or owned by the batch
-// (filter compaction, computed projections, join/aggregate outputs).
+// operators. A batch is a columnar *view*: each column is a ColumnView
+// (a Column and the batch's first row in it) over a Column that is
+// either borrowed (zero-copy slices of a backing Table, star
+// pass-through in projections) or owned by the batch (filter
+// compaction, computed projections, join/aggregate outputs). Views keep
+// a column's representation: a dictionary column's slice reads its
+// codes in place, and columns that shared a code array still share it.
 //
 // Lifetime contract: a borrowed column (and the borrowed schema pointer)
 // must outlive the batch. In the operator pipeline the producing operator
@@ -11,6 +14,7 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "table/table.h"
@@ -18,7 +22,7 @@
 namespace explainit::table {
 
 /// A lightweight columnar view over a run of rows. Move-only: owned
-/// columns carry heap buffers whose addresses must stay stable.
+/// columns live behind stable heap addresses that views point at.
 class ColumnBatch {
  public:
   ColumnBatch() = default;
@@ -45,18 +49,23 @@ class ColumnBatch {
   size_t num_columns() const { return cols_.size(); }
 
   const Value& At(size_t row, size_t col) const { return cols_[col][row]; }
-  /// Raw contiguous cell array for one column (num_rows() cells).
-  const Value* column(size_t col) const { return cols_[col]; }
+  /// One column, indexed from the batch's first row.
+  const ColumnView& column(size_t col) const { return cols_[col]; }
+  const std::vector<ColumnView>& columns() const { return cols_; }
 
-  /// Attaches a column borrowed from external storage (caller keeps it
-  /// alive; must hold at least num_rows() cells).
-  void AddBorrowedColumn(const Value* data) { cols_.push_back(data); }
+  /// Attaches a view of external storage (caller keeps it alive; must
+  /// hold at least num_rows() rows from the view's offset).
+  void AddBorrowedColumn(const ColumnView& view) { cols_.push_back(view); }
 
   /// Attaches a column owned by this batch (size must equal num_rows()).
-  void AddOwnedColumn(std::vector<Value> data);
+  void AddOwnedColumn(Column data);
+  void AddOwnedColumn(std::vector<Value> data) {
+    AddOwnedColumn(Column(std::move(data)));
+  }
 
-  /// New batch (same schema) holding only the rows at `indices`; all
-  /// columns become owned. The filter compaction step.
+  /// New batch (same schema) holding only the rows at `indices`, in
+  /// owned columns that keep each column's representation (see
+  /// GatherColumns). The filter compaction step.
   ColumnBatch Gather(const std::vector<uint32_t>& indices) const;
 
   /// Keeps rows [0, n). Borrowed/owned storage is untouched; only the
@@ -64,15 +73,25 @@ class ColumnBatch {
   void Truncate(size_t n);
 
   /// Bulk-appends every row of this batch to `out` (schema widths must
-  /// match; column-wise, no per-row vectors).
+  /// match; column-wise, see Table::AppendColumns).
   void AppendTo(Table* out) const;
 
  private:
   const Schema* schema_ = nullptr;
-  std::vector<const Value*> cols_;
-  std::vector<std::vector<Value>> owned_;  // backing for owned columns
+  std::vector<ColumnView> cols_;
+  std::vector<std::unique_ptr<Column>> owned_;  // backing for owned views
   size_t num_rows_ = 0;
 };
+
+/// Concatenates `batches` (all of `schema`'s width) into one column per
+/// field. A column stays dictionary-coded when every batch's column uses one
+/// dictionary object, and columns that share a code array in every
+/// batch share one in the result. Rows copy in per-batch tasks that
+/// `for_each(n, fn)` runs as fn(0) ... fn(n - 1), possibly concurrently
+/// (tasks write disjoint row ranges).
+std::vector<Column> ConcatBatches(const Schema& schema,
+                                  const std::vector<ColumnBatch>& batches,
+                                  const ForEachTask& for_each);
 
 /// Default number of rows exchanged per batch.
 inline constexpr size_t kDefaultBatchRows = 1024;

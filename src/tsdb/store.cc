@@ -752,50 +752,72 @@ Result<table::Table> SeriesStore::ScanToTable(
     keep_ts = keep_metric = keep_tag = keep_value = true;
   }
 
+  return SeriesTable(raw, ScanColumns{keep_ts, keep_metric, keep_tag,
+                                      keep_value});
+}
+
+table::Table SeriesTable(const std::vector<SeriesData>& series,
+                         const ScanColumns& columns) {
+  // Point-less series contribute no rows, and no dictionary entry.
   size_t total = 0;
-  for (const SeriesData& s : raw) total += s.timestamps.size();
-
-  table::Schema schema;
-  std::vector<std::vector<table::Value>> columns;
-  columns.reserve(4);  // keeps add_column's returned pointers stable
-  auto add_column = [&](const char* name, table::DataType type) {
-    schema.AddField({name, type});
-    columns.emplace_back();
-    columns.back().reserve(total);
-    return &columns.back();
-  };
-  std::vector<table::Value>* ts_col =
-      keep_ts ? add_column("timestamp", table::DataType::kTimestamp)
-              : nullptr;
-  std::vector<table::Value>* metric_col =
-      keep_metric ? add_column("metric_name", table::DataType::kString)
-                  : nullptr;
-  std::vector<table::Value>* tag_col =
-      keep_tag ? add_column("tag", table::DataType::kMap) : nullptr;
-  std::vector<table::Value>* value_col =
-      keep_value ? add_column("value", table::DataType::kDouble) : nullptr;
-
-  for (const SeriesData& s : raw) {
+  size_t with_points = 0;
+  for (const SeriesData& s : series) {
+    total += s.timestamps.size();
+    if (!s.timestamps.empty()) ++with_points;
+  }
+  auto names = std::make_shared<table::Dictionary>();
+  auto tags = std::make_shared<table::Dictionary>();
+  auto codes = std::make_shared<table::CodeArray>();
+  std::vector<table::Value> ts_cells;
+  std::vector<table::Value> value_cells;
+  if (columns.metric_name) names->reserve(with_points);
+  if (columns.tag) tags->reserve(with_points);
+  if (columns.metric_name || columns.tag) codes->reserve(total);
+  if (columns.timestamp) ts_cells.reserve(total);
+  if (columns.value) value_cells.reserve(total);
+  uint32_t code = 0;
+  for (const SeriesData& s : series) {
     const size_t n = s.timestamps.size();
-    if (ts_col != nullptr) {
+    if (n == 0) continue;
+    if (columns.metric_name) {
+      names->push_back(table::Value::String(s.meta.metric_name));
+    }
+    if (columns.tag) tags->push_back(s.tags_value);
+    if (columns.metric_name || columns.tag) codes->insert(codes->end(), n, code);
+    ++code;
+    if (columns.timestamp) {
       for (size_t i = 0; i < n; ++i) {
-        ts_col->push_back(table::Value::Timestamp(s.timestamps[i]));
+        ts_cells.push_back(table::Value::Timestamp(s.timestamps[i]));
       }
     }
-    if (metric_col != nullptr) {
-      const table::Value name = table::Value::String(s.meta.metric_name);
-      metric_col->insert(metric_col->end(), n, name);
-    }
-    if (tag_col != nullptr) {
-      tag_col->insert(tag_col->end(), n, s.tags_value);
-    }
-    if (value_col != nullptr) {
+    if (columns.value) {
       for (size_t i = 0; i < n; ++i) {
-        value_col->push_back(table::Value::Double(s.values[i]));
+        value_cells.push_back(table::Value::Double(s.values[i]));
       }
     }
   }
-  return table::Table::FromColumns(std::move(schema), std::move(columns));
+
+  table::Schema schema;
+  std::vector<table::Column> cols;
+  if (columns.timestamp) {
+    schema.AddField({"timestamp", table::DataType::kTimestamp});
+    cols.emplace_back(std::move(ts_cells));
+  }
+  if (columns.metric_name) {
+    schema.AddField({"metric_name", table::DataType::kString});
+    cols.emplace_back(std::move(names), codes, 0, total);
+  }
+  if (columns.tag) {
+    schema.AddField({"tag", table::DataType::kMap});
+    cols.emplace_back(std::move(tags), codes, 0, total);
+  }
+  if (columns.value) {
+    schema.AddField({"value", table::DataType::kDouble});
+    cols.emplace_back(std::move(value_cells));
+  }
+  // Every column holds `total` rows by construction.
+  return table::Table::FromColumns(std::move(schema), std::move(cols))
+      .value();
 }
 
 namespace {
@@ -941,6 +963,8 @@ Status SeriesStore::LoadSnapshot(const std::string& path) {
   decltype(impl_->by_key) by_key;
   std::vector<std::shared_ptr<SeriesEntry>> order;
   size_t points = 0;
+  // The retention high-water mark: the newest loaded point.
+  int64_t max_timestamp = std::numeric_limits<int64_t>::min();
   for (uint64_t i = 0; i < count; ++i) {
     auto e = std::make_shared<SeriesEntry>();
     if (!GetString(buf, &offset, &e->meta.metric_name)) {
@@ -970,19 +994,28 @@ Status SeriesStore::LoadSnapshot(const std::string& path) {
         EXPLAINIT_ASSIGN_OR_RETURN(auto segment,
                                    SealedSegment::Seal(std::move(block)));
         points += segment->num_points();
+        if (segment->num_points() > 0) {
+          max_timestamp = std::max(max_timestamp, segment->max_timestamp());
+        }
         e->segments.push_back(std::move(segment));
       }
       EXPLAINIT_ASSIGN_OR_RETURN(CompressedBlock head,
                                  CompressedBlock::Deserialize(buf, &offset));
       points += head.num_points();
-      if (head.num_points() > 0) e->head.Restore(std::move(head));
+      if (head.num_points() > 0) {
+        max_timestamp = std::max(max_timestamp, head.last_timestamp());
+        e->head.Restore(std::move(head));
+      }
     } else {
       // Seed format: the whole series is one block — load it as the head;
       // it reseals under the current thresholds as writes resume.
       EXPLAINIT_ASSIGN_OR_RETURN(CompressedBlock block,
                                  CompressedBlock::Deserialize(buf, &offset));
       points += block.num_points();
-      if (block.num_points() > 0) e->head.Restore(std::move(block));
+      if (block.num_points() > 0) {
+        max_timestamp = std::max(max_timestamp, block.last_timestamp());
+        e->head.Restore(std::move(block));
+      }
     }
     const SeriesIdentity id{&e->meta.metric_name, &e->meta.tags};
     if (!by_key.emplace(id, e).second) {
@@ -998,6 +1031,7 @@ Status SeriesStore::LoadSnapshot(const std::string& path) {
   impl_->by_key = std::move(by_key);
   impl_->order = std::move(order);
   impl_->total_points.store(points, std::memory_order_relaxed);
+  impl_->max_timestamp.store(max_timestamp, std::memory_order_relaxed);
   return Status::OK();
 }
 

@@ -311,5 +311,70 @@ TEST(FamilyTest, LaterNullCellHidesEarlierColumnOfTheSameRow) {
   EXPECT_EQ(f.data, la::Matrix(4, 3, {2, 0, 1, 2, 0, 1, 5, 0, 1, 7, 0, 1}));
 }
 
+TEST(FamilyTest, CodedNameColumnBuildsTheSameFamiliesAsBoxed) {
+  using table::DataType;
+  using table::Value;
+  // A dictionary that repeats "cpu" (codes 0 and 2 name one family),
+  // holds a NULL name (the fallback family) and an entry no row uses.
+  auto names = std::make_shared<table::Dictionary>(table::Dictionary{
+      Value::String("cpu"), Value::String("mem"), Value::String("cpu"),
+      Value(), Value::String("unused")});
+  auto codes = std::make_shared<table::CodeArray>(
+      table::CodeArray{1, 0, 2, 3, 2, 1, 0, 3});
+  std::vector<Value> ts, v, w, m;
+  for (size_t r = 0; r < codes->size(); ++r) {
+    ts.push_back(r == 5 ? Value() : Value::Timestamp(60 * (r % 4)));
+    v.push_back(Value::Double(static_cast<double>(r)));
+    w.push_back(r == 3 ? Value() : Value::Double(10.0 + r));
+    // A MAP cell whose key repeats the `v` column: the later column wins.
+    m.push_back(r % 2 == 0 ? Value::Map({{"v", Value::Double(-1.0 * r)},
+                                         {"k", Value::Double(0.5 * r)}})
+                           : Value());
+  }
+  std::vector<table::Column> cols;
+  cols.emplace_back(ts);
+  cols.emplace_back(names, codes, 0, codes->size());
+  cols.emplace_back(v);
+  cols.emplace_back(w);
+  cols.emplace_back(m);
+  const table::Schema schema({{"ts", DataType::kTimestamp},
+                              {"name", DataType::kString},
+                              {"v", DataType::kDouble},
+                              {"w", DataType::kDouble},
+                              {"m", DataType::kMap}});
+  auto coded = table::Table::FromColumns(schema, std::move(cols));
+  ASSERT_TRUE(coded.ok());
+  ASSERT_TRUE(coded->column(1).is_dictionary());
+  table::Table boxed(schema);
+  for (size_t r = 0; r < coded->num_rows(); ++r) boxed.AppendRow(coded->Row(r));
+  ASSERT_FALSE(boxed.column(1).is_dictionary());
+
+  auto by_code = FamiliesFromTable(*coded, "dflt");
+  auto by_string = FamiliesFromTable(boxed, "dflt");
+  ASSERT_TRUE(by_code.ok()) << by_code.status().ToString();
+  ASSERT_TRUE(by_string.ok()) << by_string.status().ToString();
+  ASSERT_EQ(by_code->size(), 3u);
+  EXPECT_EQ((*by_code)[0].name, "mem");
+  EXPECT_EQ((*by_code)[1].name, "cpu");
+  EXPECT_EQ((*by_code)[2].name, "dflt");
+  EXPECT_EQ(*by_code, *by_string);
+
+  // The Figure 4 rendering keeps the coding and builds the same families.
+  auto ff = NormalizeToFeatureFamilyTable(*coded, "dflt");
+  ASSERT_TRUE(ff.ok()) << ff.status().ToString();
+  EXPECT_TRUE(ff->column(1).is_dictionary());
+  auto ff_boxed = NormalizeToFeatureFamilyTable(boxed, "dflt");
+  ASSERT_TRUE(ff_boxed.ok());
+  ASSERT_EQ(ff->num_rows(), ff_boxed->num_rows());
+  for (size_t r = 0; r < ff->num_rows(); ++r) {
+    for (size_t c = 0; c < 3; ++c) {
+      EXPECT_EQ(ff->At(r, c).ToString(), ff_boxed->At(r, c).ToString());
+    }
+  }
+  auto via_ff = FamiliesFromTable(*ff);
+  ASSERT_TRUE(via_ff.ok());
+  EXPECT_EQ(*via_ff, *by_string);
+}
+
 }  // namespace
 }  // namespace explainit::core

@@ -311,6 +311,57 @@ const char* const kCorpus[] = {
     "WHERE metric_name = 'cpu' GROUP BY DATE_TRUNC('minute', timestamp)",
     "SELECT DATE_TRUNC('hour', timestamp) AS h, COUNT(value) AS c "
     "FROM tsdb GROUP BY DATE_TRUNC('hour', timestamp)",
+    // --- series-coded columns ---------------------------------------------
+    // metric_name and tag are dictionary columns over the series index;
+    // series-level programs run once per series. The two twin series
+    // share CONCAT(metric_name, '@', tag['host']) but differ in other
+    // tags, so they must form one group.
+    "SELECT CONCAT(metric_name, '@', tag['host']) AS f, COUNT(*) AS n, "
+    "SUM(value) AS s FROM tsdb GROUP BY CONCAT(metric_name, '@', tag['host'])",
+    "SELECT timestamp AS ts, CONCAT(metric_name, '@', tag['host']) AS f, "
+    "AVG(value) AS v FROM tsdb WHERE metric_name IN ('twin', 'cpu') "
+    "GROUP BY timestamp, CONCAT(metric_name, '@', tag['host'])",
+    "SELECT CONCAT(metric_name, '@', tag['host']) AS f, "
+    "STDDEV(value) AS sd FROM tsdb WHERE metric_name = 'twin' "
+    "GROUP BY CONCAT(metric_name, '@', tag['host'])",
+    // A missing tag key: a NULL group key, and a join key that never
+    // matches.
+    "SELECT tag['missing'] AS m, COUNT(*) AS n FROM tsdb "
+    "GROUP BY tag['missing']",
+    "SELECT tag['rack'] AS r, metric_name AS m, COUNT(*) AS n FROM tsdb "
+    "GROUP BY tag['rack'], metric_name",
+    "SELECT t.value, hosts.grp FROM tsdb t "
+    "LEFT JOIN hosts ON t.tag['missing'] = hosts.host "
+    "WHERE t.metric_name = 'twin'",
+    "SELECT COUNT(*) AS n FROM tsdb t "
+    "JOIN hosts ON t.tag['missing'] = hosts.host",
+    // Series-level predicates and items beside row-level ones.
+    "SELECT timestamp, value FROM tsdb "
+    "WHERE tag['host'] LIKE 'h%1' OR tag['rack'] LIKE 'r_'",
+    "SELECT CONCAT(metric_name, '/', tag['dc']) AS k, value FROM tsdb "
+    "WHERE value > 20",
+    "SELECT t.metric_name AS m, t.value AS v, hosts.grp AS g FROM tsdb t "
+    "JOIN hosts ON t.tag['host'] = hosts.host "
+    "WHERE t.tag['dc'] = 'd1' AND CONCAT(t.metric_name, hosts.grp) "
+    "LIKE 'cpu%'",
+    // A series-level expression that errors (a subscript of a string)
+    // only on the series a row-level predicate filters out never runs.
+    "SELECT CASE WHEN metric_name = 'sparse' THEN metric_name['x'] "
+    "ELSE 'ok' END AS c, value FROM tsdb WHERE value != 1.5",
+    "SELECT CASE WHEN metric_name = 'sparse' THEN metric_name['x'] "
+    "ELSE metric_name END AS c, COUNT(*) AS n FROM tsdb "
+    "WHERE value != 1.5 GROUP BY CASE WHEN metric_name = 'sparse' "
+    "THEN metric_name['x'] ELSE metric_name END",
+    // --- IN lists of literals, bound once as a key set --------------------
+    // NULL items, 1 = 1.0, numerics against timestamps, and strings
+    // answer exactly as the per-row scan of `=` did.
+    "SELECT ts, i FROM keys WHERE i IN (1.0, NULL)",
+    "SELECT ts, d FROM keys WHERE d IN (0, 0.1234562, 7)",
+    "SELECT ts FROM keys WHERE ts IN (10, 50.0, NULL)",
+    "SELECT ts, s FROM keys WHERE s IN ('NULL', 'x', NULL)",
+    "SELECT ts FROM keys WHERE i NOT IN (2.5, 1)",
+    "SELECT ts FROM keys WHERE s IN (NULL)",
+    "SELECT ts FROM keys WHERE s NOT IN ('x', 'NULL')",
 };
 
 bool NumericType(const Value& v) {
@@ -416,6 +467,18 @@ class DifferentialTest : public ::testing::Test {
     ASSERT_TRUE(store_
                     ->Write("sparse", tsdb::TagSet{{"host", "h0"}}, 120, 1.5)
                     .ok());
+    // Twin series: one metric and host, different other tags.
+    for (int64_t i = 0; i < 5; ++i) {
+      ASSERT_TRUE(store_
+                      ->Write("twin", tsdb::TagSet{{"host", "h1"}, {"dc", "d0"}},
+                              i * 60, 2.0 + static_cast<double>(i))
+                      .ok());
+      ASSERT_TRUE(store_
+                      ->Write("twin",
+                              tsdb::TagSet{{"host", "h1"}, {"rack", "r1"}},
+                              i * 60, 0.5 * static_cast<double>(i))
+                      .ok());
+    }
     // Engine-style registration: live row estimate for the cost-based
     // planner and exact_rollups so grid COUNT queries route onto count
     // tiers (the seed recombines raw rows either way — parity locks the

@@ -544,6 +544,42 @@ TEST_F(ExecutorTest, HavingDropsTheGroupWhoseAggregateArgumentErrors) {
   EXPECT_TRUE(t.At(0, 1).is_null());
 }
 
+TEST_F(ExecutorTest, AggregateArgumentErrorOfAGroupFirstSeenInALaterShard) {
+  // 8,192 rows of group 'a' and then 8 rows of group 'b', whose SUM
+  // argument errors: at parallelism 4 the partial aggregate runs several
+  // shards, and 'b' first appears in the last one, so the merge stage
+  // inserts it with its error.
+  Table big(Schema({{"g", DataType::kString}, {"m", DataType::kMap}}));
+  for (int i = 0; i < 8192; ++i) {
+    big.AppendRow({Value::String("a"), Value::Null()});
+  }
+  for (int i = 0; i < 8; ++i) {
+    big.AppendRow({Value::String("b"), Value::String("x")});
+  }
+  catalog_.RegisterTable("big", std::move(big));
+  for (const std::string& got :
+       Outcomes(catalog_, functions_,
+                "SELECT g, SUM(m['k']) AS s FROM big GROUP BY g")) {
+    EXPECT_EQ(got, "InvalidArgument: subscript on non-map value");
+  }
+  for (const std::string& got : Outcomes(
+           catalog_, functions_,
+           "SELECT g, SUM(m['k']) AS s FROM big GROUP BY g "
+           "HAVING COUNT(*) > 8")) {
+    EXPECT_EQ(got, "OK 1 rows");
+  }
+  // The partial aggregate did split the input.
+  Executor exec(&catalog_, &functions_, 4);
+  ASSERT_TRUE(exec.Query("SELECT g, SUM(value) AS s FROM (SELECT g, 1 AS "
+                         "value FROM big) q GROUP BY g")
+                  .ok());
+  std::string detail;
+  for (const OperatorStats& op : exec.last_stats().operators) {
+    if (op.name == "HashAggregate") detail = op.detail;
+  }
+  EXPECT_EQ(detail, "2 groups (partial, 4 shards)");
+}
+
 TEST_F(ExecutorTest, GroupAndJoinKeysAreLossless) {
   // Timestamps 10 s apart, doubles equal to six significant digits, and
   // NULL beside the string 'NULL' are all distinct keys.

@@ -20,8 +20,13 @@
 //   * HashAggregate's mode follows the statement, not the parallelism:
 //     decomposable aggregates run partial mode and STDDEV or LAG run
 //     index mode at parallelism 1, with a null context and at 4 alike.
+//   * Series-level programs (over dictionary columns sharing one code
+//     array) run once per referenced code in Filter, Project and
+//     HashAggregate, and series-level Project/HashAggregate items come
+//     out as dictionary columns.
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
@@ -489,6 +494,239 @@ TEST_F(OperatorsTest, AggregateModeFollowsTheStatement) {
             << "row " << r << " col " << col;
         EXPECT_TRUE(same(r0.At(r, col), r4->At(r, col)))
             << "row " << r << " col " << col;
+      }
+    }
+  }
+}
+
+/// Registers `coded`: name and tag are dictionary columns sharing one
+/// code array over 4 series (rows 0-1, 2-4, 5, 6-7), the dictionary
+/// repeating "cpu"; v is boxed.
+void RegisterCoded(Catalog* catalog) {
+  auto names = std::make_shared<table::Dictionary>(table::Dictionary{
+      Value::String("cpu"), Value::String("mem"), Value::String("cpu"),
+      Value::String("disk")});
+  auto tags = std::make_shared<table::Dictionary>(table::Dictionary{
+      Value::Map({{"host", Value::String("h0")}}),
+      Value::Map({{"host", Value::String("h1")}}),
+      Value::Map({{"host", Value::String("h0")}, {"rack", Value::String("r")}}),
+      Value::Map({{"host", Value::String("h2")}})});
+  auto codes = std::make_shared<table::CodeArray>(
+      table::CodeArray{0, 0, 1, 1, 1, 2, 3, 3});
+  std::vector<table::Column> cols;
+  cols.emplace_back(names, codes, 0, codes->size());
+  cols.emplace_back(tags, codes, 0, codes->size());
+  std::vector<Value> v;
+  for (int i = 0; i < 8; ++i) v.push_back(Value::Double(i));
+  cols.emplace_back(std::move(v));
+  auto t = Table::FromColumns(Schema{{{"name", DataType::kString},
+                                      {"tag", DataType::kMap},
+                                      {"v", DataType::kDouble}}},
+                              std::move(cols));
+  ASSERT_TRUE(t.ok());
+  catalog->RegisterTable("coded", std::move(t).value());
+}
+
+TEST_F(OperatorsTest, SeriesLevelProgramsRunOncePerReferencedCode) {
+  RegisterCoded(&catalog_);
+  // COUNTED(x) returns x and counts its calls.
+  auto calls = std::make_shared<size_t>(0);
+  functions_.Register("COUNTED", [calls](const std::vector<Value>& args)
+                                     -> Result<Value> {
+    ++*calls;
+    return args.at(0);
+  });
+  struct Case {
+    const char* query;
+    size_t calls;  // one per code a surviving row references
+    size_t rows;
+  };
+  const Case cases[] = {
+      {"SELECT COUNTED(name) AS n, v FROM coded", 4, 8},
+      {"SELECT v FROM coded WHERE COUNTED(tag['host']) = 'h0'", 4, 3},
+      // Rows 3..7 reference codes 1, 2 and 3 only.
+      {"SELECT COUNTED(name) AS n FROM coded WHERE v > 2.5", 3, 5},
+      // The key once per code (4); the item once per group's
+      // representative code (3: codes 0 and 2 form one group).
+      {"SELECT COUNTED(CONCAT(name, '@', tag['host'])) AS f, SUM(v) AS s "
+       "FROM coded GROUP BY COUNTED(CONCAT(name, '@', tag['host']))",
+       7, 3},
+  };
+  for (const size_t p : {size_t{1}, size_t{4}}) {
+    Executor exec(&catalog_, &functions_, p);
+    for (const Case& c : cases) {
+      SCOPED_TRACE(std::string(c.query) + " @" + std::to_string(p));
+      *calls = 0;
+      auto r = exec.Query(c.query);
+      ASSERT_TRUE(r.ok()) << r.status().ToString();
+      EXPECT_EQ(r->num_rows(), c.rows);
+      EXPECT_EQ(*calls, c.calls);
+    }
+  }
+}
+
+TEST_F(OperatorsTest, SeriesLevelItemsComeOutAsDictionaryColumns) {
+  RegisterCoded(&catalog_);
+  for (const size_t p : {size_t{1}, size_t{4}}) {
+    SCOPED_TRACE(p);
+    Executor exec(&catalog_, &functions_, p);
+    // Project: the series-level item is coded over the input's codes;
+    // the row-level one stays boxed.
+    auto proj = exec.Query(
+        "SELECT CONCAT(name, '@', tag['host']) AS f, v * 2 AS w FROM coded");
+    ASSERT_TRUE(proj.ok()) << proj.status().ToString();
+    ASSERT_EQ(proj->num_rows(), 8u);
+    EXPECT_TRUE(proj->column(0).is_dictionary());
+    EXPECT_FALSE(proj->column(1).is_dictionary());
+    EXPECT_EQ(proj->At(5, 0).AsString(), "cpu@h0");
+    EXPECT_EQ(proj->At(7, 1).AsDouble(), 14.0);
+    // A batch's dictionary holds only the codes its rows reference.
+    auto disk = exec.Query(
+        "SELECT CONCAT(name, '@', tag['host']) AS f FROM coded WHERE v >= 6");
+    ASSERT_TRUE(disk.ok()) << disk.status().ToString();
+    ASSERT_EQ(disk->num_rows(), 2u);
+    EXPECT_EQ(disk->At(1, 0).AsString(), "disk@h2");
+    if (p == 1) {
+      ASSERT_TRUE(disk->column(0).is_dictionary());
+      EXPECT_EQ(disk->column(0).dictionary()->size(), 1u);
+    }
+
+    // HashAggregate, partial and index mode: equal CONCATs of different
+    // series (codes 0 and 2) merge into one group in first-appearance
+    // order, and the keys come out coded, sharing one code array.
+    for (const char* agg : {"SUM(v)", "STDDEV(v)"}) {
+      SCOPED_TRACE(agg);
+      auto r = exec.Query(
+          std::string("SELECT CONCAT(name, '@', tag['host']) AS f, "
+                      "tag['host'] AS h, ") +
+          agg + " AS s FROM coded GROUP BY CONCAT(name, '@', tag['host']), "
+                "tag['host']");
+      ASSERT_TRUE(r.ok()) << r.status().ToString();
+      ASSERT_EQ(r->num_rows(), 3u);
+      EXPECT_TRUE(r->column(0).is_dictionary());
+      EXPECT_TRUE(r->column(1).is_dictionary());
+      EXPECT_EQ(r->column(0).code_array(), r->column(1).code_array());
+      EXPECT_FALSE(r->column(2).is_dictionary());
+      EXPECT_EQ(r->At(0, 0).AsString(), "cpu@h0");
+      EXPECT_EQ(r->At(1, 0).AsString(), "mem@h1");
+      EXPECT_EQ(r->At(2, 0).AsString(), "disk@h2");
+      EXPECT_EQ(r->At(2, 1).AsString(), "h2");
+      if (std::string(agg) == "SUM(v)") {
+        EXPECT_EQ(r->At(0, 2).AsDouble(), 0.0 + 1.0 + 5.0);
+      }
+    }
+  }
+}
+
+TEST_F(OperatorsTest, SeriesLevelProjectSpansManyBatches) {
+  // 3,000 rows cycling over a 500-entry dictionary: every streamed batch
+  // renumbers the codes it references, and the values read as the
+  // dictionary's.
+  auto names = std::make_shared<table::Dictionary>();
+  for (int i = 0; i < 500; ++i) {
+    names->push_back(Value::String(std::string("s").append(std::to_string(i))));
+  }
+  auto codes = std::make_shared<table::CodeArray>();
+  std::vector<Value> v;
+  for (uint32_t r = 0; r < 3000; ++r) {
+    codes->push_back((r * 7) % 500);
+    v.push_back(Value::Double(r));
+  }
+  std::vector<table::Column> cols;
+  cols.emplace_back(names, codes, 0, codes->size());
+  cols.emplace_back(std::move(v));
+  auto t = Table::FromColumns(
+      Schema{{{"name", DataType::kString}, {"v", DataType::kDouble}}},
+      std::move(cols));
+  ASSERT_TRUE(t.ok());
+  catalog_.RegisterTable("many", std::move(t).value());
+  for (const size_t p : {size_t{1}, size_t{4}}) {
+    SCOPED_TRACE(p);
+    Executor exec(&catalog_, &functions_, p);
+    auto r = exec.Query("SELECT CONCAT(name, '!') AS f, v FROM many");
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    ASSERT_EQ(r->num_rows(), 3000u);
+    for (size_t row = 0; row < 3000; ++row) {
+      ASSERT_EQ(r->At(row, 0).AsString(),
+                std::string("s").append(std::to_string((row * 7) % 500)) + "!")
+          << row;
+    }
+  }
+}
+
+TEST_F(OperatorsTest, SeriesLevelErrorsSurfaceAtTheRowPathsRow) {
+  RegisterCoded(&catalog_);
+  // FAILS_ON_DISK errors for the disk series (rows 6-7) only.
+  functions_.Register("FAILS_ON_DISK", [](const std::vector<Value>& args)
+                                           -> Result<Value> {
+    if (args.at(0).AsString() == "disk") {
+      return Status::InvalidArgument("disk row");
+    }
+    return args.at(0);
+  });
+  for (const size_t p : {size_t{1}, size_t{4}}) {
+    SCOPED_TRACE(p);
+    Executor exec(&catalog_, &functions_, p);
+    // A row-level predicate drops the failing series first: no error.
+    auto ok = exec.Query(
+        "SELECT FAILS_ON_DISK(name) AS n FROM coded WHERE v < 6");
+    ASSERT_TRUE(ok.ok()) << ok.status().ToString();
+    EXPECT_EQ(ok->num_rows(), 6u);
+    auto grouped = exec.Query(
+        "SELECT FAILS_ON_DISK(name) AS n, COUNT(*) AS c FROM coded "
+        "WHERE v < 6 GROUP BY FAILS_ON_DISK(name)");
+    ASSERT_TRUE(grouped.ok()) << grouped.status().ToString();
+    EXPECT_EQ(grouped->num_rows(), 2u);
+    // Otherwise the error surfaces, as row-by-row evaluation raises it.
+    auto bad = exec.Query("SELECT FAILS_ON_DISK(name) AS n FROM coded");
+    ASSERT_FALSE(bad.ok());
+    EXPECT_NE(bad.status().ToString().find("disk row"), std::string::npos);
+  }
+}
+
+TEST_F(OperatorsTest, InListOfLiteralsAnswersAsTheLinearScan) {
+  // Subjects and items covering NULL, NaN, 1 vs 1.0, -0.0, timestamps and
+  // strings; the bound key set must agree with Value::Equals item by item.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const std::vector<Value> values = {
+      Value::Null(),         Value::Int(1),          Value::Double(1.0),
+      Value::Double(nan),    Value::Double(-0.0),    Value::Int(0),
+      Value::Timestamp(60),  Value::Double(60.0),    Value::String("1"),
+      Value::String("NULL"), Value::String(""),      Value::Int(2),
+      Value::Map({{"k", Value::Int(1)}})};
+  Table t(Schema{{{"x", DataType::kNull}}});
+  for (const Value& v : values) t.AppendRow({v});
+  const table::ColumnBatch rows = table::ColumnBatch::View(t, 0, t.num_rows());
+  // Item lists drawn from the same values (maps are not literals).
+  const std::vector<std::vector<size_t>> lists = {
+      {0}, {1}, {2, 0}, {3}, {4}, {5, 9}, {6}, {7, 8}, {10, 11, 3, 0},
+      {1, 2, 4, 6, 8, 9, 10, 11}};
+  for (const std::vector<size_t>& list : lists) {
+    for (const bool negated : {false, true}) {
+      Expr in;
+      in.kind = ExprKind::kInList;
+      in.negated = negated;
+      in.left = std::make_unique<Expr>();
+      in.left->kind = ExprKind::kColumnRef;
+      in.left->column = "x";
+      for (const size_t i : list) {
+        auto item = std::make_unique<Expr>();
+        item->literal = values[i];
+        in.list.push_back(std::move(item));
+      }
+      const BoundExpr bound(in, t.schema(), &functions_);
+      for (size_t r = 0; r < t.num_rows(); ++r) {
+        auto got = bound.Eval(rows, r);
+        ASSERT_TRUE(got.ok());
+        const Value& x = values[r];
+        if (x.is_null()) {
+          EXPECT_TRUE(got->is_null()) << r;
+          continue;
+        }
+        bool found = false;
+        for (const size_t i : list) found = found || x.Equals(values[i]);
+        EXPECT_EQ(got->AsBool(), negated ? !found : found)
+            << x.ToString() << " list " << list.size() << " neg " << negated;
       }
     }
   }

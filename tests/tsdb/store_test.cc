@@ -428,6 +428,30 @@ TEST(SnapshotTest, TieredStateRoundTripsWithDirtyHead) {
   }
 }
 
+TEST(SnapshotTest, ReloadRestoresTheRetentionHighWater) {
+  // Retention cuts relative to the newest point written. A reloaded
+  // store must evict what the saved one would, before any new write.
+  StoreOptions opts;
+  opts.seal_max_points = 10;
+  opts.background_seal = false;
+  opts.retention_seconds = 600;
+  SeriesStore store(opts);
+  const TagSet tags{{"h", "x"}};
+  for (int i = 0; i < 100; ++i) {
+    ASSERT_TRUE(store.Write("m", tags, i * 60, 1.0 + i).ok());
+  }
+  const std::string path = ::testing::TempDir() + "/retention.bin";
+  ASSERT_TRUE(store.SaveSnapshot(path).ok());
+  SeriesStore loaded(opts);
+  ASSERT_TRUE(loaded.LoadSnapshot(path).ok());
+  ASSERT_EQ(loaded.num_points(), store.num_points());
+
+  const size_t evicted = store.EvictExpired();
+  EXPECT_GE(evicted, 1u);
+  EXPECT_EQ(loaded.EvictExpired(), evicted);
+  EXPECT_EQ(loaded.num_points(), store.num_points());
+}
+
 TEST(SnapshotTest, ReloadRebuildsTheSeekIndex) {
   // 1000-point segments hold several checkpoints each. The index is not
   // in the snapshot; reload reseals every block and so rebuilds it, and
