@@ -1,9 +1,11 @@
 #!/usr/bin/env bash
 # Tier-1 verification gate: Release build + full ctest (which includes the
-# paper reproductions) + a compile-only build of the perfbench benchmark +
-# bench and example smoke, an ASan/UBSan Debug build + full ctest, and a
-# ThreadSanitizer build running the concurrency-sensitive suites
-# (operators, differential, worker pool).
+# paper reproductions) + a build and 1 s run per workload of the perfbench
+# benchmark + bench and example smoke, an ASan/UBSan Debug build + full
+# ctest, and a ThreadSanitizer build running the concurrency-sensitive
+# suites (SQL operators, planner, executor and differential corpus, worker
+# pool, store, monitor, server, ranking, engine; the list is in the tsan
+# stage below).
 # Run from anywhere.
 #
 # Usage: check.sh [release|asan|tsan|all]   (default: all)
@@ -30,12 +32,19 @@ if [[ "${STAGE}" == "release" || "${STAGE}" == "all" ]]; then
   run_suite "${ROOT}/build" -DCMAKE_BUILD_TYPE=Release
 
   # The repository benchmark (perfbench/) is a project of its own over
-  # src/; compile it (no run) so a signature change to anything it calls
-  # fails here rather than only when the benchmark runs.
-  echo "=== build: ${ROOT}/build/perfbench (compile only) ==="
+  # src/; build it so a signature change to anything it calls fails here,
+  # and run each workload for 1 s: perfbench exits 1 unless its result
+  # reads "correct": true (rca_explain checks its Score Tables at SQL
+  # parallelism 2 against optimizer-off runs).
+  echo "=== build: ${ROOT}/build/perfbench ==="
   cmake -B "${ROOT}/build/perfbench" -S "${ROOT}/perfbench" \
     -DCMAKE_BUILD_TYPE=Release
   cmake --build "${ROOT}/build/perfbench" --target perfbench -j "${JOBS}"
+  for workload in rca_explain dashboard_select monitor_ingest; do
+    echo "=== perfbench smoke: ${workload} ==="
+    "${ROOT}/build/perfbench/perfbench" --workload "${workload}" --seed 1 \
+      --seconds 1 --trace 0
+  done
 
   # ctest ran the deterministic paper reproductions (paper_reproductions);
   # the wall-clock entries stay out of ctest, so run them once here in an
@@ -142,7 +151,7 @@ if [[ "${STAGE}" == "tsan" || "${STAGE}" == "all" ]]; then
     -DEXPLAINIT_TSAN=ON
   echo "=== build: ${ROOT}/build-tsan ==="
   cmake --build "${ROOT}/build-tsan" -j "${JOBS}"
-  echo "=== ctest (tsan): operator, differential and worker-pool suites ==="
+  echo "=== ctest (tsan): concurrency-sensitive suites ==="
   ctest --test-dir "${ROOT}/build-tsan" --output-on-failure -j "${JOBS}" \
     -R 'operators_test|differential_test|executor_test|planner_test|logical_plan_test|optimizer_test|fuzz_roundtrip_test|worker_pool_test|explain_e2e_test|server_test|concurrency_test|store_test|tiered_store_test|ranking_test|ridge_test|anomaly_test|monitor_test|monitor_stress_test|engine_test|pipeline_test|table_test|feature_family_test'
 fi

@@ -25,8 +25,8 @@ namespace explainit::core {
 struct EngineOptions {
   /// Shard count of the SQL pipeline's operators and of EXPLAIN's ranking
   /// fan-out; 0 = hardware concurrency. Every level runs the same
-  /// operator algorithms, 1 with one shard inline; only Filter and
-  /// Project keep a streaming path there, for early-stopping LIMITs.
+  /// operator algorithms, 1 with one shard inline (Filter and Project
+  /// then evaluate one morsel per window).
   size_t sql_parallelism = 0;
   /// Shared worker pool the engine's executor (and ranking fan-out)
   /// borrows; null = exec::WorkerPool::Global(). Injection point for

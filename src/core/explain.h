@@ -60,7 +60,6 @@ class RankOperator : public sql::Operator {
     return result_.schema();
   }
   std::string name() const override { return "Rank"; }
-  bool StableBatches() const override { return true; }
 
   /// The typed Score Table behind the relational output (valid after
   /// Open): sparklines, RankOf() and the rank-stage wall time.

@@ -13,20 +13,28 @@ using table::ColumnBatch;
 using table::DataType;
 using table::Value;
 
-bool SqlLikeMatch(const std::string& pattern, const std::string& text) {
-  // Translate SQL wildcards to the glob matcher: % -> *, _ -> ?.
-  std::string glob;
-  glob.reserve(pattern.size());
-  for (char c : pattern) {
-    if (c == '%') {
-      glob += '*';
-    } else if (c == '_') {
-      glob += '?';
+bool SqlLikeMatch(std::string_view pattern, std::string_view text) {
+  // Two-pointer match that backtracks to the last '%'. Only '%' and '_'
+  // are wildcards; every other pattern character matches itself.
+  size_t p = 0, t = 0;
+  size_t percent = std::string_view::npos, resume = 0;
+  while (t < text.size()) {
+    if (p < pattern.size() && pattern[p] == '%') {
+      percent = p++;
+      resume = t;
+    } else if (p < pattern.size() &&
+               (pattern[p] == '_' || pattern[p] == text[t])) {
+      ++p;
+      ++t;
+    } else if (percent != std::string_view::npos) {
+      p = percent + 1;
+      t = ++resume;
     } else {
-      glob += c;
+      return false;
     }
   }
-  return GlobMatch(glob, text);
+  while (p < pattern.size() && pattern[p] == '%') ++p;
+  return p == pattern.size();
 }
 
 Result<size_t> ResolveColumn(const Expr& expr, const table::Schema& schema) {
@@ -527,8 +535,15 @@ const Value* EvalOp(const Node& n, const Frame& f, size_t row, Value* s) {
           return Bool(l->Compare(*r) > 0);
         case BinaryOp::kGe:
           return Bool(l->Compare(*r) >= 0);
-        case BinaryOp::kLike:
-          return Bool(SqlLikeMatch(r->AsString(), l->AsString()));
+        case BinaryOp::kLike: {
+          // Strings match in place; other values match their rendering.
+          std::string lbuf, rbuf;
+          auto text = [](const Value& v, std::string* buf) {
+            const std::string* s = v.TryString();
+            return std::string_view(s != nullptr ? *s : (*buf = v.AsString()));
+          };
+          return Bool(SqlLikeMatch(text(*r, &rbuf), text(*l, &lbuf)));
+        }
         case BinaryOp::kAdd:
         case BinaryOp::kSub:
         case BinaryOp::kMul:

@@ -25,6 +25,7 @@
 
 #include <memory>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -219,6 +220,6 @@ bool AppendKey(const table::Value& v, std::string* key);
 
 /// True when the value of a LIKE pattern matches the text (SQL '%'/'_'
 /// wildcards).
-bool SqlLikeMatch(const std::string& pattern, const std::string& text);
+bool SqlLikeMatch(std::string_view pattern, std::string_view text);
 
 }  // namespace explainit::sql

@@ -1,16 +1,14 @@
 // Shared execution context for one query pipeline: the degree of
 // parallelism the executor was configured with, the worker pool that
-// the parallel operators (Filter/Project/HashAggregate morsels,
-// HashJoin's partitioned build/probe, SortLimit's sharded sort) and the
-// executor's chunked result assembly fan out over, and the query's
-// cancellation token.
+// the parallel operators (Filter/Project morsel windows, HashAggregate
+// morsels, HashJoin's partitioned build/probe, SortLimit's sharded
+// sort) fan out over, and the query's cancellation token.
 //
 // parallelism sets only the shard count: operators pick their algorithm
 // from the statement, and at parallelism == 1 (or a null context/pool)
-// run it as one shard inline (Filter and Project without LAG stream
-// batch at a time instead). Shard boundaries depend only on (row count,
-// parallelism), never on scheduling, so a given parallelism level is
-// deterministic.
+// run it as one shard inline. Shard boundaries depend only on (row
+// count, parallelism), never on scheduling, so a given parallelism
+// level is deterministic.
 //
 // The pool is *borrowed* — by default the process-wide
 // exec::WorkerPool::Global(), shared with every other session, the

@@ -54,53 +54,10 @@ Result<table::Table> Executor::ExecuteTree(Operator* root) {
   EXPLAINIT_RETURN_IF_ERROR(ctx_.CheckCancel());
   EXPLAINIT_RETURN_IF_ERROR(root->Open());
   Table out(root->output_schema());
-  bool eof = false;
-  size_t materialize_chunks = 1;
-  const size_t width = out.num_columns();
-  if (parallelism_ > 1 && width > 0 && root->StableBatches()) {
-    // Parallel result materialisation: a stable root's batches stay
-    // valid until the tree is destroyed, so the drain buffers views and
-    // the final table assembles column-wise across the pool — per-batch
-    // chunks copy into disjoint row ranges of preallocated columns
-    // (dictionary columns copy codes only), replacing the serial
-    // per-batch AppendTo copy. Trade-off: batches
-    // with owned storage are all held until assembly, so peak transient
-    // memory can approach twice the result set (the serial path frees
-    // each batch right after appending it).
-    std::vector<table::ColumnBatch> batches;
-    while (true) {
-      EXPLAINIT_ASSIGN_OR_RETURN(table::ColumnBatch batch,
-                                 root->Next(&eof));
-      if (eof) break;
-      if (batch.num_rows() == 0) continue;
-      batches.push_back(std::move(batch));
-    }
-    EXPLAINIT_ASSIGN_OR_RETURN(
-        out,
-        Table::FromColumns(
-            root->output_schema(),
-            table::ConcatBatches(
-                root->output_schema(), batches,
-                [this](size_t n, const std::function<void(size_t)>& fn) {
-                  // Copies cannot fail, so neither can the run.
-                  (void)RunSharded(&ctx_, n, [&fn](size_t b) {
-                    fn(b);
-                    return Status::OK();
-                  });
-                })));
-    materialize_chunks = std::max<size_t>(1, batches.size());
-  } else {
-    while (true) {
-      EXPLAINIT_ASSIGN_OR_RETURN(table::ColumnBatch batch,
-                                 root->Next(&eof));
-      if (eof) break;
-      batch.AppendTo(&out);
-    }
-  }
+  EXPLAINIT_RETURN_IF_ERROR(Drain(root, &out));
 
   last_stats_ = ExecStats{};
   last_stats_.parallelism = parallelism_;
-  last_stats_.materialize_chunks = materialize_chunks;
   root->AccumulateExecStatsTree(&last_stats_);
   last_stats_.rows_output = out.num_rows();
   root->CollectStats(&last_stats_.operators);
@@ -121,8 +78,6 @@ Result<table::Table> Executor::ExecuteTree(Operator* root) {
                                           last_stats_.join_build_partitions);
   stats_.sort_shards =
       std::max(stats_.sort_shards, last_stats_.sort_shards);
-  stats_.materialize_chunks =
-      std::max(stats_.materialize_chunks, last_stats_.materialize_chunks);
   stats_.joins_reordered += last_stats_.joins_reordered;
   stats_.agg_pushdowns += last_stats_.agg_pushdowns;
   stats_.count_rollup_rewrites += last_stats_.count_rollup_rewrites;

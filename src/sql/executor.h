@@ -10,17 +10,17 @@
 // Time-range, metric and tag predicates push down into hint-aware
 // catalog providers (tsdb::SeriesStore scans) — on both sides of joins.
 //
-// Parallelism: set_parallelism(n) shards Filter/Project/HashAggregate
-// morsels, HashJoin's partitioned build/probe, SortLimit's sort and the
-// final drain's chunked column assembly n ways — all over a *borrowed*
-// worker pool, by default the process-wide exec::WorkerPool::Global()
-// shared with every other executor, store scan and ranking fan-out.
-// n == 1 runs the same operator algorithms with one shard inline, except
-// that Filter/Project without LAG stream batch at a time and the final
-// drain appends batch by batch; n == 0 means hardware
-// concurrency. Join, sort and materialisation output is
-// byte-identical across levels; aggregation is identical up to
-// floating-point summation order. The differential suite pins both.
+// Parallelism: set_parallelism(n) evaluates Filter/Project morsel
+// windows of n batches, and shards HashAggregate morsels, HashJoin's
+// partitioned build/probe and SortLimit's sort n ways — all over a
+// *borrowed* worker pool, by default the process-wide
+// exec::WorkerPool::Global() shared with every other executor, store
+// scan and ranking fan-out. n == 1 runs the same operator algorithms
+// with one shard inline; n == 0 means hardware concurrency. The result
+// table is the root's batches appended in order. Filter, Project, join
+// and sort output is byte-identical across levels; aggregation is
+// identical up to floating-point summation order. The differential
+// suite pins both.
 #pragma once
 
 #include <memory>

@@ -385,10 +385,10 @@ Status HashAggregateOperator::PartialAccumulate(const ColumnBatch& batch,
 }
 
 Result<ColumnBatch> HashAggregateOperator::PartialNext(bool* eof) {
-  // Morsel source: buffer the child's own batches when their storage is
-  // stable (and the pre-aggregation rows need not be retained), else
-  // drain once and shard the materialised rows.
-  if (input_->StableBatches() && !retain_input_) {
+  // Morsel source: buffer the child's own batches (each stays valid
+  // until the child is destroyed) unless the pre-aggregation rows must
+  // be retained; then drain once and shard the materialised rows.
+  if (!retain_input_) {
     bool child_eof = false;
     while (true) {
       EXPLAINIT_ASSIGN_OR_RETURN(ColumnBatch batch, input_->Next(&child_eof));

@@ -11,9 +11,10 @@
 //    partial states (sum, non-null count, min, max, row count), a merge
 //    stage combines partials in shard order (so a given parallelism
 //    level is deterministic), and finalisation substitutes merged values
-//    for the aggregate nodes. Input morsels are the child's own batches
-//    when the child emits stable storage (no re-materialisation), else
-//    row shards of a one-time drain.
+//    for the aggregate nodes. Input morsels are the child's own batches,
+//    held without copying (a batch stays valid until its producer is
+//    destroyed), unless the input rows are retained for ORDER BY: then
+//    they are row shards of a one-time drain.
 //  * index mode — non-decomposable aggregates (STDDEV, PERCENTILE, or
 //    malformed calls whose error messages this mode owns), or LAG in a
 //    key, item or HAVING: the input is drained, shards group row indices,
@@ -52,7 +53,6 @@ class HashAggregateOperator : public Operator {
 
   const table::Schema& output_schema() const override { return schema_; }
   std::string name() const override { return "HashAggregate"; }
-  bool StableBatches() const override { return true; }
 
   /// The accumulated input rows (the aggregate materialises its input
   /// on every path that retains); ORDER BY's last-resort resolution path
@@ -137,8 +137,8 @@ class HashAggregateOperator : public Operator {
       const std::function<GroupRow(size_t)>& group_row,
       const SlotValue& slot_value);
   /// Drains the input into acc_ and exposes it as one view batch per row
-  /// shard (the morsel source of index mode and of partial mode over
-  /// unstable batches).
+  /// shard (the morsel source of index mode and of partial mode when the
+  /// input rows are retained).
   Status MaterializeInputShards();
   /// Builds the final output batch from its columns.
   table::ColumnBatch EmitRows(std::vector<table::Column> cols, size_t rows);
@@ -150,7 +150,7 @@ class HashAggregateOperator : public Operator {
   bool retain_input_;
 
   table::Schema schema_;
-  table::Table acc_;  // the drained input (index mode, or unstable batches)
+  table::Table acc_;  // the drained input (index mode, or retained rows)
   const table::Table* retained_ptr_ = nullptr;
   bool done_ = false;
 

@@ -16,12 +16,6 @@ namespace {
 /// morsel default grain (1024) would rarely split them.
 constexpr size_t kProbeShardMinRows = 128;
 
-/// Runs the tasks of table::ConcatBatches inline: a run's merge is
-/// small next to the shards that produced it.
-void Serially(size_t n, const std::function<void(size_t)>& fn) {
-  for (size_t i = 0; i < n; ++i) fn(i);
-}
-
 /// An expression "belongs" to a side when every column it references
 /// resolves there.
 bool ResolvesAgainst(const Expr& e, const Schema& schema) {
@@ -383,7 +377,7 @@ Result<ColumnBatch> HashJoinOperator::JoinRun() {
     parts.push_back(std::move(pad));
   }
   ColumnBatch out(&schema_, match_rows + pads.size());
-  for (table::Column& col : table::ConcatBatches(schema_, parts, Serially)) {
+  for (table::Column& col : table::ConcatBatches(schema_, parts)) {
     out.AddOwnedColumn(std::move(col));
   }
   return out;

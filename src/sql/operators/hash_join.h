@@ -85,8 +85,6 @@ class HashJoinOperator : public Operator {
     stats->join_build_partitions =
         std::max(stats->join_build_partitions, num_partitions_);
   }
-  /// Every emitted batch is owned (gathered candidates / outer pads).
-  bool StableBatches() const override { return true; }
 
  protected:
   Status OpenImpl() override;

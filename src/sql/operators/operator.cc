@@ -37,16 +37,6 @@ Result<table::ColumnBatch> Operator::Next(bool* eof) {
   return r;
 }
 
-const table::Table* Operator::BorrowMaterializedTable() {
-  const table::Table* t = MaterializedTable();
-  if (t == nullptr || &t->schema() != &output_schema()) return nullptr;
-  if (t->num_rows() > 0) {
-    stats_.rows_output += t->num_rows();
-    ++stats_.batches_output;
-  }
-  return t;
-}
-
 void Operator::CollectStats(std::vector<OperatorStats>* out) const {
   stats_.name = name();
   out->push_back(stats_);
@@ -58,12 +48,84 @@ void Operator::AccumulateExecStatsTree(ExecStats* stats) const {
   for (const auto& c : children_) c->AccumulateExecStatsTree(stats);
 }
 
-Status Operator::Drain(Operator* op, table::Table* out) {
+Status Drain(Operator* op, table::Table* out) {
   bool eof = false;
   while (true) {
     EXPLAINIT_ASSIGN_OR_RETURN(table::ColumnBatch batch, op->Next(&eof));
     if (eof) return Status::OK();
     batch.AppendTo(out);
+  }
+}
+
+MorselWindow::MorselWindow(Operator* child, const ExecContext* ctx,
+                           bool whole_input, bool keep_rows)
+    : child_(child),
+      ctx_(ctx),
+      width_(EffectiveParallelism(ctx)),
+      whole_input_(whole_input),
+      keep_rows_(keep_rows || whole_input),
+      rows_(child->output_schema()) {}
+
+Status MorselWindow::Pull() {
+  morsels_.clear();
+  // Earlier outputs slice or share what they read, so only a batch with
+  // rows left for this window stays.
+  if (batches_.empty() || next_row_ == batches_.back().num_rows()) {
+    batches_.clear();
+  } else if (batches_.size() > 1) {
+    batches_.erase(batches_.begin(), batches_.end() - 1);
+  }
+  while (morsels_.size() < width_) {
+    if (batches_.empty() || next_row_ == batches_.back().num_rows()) {
+      if (child_done_) break;
+      if (whole_input_) {
+        child_done_ = true;
+        EXPLAINIT_RETURN_IF_ERROR(Drain(child_, &rows_));
+        batches_.push_back(
+            table::ColumnBatch::View(rows_, 0, rows_.num_rows()));
+      } else {
+        EXPLAINIT_ASSIGN_OR_RETURN(table::ColumnBatch batch,
+                                   child_->Next(&child_done_));
+        if (child_done_) break;
+        if (keep_rows_) batch.AppendTo(&rows_);
+        batches_.push_back(std::move(batch));
+      }
+      next_row_ = 0;
+      continue;
+    }
+    const size_t end =
+        next_row_ + std::min(table::kDefaultBatchRows,
+                             batches_.back().num_rows() - next_row_);
+    morsels_.push_back(Morsel{batches_.size() - 1, RowRange{next_row_, end}});
+    next_row_ = end;
+  }
+  return Status::OK();
+}
+
+Result<table::ColumnBatch> MorselWindow::Next(bool* eof, const EvalFn& eval) {
+  while (true) {
+    while (emit_ < outputs_.size()) {
+      table::ColumnBatch out = std::move(outputs_[emit_++]);
+      if (out.num_rows() > 0) {
+        *eof = false;
+        return out;
+      }
+    }
+    EXPLAINIT_RETURN_IF_ERROR(Pull());
+    if (morsels_.empty()) {
+      *eof = true;
+      return table::ColumnBatch{};
+    }
+    outputs_.clear();
+    outputs_.resize(morsels_.size());
+    emit_ = 0;
+    EXPLAINIT_RETURN_IF_ERROR(
+        RunSharded(ctx_, morsels_.size(), [&](size_t i) -> Status {
+          const Morsel& m = morsels_[i];
+          EXPLAINIT_ASSIGN_OR_RETURN(outputs_[i],
+                                     eval(i, batches_[m.batch], m.range));
+          return Status::OK();
+        }));
   }
 }
 

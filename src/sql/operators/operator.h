@@ -9,8 +9,10 @@
 //             lazily), so parents derive their schema from children here.
 //   Next()  — produces the next batch; sets *eof instead when exhausted.
 //
-// A produced batch may borrow column storage from its operator; it stays
-// valid until that operator's next Next()/destruction (see ColumnBatch).
+// A produced batch may borrow column storage from its operator or from
+// the operator's inputs; it stays valid until that operator is
+// destroyed, so a consumer may hold many batches at once (a morsel
+// window, HashAggregate's partial-mode morsels) without copying them.
 #pragma once
 
 #include <functional>
@@ -62,9 +64,6 @@ struct ExecStats {
   /// 0 when the operator did not appear in the plan).
   size_t join_build_partitions = 0;
   size_t sort_shards = 0;
-  /// Chunks the executor assembled the final result table from (1 = the
-  /// classic serial drain-and-append path).
-  size_t materialize_chunks = 0;
   /// The logical plan (LogicalPlan::ToString) behind the last query, and
   /// the optimiser rewrites that fired: statements whose join order left
   /// statement order, partial aggregates placed below joins, and
@@ -92,20 +91,6 @@ class Operator {
 
   virtual const table::Schema& output_schema() const = 0;
   virtual std::string name() const = 0;
-
-  /// The operator's complete output as one materialised table, when it
-  /// has one (catalog scans outside joins), else null. Valid after Open().
-  /// Sharded consumers read this storage in place instead of draining
-  /// the batch stream. The borrowed rows count as this operator's output
-  /// (one batch), so its counters read the same either way.
-  const table::Table* BorrowMaterializedTable();
-
-  /// True when every batch this operator emits stays valid until the
-  /// operator is destroyed (owned storage or views into long-lived
-  /// member tables), rather than only until the next Next() call.
-  /// Valid after Open(). Parallel aggregation buffers such batches as
-  /// morsels without copying.
-  virtual bool StableBatches() const { return false; }
 
   /// Pre-projection input rows retained 1:1 with this operator's output
   /// (Project) or the accumulated aggregate input (HashAggregate); the
@@ -142,21 +127,12 @@ class Operator {
   virtual Status OpenImpl() = 0;
   virtual Result<table::ColumnBatch> NextImpl(bool* eof) = 0;
 
-  /// The backing table behind this operator's batches, if any (valid
-  /// after Open()). Its schema is the *unqualified* backing schema;
-  /// BorrowMaterializedTable lends it only when that is output_schema().
-  virtual const table::Table* MaterializedTable() const { return nullptr; }
-
   Operator* AddChild(std::unique_ptr<Operator> child) {
     children_.push_back(std::move(child));
     return children_.back().get();
   }
   Operator* child(size_t i) const { return children_[i].get(); }
   size_t num_children() const { return children_.size(); }
-
-  /// Pulls everything a child has into `out` (appending column-wise).
-  /// The materialisation step of pipeline breakers (sort, join build).
-  static Status Drain(Operator* op, table::Table* out);
 
   mutable OperatorStats stats_;
 
@@ -167,6 +143,11 @@ class Operator {
   std::vector<std::unique_ptr<Operator>> children_;
   const ExecContext* bound_ctx_ = nullptr;  // set by BindExecContext
 };
+
+/// Pulls everything `op` has into `out` (appending column-wise). The
+/// materialisation step of pipeline breakers (sort, join build, index
+/// mode aggregation) and of LAG stages' morsel windows.
+Status Drain(Operator* op, table::Table* out);
 
 /// Encodes the values of the programs of `memos` (prepared for `in`) at
 /// `row` of `in` into `*key` (reused storage) with AppendKey; false when
@@ -234,6 +215,67 @@ Status RunSharded(const ExecContext* ctx, size_t num_shards,
 inline size_t EffectiveParallelism(const ExecContext* ctx) {
   return ctx != nullptr && ctx->parallel() ? ctx->parallelism : 1;
 }
+
+/// The execution shape of Filter and Project at every parallelism level.
+/// Each step pulls a window of up to EffectiveParallelism(ctx) morsels
+/// from the child, evaluates them with RunSharded (slot i evaluates
+/// morsel i, so a stage keeps one evaluation state per slot across
+/// windows), and returns the non-empty outputs in morsel order. A morsel
+/// is a range of at most kDefaultBatchRows rows of one child batch:
+/// normally the whole batch, while a larger batch (an aggregate's or a
+/// join's output) splits into several. A stage containing LAG drains its
+/// child into rows() first and splits one view over that whole input, so
+/// LAG reads its true neighbour. A LIMIT above the stage stops it within
+/// one window at every level.
+class MorselWindow {
+ public:
+  /// Evaluates rows `range` of `batch` in `slot`, concurrently with the
+  /// window's other slots. `batch` is only valid during the call: an
+  /// output that borrows its columns must slice or share them.
+  using EvalFn = std::function<Result<table::ColumnBatch>(
+      size_t slot, const table::ColumnBatch& batch, RowRange range)>;
+
+  MorselWindow() = default;
+  /// `whole_input`: the LAG form. `keep_rows`: also append every pulled
+  /// row to rows(), in order (the LAG form always does).
+  MorselWindow(Operator* child, const ExecContext* ctx, bool whole_input,
+               bool keep_rows);
+
+  /// Number of slots: the most morsels one window holds.
+  size_t width() const { return width_; }
+
+  /// The next non-empty output, evaluating the next window with `eval`
+  /// once the current one's outputs are used up.
+  Result<table::ColumnBatch> Next(bool* eof, const EvalFn& eval);
+
+  /// The pulled rows so far (see keep_rows); complete once Next has
+  /// returned eof.
+  const table::Table& rows() const { return rows_; }
+
+ private:
+  struct Morsel {
+    size_t batch;  // index into batches_
+    RowRange range;
+  };
+
+  /// Replaces the window with the child's next morsels (none at end).
+  Status Pull();
+
+  Operator* child_ = nullptr;
+  const ExecContext* ctx_ = nullptr;
+  size_t width_ = 1;
+  bool whole_input_ = false;
+  bool keep_rows_ = false;
+  bool child_done_ = false;  // the child returned eof, or was drained
+  table::Table rows_;
+  /// The batches the window's morsels read; the last one's rows from
+  /// next_row_ on go to the next window.
+  std::vector<table::ColumnBatch> batches_;
+  size_t next_row_ = 0;
+  std::vector<Morsel> morsels_;
+  std::vector<table::ColumnBatch> outputs_;
+  size_t emit_ = 0;
+};
 
 /// Flattens an AND tree into its conjuncts (any other node is one
 /// conjunct). Order is evaluation (left-to-right) order.

@@ -44,13 +44,8 @@ Status ProjectOperator::OpenImpl() {
         OutputColumn{BoundExpr(*item.expr, in, functions_), 0});
     if (ContainsLag(*item.expr)) has_lag = true;
   }
-  stream_state_ = MakeShardState();
-  // A LAG item reads the neighbouring row of the whole input, which the
-  // sharded path's shards span at any shard count.
-  sharded_ = has_lag || (ctx_ != nullptr && ctx_->parallel());
-  // The sharded path may also drain into retained_ (its fallback morsel
-  // source when the child's storage is not borrowable).
-  if (retain_input_ || sharded_) retained_ = table::Table(in);
+  window_ = MorselWindow(input_, ctx_, has_lag, retain_input_);
+  states_.assign(window_.width(), MakeShardState());
   return Status::OK();
 }
 
@@ -136,56 +131,14 @@ Result<ColumnBatch> ProjectOperator::ProjectRows(const ColumnBatch& in,
   return out;
 }
 
-Result<ColumnBatch> ProjectOperator::ShardedNext(bool* eof) {
-  if (!done_) {
-    done_ = true;
-    // Morsel source: borrow the child's materialised table when its
-    // schema object is the child's output schema, else drain once. The
-    // source doubles as the retained pre-projection rows (1:1).
-    const table::Table* source = input_->BorrowMaterializedTable();
-    if (source == nullptr) {
-      EXPLAINIT_RETURN_IF_ERROR(Drain(input_, &retained_));
-      source = &retained_;
-    }
-    retained_ptr_ = source;
-    const ColumnBatch whole = ColumnBatch::View(*source, 0, source->num_rows());
-    const std::vector<RowRange> shards =
-        ShardRows(source->num_rows(), EffectiveParallelism(ctx_));
-    std::vector<ColumnBatch> outputs(shards.size());
-    EXPLAINIT_RETURN_IF_ERROR(RunSharded(
-        ctx_, shards.size(), [&](size_t s) -> Status {
-          ShardState state = MakeShardState();
-          EXPLAINIT_ASSIGN_OR_RETURN(outputs[s],
-                                     ProjectRows(whole, shards[s], &state));
-          return Status::OK();
-        }));
-    shard_output_ = std::move(outputs);
-    stats_.detail = std::to_string(shards.size()) + " shards";
-  }
-  while (emit_pos_ < shard_output_.size()) {
-    ColumnBatch batch = std::move(shard_output_[emit_pos_]);
-    ++emit_pos_;
-    if (batch.num_rows() == 0) continue;
-    *eof = false;
-    return batch;
-  }
-  *eof = true;
-  return ColumnBatch{};
-}
-
 Result<ColumnBatch> ProjectOperator::NextImpl(bool* eof) {
-  if (sharded_) return ShardedNext(eof);
-  bool child_eof = false;
-  EXPLAINIT_ASSIGN_OR_RETURN(ColumnBatch batch, input_->Next(&child_eof));
-  if (child_eof) {
-    *eof = true;
-    return ColumnBatch{};
-  }
-  if (retain_input_) batch.AppendTo(&retained_);
-  current_input_ = std::move(batch);
-  *eof = false;
-  return ProjectRows(current_input_, RowRange{0, current_input_.num_rows()},
-                     &stream_state_);
+  return window_.Next(eof, [this](size_t slot, const ColumnBatch& in,
+                                  RowRange range) -> Result<ColumnBatch> {
+    EXPLAINIT_ASSIGN_OR_RETURN(ColumnBatch out,
+                               ProjectRows(in, range, &states_[slot]));
+    out.Share(in);
+    return out;
+  });
 }
 
 }  // namespace explainit::sql

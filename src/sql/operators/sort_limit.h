@@ -44,9 +44,6 @@ class SortLimitOperator : public Operator {
       stats->sort_shards = std::max(stats->sort_shards, sort_shards_);
     }
   }
-  bool StableBatches() const override {
-    return !stmt_->order_by.empty() || input_->StableBatches();
-  }
 
  protected:
   Status OpenImpl() override;

@@ -28,8 +28,26 @@ void ColumnBatch::AddOwnedColumn(Column data) {
   EXPLAINIT_CHECK(data.size() == num_rows_,
                   "owned column size " << data.size() << " != batch rows "
                                        << num_rows_);
-  owned_.push_back(std::make_unique<Column>(std::move(data)));
+  owned_.push_back(std::make_shared<const Column>(std::move(data)));
   cols_.emplace_back(*owned_.back(), 0);
+}
+
+void ColumnBatch::Share(const ColumnBatch& other) {
+  owned_.insert(owned_.end(), other.owned_.begin(), other.owned_.end());
+}
+
+ColumnBatch ColumnBatch::Slice(size_t begin, size_t n) const {
+  EXPLAINIT_CHECK(begin + n <= num_rows_, "slice [" << begin << ", "
+                                                    << begin + n
+                                                    << ") exceeds "
+                                                    << num_rows_ << " rows");
+  ColumnBatch out(schema_, n);
+  out.cols_.reserve(cols_.size());
+  for (const ColumnView& col : cols_) {
+    out.cols_.emplace_back(col.column(), col.offset() + begin);
+  }
+  out.Share(*this);
+  return out;
 }
 
 ColumnBatch ColumnBatch::Gather(const std::vector<uint32_t>& indices) const {
@@ -49,15 +67,10 @@ void ColumnBatch::AppendTo(Table* out) const {
 }
 
 std::vector<Column> ConcatBatches(const Schema& schema,
-                                  const std::vector<ColumnBatch>& batches,
-                                  const ForEachTask& for_each) {
+                                  const std::vector<ColumnBatch>& batches) {
   const size_t width = schema.num_fields();
-  std::vector<size_t> offsets;
   size_t total = 0;
-  for (const ColumnBatch& b : batches) {
-    offsets.push_back(total);
-    total += b.num_rows();
-  }
+  for (const ColumnBatch& b : batches) total += b.num_rows();
   // Per column: its dictionary when every batch codes it with the same
   // one, and the column whose code array it shares in every batch.
   std::vector<std::shared_ptr<const Dictionary>> dicts(width);
@@ -93,9 +106,8 @@ std::vector<Column> ConcatBatches(const Schema& schema,
       codes[c] = std::make_shared<CodeArray>(total);
     }
   }
-  for_each(batches.size(), [&](size_t b) {
-    const ColumnBatch& batch = batches[b];
-    const size_t base = offsets[b];
+  size_t base = 0;
+  for (const ColumnBatch& batch : batches) {
     for (size_t c = 0; c < width; ++c) {
       const ColumnView& src = batch.column(c);
       if (dicts[c] == nullptr) {
@@ -107,7 +119,8 @@ std::vector<Column> ConcatBatches(const Schema& schema,
                   codes[c]->begin() + static_cast<std::ptrdiff_t>(base));
       }
     }
-  });
+    base += batch.num_rows();
+  }
   std::vector<Column> cols(width);
   for (size_t c = 0; c < width; ++c) {
     cols[c] = dicts[c] == nullptr

@@ -8,9 +8,10 @@
 // codes in place, and columns that shared a code array still share it.
 //
 // Lifetime contract: a borrowed column (and the borrowed schema pointer)
-// must outlive the batch. In the operator pipeline the producing operator
-// keeps its backing storage alive until the consumer has processed the
-// batch, so a batch is valid until the next Next() call on its producer.
+// must outlive the batch. In the operator pipeline a batch borrows only
+// storage its producer (or the producer's inputs) keeps until it is
+// destroyed, or columns the batch owns itself, so a batch stays valid
+// until its producer is destroyed.
 #pragma once
 
 #include <cstdint>
@@ -22,7 +23,8 @@
 namespace explainit::table {
 
 /// A lightweight columnar view over a run of rows. Move-only: owned
-/// columns live behind stable heap addresses that views point at.
+/// columns live behind stable heap addresses that views point at, shared
+/// with the batches that slice or pass them through.
 class ColumnBatch {
  public:
   ColumnBatch() = default;
@@ -63,6 +65,14 @@ class ColumnBatch {
     AddOwnedColumn(Column(std::move(data)));
   }
 
+  /// Shares `other`'s owned columns, so views of them (a projection's
+  /// pass-through columns) live as long as this batch.
+  void Share(const ColumnBatch& other);
+
+  /// Rows [begin, begin + n) as a zero-copy batch that shares this
+  /// batch's owned columns, so it stays valid after this batch is gone.
+  ColumnBatch Slice(size_t begin, size_t n) const;
+
   /// New batch (same schema) holding only the rows at `indices`, in
   /// owned columns that keep each column's representation (see
   /// GatherColumns). The filter compaction step.
@@ -79,19 +89,16 @@ class ColumnBatch {
  private:
   const Schema* schema_ = nullptr;
   std::vector<ColumnView> cols_;
-  std::vector<std::unique_ptr<Column>> owned_;  // backing for owned views
+  std::vector<std::shared_ptr<const Column>> owned_;  // backing for views
   size_t num_rows_ = 0;
 };
 
 /// Concatenates `batches` (all of `schema`'s width) into one column per
 /// field. A column stays dictionary-coded when every batch's column uses one
 /// dictionary object, and columns that share a code array in every
-/// batch share one in the result. Rows copy in per-batch tasks that
-/// `for_each(n, fn)` runs as fn(0) ... fn(n - 1), possibly concurrently
-/// (tasks write disjoint row ranges).
+/// batch share one in the result.
 std::vector<Column> ConcatBatches(const Schema& schema,
-                                  const std::vector<ColumnBatch>& batches,
-                                  const ForEachTask& for_each);
+                                  const std::vector<ColumnBatch>& batches);
 
 /// Default number of rows exchanged per batch.
 inline constexpr size_t kDefaultBatchRows = 1024;

@@ -82,6 +82,42 @@ TEST_F(ExecutorTest, SelectConstantNoFrom) {
   EXPECT_EQ(t.schema().field(0).name, "three");
 }
 
+TEST_F(ExecutorTest, LikeWildcardsAreOnlyPercentAndUnderscore) {
+  // Each item: (text LIKE pattern, expected). '*' and '?' are literal
+  // characters in a LIKE pattern, not wildcards.
+  const std::vector<std::pair<std::string, bool>> cases = {
+      {"'abc' LIKE 'a*c'", false},     {"'a*c' LIKE 'a*c'", true},
+      {"'abc' LIKE 'a?c'", false},     {"'a?c' LIKE 'a?c'", true},
+      {"'*ba' LIKE '*%a'", true},      {"'xba' LIKE '*%a'", false},
+      {"'' LIKE ''", true},            {"'x' LIKE ''", false},
+      {"'' LIKE '%'", true},           {"'anything' LIKE '%'", true},
+      {"'aXbXc' LIKE 'a%b%c'", true},  {"'aXbXcX' LIKE 'a%b%c'", false},
+      {"'abcbc' LIKE '%bc'", true},    {"'abc' LIKE 'a_c'", true},
+      {"'ac' LIKE 'a_c'", false},      {"'a%c' LIKE 'a%%c'", true},
+  };
+  std::string sql = "SELECT ";
+  for (size_t i = 0; i < cases.size(); ++i) {
+    if (i > 0) sql += ", ";
+    sql += cases[i].first + " AS m" + std::to_string(i);
+  }
+  Table t = MustQuery(sql);
+  ASSERT_EQ(t.num_rows(), 1u);
+  ASSERT_EQ(t.num_columns(), cases.size());
+  for (size_t i = 0; i < cases.size(); ++i) {
+    EXPECT_EQ(t.At(0, i).AsBool(), cases[i].second) << cases[i].first;
+  }
+  // Row by row over a column, in a filter.
+  Table hosts = MustQuery(
+      "SELECT hostname FROM processes WHERE hostname LIKE '%eb-_'");
+  ASSERT_EQ(hosts.num_rows(), 2u);
+  EXPECT_EQ(hosts.At(0, 0).AsString(), "web-1");
+  EXPECT_EQ(hosts.At(1, 0).AsString(), "web-2");
+  EXPECT_EQ(MustQuery("SELECT hostname FROM processes "
+                      "WHERE hostname LIKE '*-1'")
+                .num_rows(),
+            0u);
+}
+
 TEST_F(ExecutorTest, SelectStar) {
   Table t = MustQuery("SELECT * FROM processes");
   EXPECT_EQ(t.num_rows(), 4u);

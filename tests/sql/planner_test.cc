@@ -283,16 +283,17 @@ TEST_F(PlannerTest, GroupByLagSpansBatches) {
 }
 
 TEST_F(PlannerTest, LagFilterAndProjectSpanBatches) {
-  // A LAG filter or projection at parallelism 1 must read the true
-  // predecessor across the 1024-row batch boundary, as it does at 4.
+  // A LAG filter or projection must read the true predecessor across
+  // every 1024-row morsel boundary, inside a window and between windows,
+  // at every parallelism level.
   Schema s({{"v", DataType::kInt64}});
   Table t(s);
-  constexpr size_t kRows = 1030;  // spans two batches
+  constexpr size_t kRows = 5000;  // five morsels: several windows at 2
   for (size_t i = 0; i < kRows; ++i) {
     t.AppendRow({Value::Int(static_cast<int64_t>(i))});
   }
   catalog_.RegisterTable("lagged", std::move(t));
-  for (size_t parallelism : {1, 4}) {
+  for (size_t parallelism : {1, 2, 4}) {
     SCOPED_TRACE(parallelism);
     executor_->set_parallelism(parallelism);
     Table kept = MustQuery("SELECT v FROM lagged WHERE LAG(v) < v");
@@ -445,9 +446,10 @@ TEST_F(PlannerTest, PerOperatorCountersReportRows) {
 }
 
 TEST_F(PlannerTest, BorrowedScanTableReportsItsRows) {
-  // A sharded Filter or Project reads the scan's table in place instead
-  // of pulling its batches; the rows still count as the scan's output.
-  auto check = [this](const std::string& q, const char* borrower) {
+  // Whether a Filter or Project pulls the scan's batches window by
+  // window or drains them for LAG, every scanned row counts as the
+  // scan's output.
+  auto check = [this](const std::string& q, const char* consumer) {
     SCOPED_TRACE(q);
     MustQuery(q);
     const OperatorStats* scan = FindOperator("Scan");
@@ -455,17 +457,14 @@ TEST_F(PlannerTest, BorrowedScanTableReportsItsRows) {
     EXPECT_GT(scan->rows_output, 0u);
     EXPECT_EQ(scan->rows_output, executor_->last_stats().rows_scanned);
     EXPECT_GT(scan->batches_output, 0u);
-    // The borrower took its sharded path (it reports a shard count).
-    const OperatorStats* op = FindOperator(borrower);
-    ASSERT_NE(op, nullptr);
-    EXPECT_NE(op->detail.find("shards"), std::string::npos) << op->detail;
+    EXPECT_NE(FindOperator(consumer), nullptr);
   };
   executor_->set_parallelism(4);
   check("SELECT tag['host'] AS h, AVG(value) AS v FROM tsdb "
         "WHERE metric_name = 'cpu' AND value > 150 GROUP BY tag['host']",
         "Filter");
   check("SELECT value + 1 AS v FROM tsdb", "Project");
-  // LAG stages shard at parallelism 1 too.
+  // LAG stages drain their input at parallelism 1 too.
   executor_->set_parallelism(1);
   check("SELECT timestamp FROM tsdb WHERE metric_name = 'cpu' "
         "AND tag['host'] = 'h0' AND LAG(value, 1) < value",
@@ -484,14 +483,19 @@ TEST_F(PlannerTest, CumulativeVersusLastStats) {
 TEST_F(PlannerTest, StreamingLimitStopsScanEarly) {
   Schema s({{"v", DataType::kInt64}});
   Table big(s);
-  for (int i = 0; i < 5000; ++i) big.AppendRow({Value::Int(i)});
+  for (int i = 0; i < 20000; ++i) big.AppendRow({Value::Int(i)});
   catalog_.RegisterTable("big_limit", std::move(big));
-  Table t = MustQuery("SELECT v FROM big_limit LIMIT 5");
-  EXPECT_EQ(t.num_rows(), 5u);
-  // 5000 rows are ~5 batches; LIMIT 5 must stop pulling after the first.
-  const OperatorStats* scan = FindOperator("Scan");
-  ASSERT_NE(scan, nullptr);
-  EXPECT_EQ(scan->batches_output, 1u);
+  // 20,000 rows are 20 batches; LIMIT 5 must stop the scan within the
+  // Project's first morsel window, whatever the parallelism.
+  for (size_t parallelism : {1, 2, 4}) {
+    SCOPED_TRACE(parallelism);
+    executor_->set_parallelism(parallelism);
+    Table t = MustQuery("SELECT v FROM big_limit LIMIT 5");
+    EXPECT_EQ(t.num_rows(), 5u);
+    const OperatorStats* scan = FindOperator("Scan");
+    ASSERT_NE(scan, nullptr);
+    EXPECT_LE(scan->rows_output, parallelism * table::kDefaultBatchRows);
+  }
 }
 
 TEST_F(PlannerTest, MorselParallelScanMatchesSequential) {
