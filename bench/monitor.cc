@@ -8,10 +8,9 @@
 //      world time-major into the store. Every run's appended score rows
 //      must equal — exactly, same doubles — the equivalent one-shot
 //      EXPLAIN whose sub-selects carry explicit timestamp bounds (the
-//      monitor's shared scan restricts *data* to the window; BETWEEN
+//      monitor's store tables restrict *data* to the window; BETWEEN
 //      alone only sets the Rank operator's scoring range).
-//   2. Overhead: the same standing query slid N times (incremental
-//      shared scan, one pass per window delta) timed against N
+//   2. Overhead: the same standing query slid N times timed against N
 //      back-to-back one-shot EXPLAINs over the same windows.
 //   3. Trigger latency: a TRIGGERED monitor armed on the KPI, fault
 //      injected mid-stream; wall time from fault onset to a ranked score
@@ -229,7 +228,6 @@ int main(int argc, char** argv) {
   // quiesced store (no collector contention in the timings).
   // -------------------------------------------------------------------
   PhaseTimings timings;
-  monitor::SharedScanStats scan_stats;
   {
     sim::DatacentreModel model(config);
     auto store = std::make_shared<tsdb::SeriesStore>();
@@ -264,17 +262,11 @@ int main(int argc, char** argv) {
     }
     timings.oneshot_seconds = MonotonicSeconds() - oneshot_t0;
 
-    auto stats = service.ScanStats("perf");
-    if (stats.ok()) scan_stats = *stats;
-    std::printf(
-        "  phase 2: standing=%.3fs one-shot=%.3fs (%.2fx); "
-        "scan reuse: %zu rows reused, %zu delta rows, %zu full scans\n",
-        timings.standing_seconds, timings.oneshot_seconds,
-        timings.standing_seconds > 0
-            ? timings.oneshot_seconds / timings.standing_seconds
-            : 0.0,
-        scan_stats.rows_reused, scan_stats.rows_delta,
-        scan_stats.full_scans);
+    std::printf("  phase 2: standing=%.3fs one-shot=%.3fs (%.2fx)\n",
+                timings.standing_seconds, timings.oneshot_seconds,
+                timings.standing_seconds > 0
+                    ? timings.oneshot_seconds / timings.standing_seconds
+                    : 0.0);
   }
 
   // -------------------------------------------------------------------
@@ -408,9 +400,6 @@ int main(int argc, char** argv) {
       "  \"parity_failures\": %zu,\n"
       "  \"standing_seconds\": %.4f,\n  \"oneshot_seconds\": %.4f,\n"
       "  \"oneshot_over_standing\": %.3f,\n"
-      "  \"shared_scan\": {\"full_scans\": %zu, \"delta_scans\": %zu, "
-      "\"rows_reused\": %zu, \"rows_delta\": %zu, "
-      "\"consumer_reads\": %zu},\n"
       "  \"trigger\": {\"fired\": %s, \"latency_seconds\": %.4f, "
       "\"true_cause_top10\": %s, \"top_family\": \"%s\"}\n}\n",
       std::thread::hardware_concurrency(), smoke ? "true" : "false", minutes,
@@ -420,9 +409,7 @@ int main(int argc, char** argv) {
       timings.standing_seconds > 0
           ? timings.oneshot_seconds / timings.standing_seconds
           : 0.0,
-      scan_stats.full_scans, scan_stats.delta_scans,
-      scan_stats.rows_reused, scan_stats.rows_delta,
-      scan_stats.consumer_reads, trigger_fired ? "true" : "false",
+      trigger_fired ? "true" : "false",
       trigger_latency_seconds, cause_top10 ? "true" : "false",
       top_family.c_str());
   std::fclose(f);

@@ -120,9 +120,9 @@ if [[ "${STAGE}" == "release" || "${STAGE}" == "all" ]]; then
   "${ROOT}/build/bench/server" --smoke "${ROOT}/build/BENCH_server.smoke.json"
 
   # Standing-query monitor: sliding-window runs under live ingestion must
-  # be byte-identical to bounded one-shot EXPLAINs, the shared scan must
-  # reuse window overlap, and a triggered monitor must fire on an injected
-  # §5.1 packet-drop fault with the true cause in a top-10.
+  # be byte-identical to bounded one-shot EXPLAINs, and a triggered
+  # monitor must fire on an injected §5.1 packet-drop fault with the true
+  # cause in a top-10.
   echo "=== bench smoke: monitor ==="
   "${ROOT}/build/bench/monitor" --smoke \
     "${ROOT}/build/BENCH_monitor.smoke.json"
@@ -138,7 +138,8 @@ if [[ "${STAGE}" == "tsan" || "${STAGE}" == "all" ]]; then
   # ThreadSanitizer job: the suites that drive the morsel-parallel
   # operators, the partitioned join/sort/materialisation paths, the
   # worker pool itself, the tiered store's write/scan/seal concurrency,
-  # the monitor scheduler/write-tap/shared-scan paths, Session vs
+  # the monitor scheduler/write-tap paths and its per-run window (the run
+  # thread writes it, executor workers read it), Session vs
   # EXPLAIN parity at parallelism 4 through the shared family builder,
   # the engine and pipeline suites, which run Session and EXPLAIN at
   # the engine's default parallelism (hardware concurrency), and the

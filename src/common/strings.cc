@@ -60,26 +60,29 @@ std::string_view StripWhitespace(std::string_view s) {
   return s.substr(b, e - b);
 }
 
-bool GlobMatch(std::string_view pattern, std::string_view text) {
-  // Iterative two-pointer matcher with backtracking on the last '*'.
+bool WildcardMatch(std::string_view pattern, std::string_view text,
+                   char many, char one) {
+  // Two-pointer match that backtracks to the last `many`. The wildcard
+  // test comes first, so a `many` facing its own literal in the text
+  // stays a wildcard.
   size_t p = 0, t = 0;
-  size_t star = std::string_view::npos, match = 0;
+  size_t star = std::string_view::npos, resume = 0;
   while (t < text.size()) {
-    if (p < pattern.size() &&
-        (pattern[p] == '?' || pattern[p] == text[t])) {
+    if (p < pattern.size() && pattern[p] == many) {
+      star = p++;
+      resume = t;
+    } else if (p < pattern.size() &&
+               (pattern[p] == one || pattern[p] == text[t])) {
       ++p;
       ++t;
-    } else if (p < pattern.size() && pattern[p] == '*') {
-      star = p++;
-      match = t;
     } else if (star != std::string_view::npos) {
       p = star + 1;
-      t = ++match;
+      t = ++resume;
     } else {
       return false;
     }
   }
-  while (p < pattern.size() && pattern[p] == '*') ++p;
+  while (p < pattern.size() && pattern[p] == many) ++p;
   return p == pattern.size();
 }
 

@@ -25,9 +25,18 @@ std::string ToUpper(std::string_view s);
 /// Strips ASCII whitespace from both ends.
 std::string_view StripWhitespace(std::string_view s);
 
+/// Wildcard match: `many` in the pattern matches any run of characters
+/// (including none), `one` matches exactly one, and every other pattern
+/// character matches itself. A wildcard stays a wildcard where the text
+/// holds the same character. The one matcher behind GlobMatch and LIKE.
+bool WildcardMatch(std::string_view pattern, std::string_view text,
+                   char many, char one);
+
 /// Glob match supporting '*' (any run, including empty) and '?' (one char).
 /// Used for family patterns such as "disk{host=datanode*}".
-bool GlobMatch(std::string_view pattern, std::string_view text);
+inline bool GlobMatch(std::string_view pattern, std::string_view text) {
+  return WildcardMatch(pattern, text, '*', '?');
+}
 
 /// Case-insensitive equality for SQL keywords and identifiers.
 bool EqualsIgnoreCase(std::string_view a, std::string_view b);

@@ -19,6 +19,13 @@ Engine::Engine(std::shared_ptr<tsdb::SeriesStore> store, EngineOptions options)
 
 void Engine::RegisterStoreTable(const std::string& table_name,
                                 const TimeRange& range) {
+  RegisterStoreTable(&catalog_, table_name,
+                     std::make_shared<const TimeRange>(range));
+}
+
+void Engine::RegisterStoreTable(sql::Catalog* catalog,
+                                const std::string& table_name,
+                                std::shared_ptr<const TimeRange> range) {
   std::shared_ptr<tsdb::SeriesStore> store = store_;
   sql::HintedProviderOptions provider_options;
   // Live cardinality for the cost-based planner. The whole-store count
@@ -28,11 +35,12 @@ void Engine::RegisterStoreTable(const std::string& table_name,
   // Hints forward verbatim to SeriesStore::Scan, so count-rollup routing
   // (RollupAggregate::kCount + the COUNT -> __SUM_COUNT rewrite) is exact.
   provider_options.exact_rollups = true;
-  catalog_.RegisterHintedProvider(
+  catalog->RegisterHintedProvider(
       table_name,
-      [store, range](const tsdb::ScanHints& hints) -> Result<table::Table> {
+      [store, range = std::move(range)](
+          const tsdb::ScanHints& hints) -> Result<table::Table> {
         tsdb::ScanRequest req;
-        req.range = range;
+        req.range = *range;
         req.hints = hints;
         return store->ScanToTable(req);
       },

@@ -92,6 +92,15 @@ class Engine {
   void RegisterStoreTable(const std::string& table_name,
                           const TimeRange& range);
 
+  /// The same hinted store provider, registered into `catalog` (a
+  /// standing monitor's copy of catalog()) with its range read from
+  /// `*range` at every scan, so the owner moves the window between
+  /// statements. `*range` must not change while a statement over the
+  /// table runs.
+  void RegisterStoreTable(sql::Catalog* catalog,
+                          const std::string& table_name,
+                          std::shared_ptr<const TimeRange> range);
+
   /// Runs one statement against the catalog: a SELECT through the
   /// vectorised pipeline, or an EXPLAIN statement planned into a
   /// Rank-rooted operator tree (core/explain.h) — one statement API from

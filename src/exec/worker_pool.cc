@@ -4,7 +4,6 @@
 #include <utility>
 
 #ifdef __linux__
-#include <pthread.h>
 #include <sched.h>
 #endif
 
@@ -14,51 +13,28 @@ namespace {
 
 std::atomic<size_t> g_constructions{0};
 
-/// CPUs this process may actually run on (cgroup/taskset masks count);
-/// hardware_concurrency as the portable fallback.
-std::vector<int> SchedulableCpus() {
-  std::vector<int> cpus;
+/// How many CPUs this process may actually run on (cgroup/taskset masks
+/// count); hardware_concurrency as the portable fallback.
+size_t SchedulableCpuCount() {
 #ifdef __linux__
   cpu_set_t set;
   CPU_ZERO(&set);
-  if (sched_getaffinity(0, sizeof(set), &set) == 0) {
-    for (int cpu = 0; cpu < CPU_SETSIZE; ++cpu) {
-      if (CPU_ISSET(cpu, &set)) cpus.push_back(cpu);
-    }
+  if (sched_getaffinity(0, sizeof(set), &set) == 0 && CPU_COUNT(&set) > 0) {
+    return static_cast<size_t>(CPU_COUNT(&set));
   }
 #endif
-  if (cpus.empty()) {
-    const unsigned n = std::max(1u, std::thread::hardware_concurrency());
-    for (unsigned i = 0; i < n; ++i) cpus.push_back(static_cast<int>(i));
-  }
-  return cpus;
-}
-
-void MaybePin([[maybe_unused]] std::thread& t, [[maybe_unused]] int cpu) {
-#ifdef __linux__
-  cpu_set_t set;
-  CPU_ZERO(&set);
-  CPU_SET(cpu, &set);
-  // Best effort: a shrinking affinity mask between sizing and pinning
-  // just leaves the worker unpinned.
-  pthread_setaffinity_np(t.native_handle(), sizeof(set), &set);
-#endif
+  return std::max(1u, std::thread::hardware_concurrency());
 }
 
 }  // namespace
 
 WorkerPool::WorkerPool(Options options) {
   g_constructions.fetch_add(1, std::memory_order_relaxed);
-  const std::vector<int> cpus = SchedulableCpus();
-  size_t n = options.num_threads;
-  if (n == 0) n = cpus.size();
-  n = std::max<size_t>(1, n);
+  const size_t n = options.num_threads > 0 ? options.num_threads
+                                            : SchedulableCpuCount();
   workers_.reserve(n);
   for (size_t i = 0; i < n; ++i) {
     workers_.emplace_back([this, i] { WorkerLoop(i); });
-    if (options.pin_threads) {
-      MaybePin(workers_.back(), cpus[i % cpus.size()]);
-    }
   }
 }
 

@@ -28,9 +28,6 @@
 // Sizing is affinity-aware: the default thread count is the number of
 // CPUs the process is actually allowed to run on (sched_getaffinity on
 // Linux — container/cgroup masks respected), not hardware_concurrency().
-// Options::pin_threads additionally pins worker i to the i-th allowed
-// CPU round-robin, which spreads workers across NUMA nodes on hosts
-// whose CPUs enumerate node-major.
 #pragma once
 
 #include <atomic>
@@ -52,8 +49,6 @@ class TaskGroup;
 struct WorkerPoolOptions {
   /// Worker count; 0 = one per schedulable CPU.
   size_t num_threads = 0;
-  /// Pin worker i to the i-th allowed CPU (round-robin).
-  bool pin_threads = false;
 };
 
 class WorkerPool {
@@ -62,7 +57,7 @@ class WorkerPool {
 
   explicit WorkerPool(Options options = Options());
   explicit WorkerPool(size_t num_threads)
-      : WorkerPool(Options{num_threads, false}) {}
+      : WorkerPool(Options{num_threads}) {}
   ~WorkerPool();
 
   WorkerPool(const WorkerPool&) = delete;

@@ -59,7 +59,7 @@ std::string ExtractMetricGlob(const sql::SelectStatement& stmt) {
 }  // namespace
 
 /// One standing query. Shared-ptr-held so an in-flight run survives a
-/// concurrent Drop. The private executor/statement/scans are only ever
+/// concurrent Drop. The private executor/statement/window are only ever
 /// touched by the single in-flight run (guarded by `in_flight`); the
 /// counters and scheduling state are guarded by the service mutex.
 struct MonitorService::Monitor {
@@ -71,10 +71,12 @@ struct MonitorService::Monitor {
   /// Service-owned deep copy (printer/parser round-trip); RunWindow
   /// mutates its BETWEEN bounds per slide.
   std::unique_ptr<sql::ExplainStatement> stmt;
-  /// Engine-catalog snapshot with shared-scan overlays on store tables.
+  /// Engine-catalog snapshot whose store tables scan `window`.
   sql::Catalog catalog;
   std::unique_ptr<sql::Executor> executor;
-  std::vector<std::shared_ptr<SharedWindowScan>> scans;
+  /// The current run's half-open window; RunWindow sets it before
+  /// planning, the store providers read it during execution.
+  std::shared_ptr<TimeRange> window;
   std::shared_ptr<ScoreHistory> history;
   std::string target_glob = "*";
 
@@ -246,12 +248,11 @@ Result<std::shared_ptr<MonitorService::Monitor>> MonitorService::BuildMonitor(
   }
   m->stmt.reset(static_cast<sql::ExplainStatement*>(parsed.release()));
 
-  // Private catalog snapshot; overlay every store-backed table (the
-  // hint-aware providers) with this monitor's shared window scan. The
-  // overlay registers as a NON-hinted provider, so the planner keeps all
-  // WHERE conjuncts as residual filters and the cache only has to
-  // reproduce the raw window contents — hints cost rows, not correctness.
+  // Private catalog snapshot whose store-backed (hint-aware) tables
+  // scan the run's window.
   m->catalog = engine_->catalog();
+  m->window = std::make_shared<TimeRange>(
+      TimeRange{m->base_start, m->base_end + 1});
   std::vector<std::string> tables;
   if (m->stmt->target) CollectTables(*m->stmt->target, &tables);
   if (m->stmt->given) CollectTables(*m->stmt->given, &tables);
@@ -259,11 +260,9 @@ Result<std::shared_ptr<MonitorService::Monitor>> MonitorService::BuildMonitor(
   std::sort(tables.begin(), tables.end());
   tables.erase(std::unique(tables.begin(), tables.end()), tables.end());
   for (const std::string& t : tables) {
-    if (!engine_->catalog().SupportsHints(t)) continue;
-    auto scan = std::make_shared<SharedWindowScan>(&engine_->store());
-    m->catalog.RegisterProvider(
-        t, [scan]() -> Result<table::Table> { return scan->Get(); });
-    m->scans.push_back(std::move(scan));
+    if (engine_->catalog().SupportsHints(t)) {
+      engine_->RegisterStoreTable(&m->catalog, t, m->window);
+    }
   }
 
   m->executor = std::make_unique<sql::Executor>(
@@ -364,21 +363,9 @@ size_t MonitorService::active_monitors() const {
   return monitors_.size();
 }
 
-Result<SharedScanStats> MonitorService::ScanStats(
-    const std::string& name) const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  EXPLAINIT_ASSIGN_OR_RETURN(std::shared_ptr<Monitor> m, FindLocked(name));
-  SharedScanStats total;
-  for (const auto& scan : m->scans) {
-    const SharedScanStats s = scan->stats();
-    total.store_scans += s.store_scans;
-    total.full_scans += s.full_scans;
-    total.delta_scans += s.delta_scans;
-    total.rows_reused += s.rows_reused;
-    total.rows_delta += s.rows_delta;
-    total.consumer_reads += s.consumer_reads;
-  }
-  return total;
+Result<SharedScanStats> MonitorService::ScanStats(const std::string&) const {
+  return Status::FailedPrecondition(
+      "monitors keep no window cache: every run scans the store");
 }
 
 Result<std::shared_ptr<ScoreHistory>> MonitorService::History(
@@ -390,8 +377,7 @@ Result<std::shared_ptr<ScoreHistory>> MonitorService::History(
 
 Status MonitorService::RunOnce(const std::string& name) {
   std::shared_ptr<Monitor> m;
-  int64_t run = 0;
-  TimeRange window{0, 0};
+  std::optional<Run> run;
   {
     std::lock_guard<std::mutex> lock(mutex_);
     EXPLAINIT_ASSIGN_OR_RETURN(m, FindLocked(name));
@@ -400,33 +386,36 @@ Status MonitorService::RunOnce(const std::string& name) {
       return Status::FailedPrecondition("monitor '" + name +
                                         "' already has a run in flight");
     }
-    if (m->mode == MonitorMode::kPeriodic) {
-      run = m->scheduled_runs++;
-      window = TimeRange{m->base_start + run * m->every_seconds,
-                         m->base_end + run * m->every_seconds};
-      m->next_due_wall = MonotonicSeconds() +
-                         static_cast<double>(m->every_seconds) *
-                             options_.wall_scale;
-    } else {
-      if (!m->pending_trigger.has_value()) {
-        m->in_flight.store(false, std::memory_order_release);
-        return Status::FailedPrecondition(
-            "monitor '" + name + "' has no pending anomaly trigger");
-      }
-      run = m->scheduled_runs++;
-      const EpochSeconds t = *m->pending_trigger;
-      m->pending_trigger.reset();
-      window = TimeRange{t - m->window_width, t};
+    run = TakeRunLocked(m.get(), MonotonicSeconds());
+    if (!run.has_value()) {
+      m->in_flight.store(false, std::memory_order_release);
+      return Status::FailedPrecondition(
+          "monitor '" + name + "' has no pending anomaly trigger");
     }
   }
-  Status status = RunWindow(m, run, window);
+  Status status = RunWindow(m, *run);
   m->in_flight.store(false, std::memory_order_release);
   return status;
 }
 
+std::optional<MonitorService::Run> MonitorService::TakeRunLocked(Monitor* m,
+                                                                 double now) {
+  if (m->mode == MonitorMode::kPeriodic) {
+    const int64_t k = m->scheduled_runs++;
+    m->next_due_wall =
+        now + static_cast<double>(m->every_seconds) * options_.wall_scale;
+    return Run{k, TimeRange{m->base_start + k * m->every_seconds,
+                            m->base_end + k * m->every_seconds}};
+  }
+  if (!m->pending_trigger.has_value()) return std::nullopt;
+  const EpochSeconds t = *m->pending_trigger;
+  m->pending_trigger.reset();
+  return Run{m->scheduled_runs++, TimeRange{t - m->window_width, t}};
+}
+
 Status MonitorService::RunWindow(const std::shared_ptr<Monitor>& m,
-                                 int64_t run_index,
-                                 TimeRange inclusive_window) {
+                                 Run run) {
+  const TimeRange& inclusive_window = run.window;
   exec::CancelToken token;
   if (options_.run_deadline_seconds > 0) {
     token.SetDeadlineAfter(
@@ -443,38 +432,29 @@ Status MonitorService::RunWindow(const std::shared_ptr<Monitor>& m,
     m->active_token = &token;
   }
 
+  // BETWEEN is inclusive; scans/stores speak half-open.
+  *m->window = TimeRange{inclusive_window.start, inclusive_window.end + 1};
+  m->stmt->between_start = inclusive_window.start;
+  m->stmt->between_end = inclusive_window.end;
+  m->executor->set_cancel_token(&token);
   const double wall_start = MonotonicSeconds();
   Status status = [&]() -> Status {
-    // BETWEEN is inclusive; scans/stores speak half-open.
-    const TimeRange half_open{inclusive_window.start,
-                              inclusive_window.end + 1};
-    for (const auto& scan : m->scans) {
-      EXPLAINIT_RETURN_IF_ERROR(scan->SetWindow(half_open));
-    }
-    m->stmt->between_start = inclusive_window.start;
-    m->stmt->between_end = inclusive_window.end;
-    m->executor->set_cancel_token(&token);
-    Status run = [&]() -> Status {
-      EXPLAINIT_ASSIGN_OR_RETURN(
-          auto root, core::PlanExplain(*m->stmt, engine_, m->executor.get()));
-      EXPLAINIT_ASSIGN_OR_RETURN(table::Table result,
-                                 m->executor->ExecuteTree(root.get()));
-      (void)result;  // the history rows carry everything downstream reads
-      m->history->Append(run_index, inclusive_window.end,
-                         root->score_table());
-      return Status::OK();
-    }();
-    m->executor->set_cancel_token(nullptr);
-    return run;
+    EXPLAINIT_ASSIGN_OR_RETURN(
+        auto root, core::PlanExplain(*m->stmt, engine_, m->executor.get()));
+    EXPLAINIT_ASSIGN_OR_RETURN(table::Table result,
+                               m->executor->ExecuteTree(root.get()));
+    (void)result;  // the history rows carry everything downstream reads
+    m->history->Append(run.index, inclusive_window.end, root->score_table());
+    return Status::OK();
   }();
+  m->executor->set_cancel_token(nullptr);
   const double elapsed = MonotonicSeconds() - wall_start;
 
   {
     std::lock_guard<std::mutex> lock(mutex_);
     active_tokens_.erase(&token);
     m->active_token = nullptr;
-    m->last_window =
-        TimeRange{inclusive_window.start, inclusive_window.end + 1};
+    m->last_window = *m->window;
     m->last_run_seconds = elapsed;
     if (status.ok()) {
       ++m->runs_ok;
@@ -529,46 +509,30 @@ void MonitorService::Stop() {
 }
 
 void MonitorService::SchedulerLoop() {
-  struct Fire {
-    std::shared_ptr<Monitor> m;
-    int64_t run;
-    TimeRange window;
-  };
   const auto tick = std::chrono::duration<double>(options_.tick_seconds);
   std::unique_lock<std::mutex> lock(mutex_);
   while (!stopping_) {
     cv_.wait_for(lock, tick);
     if (stopping_) break;
     const double now = MonotonicSeconds();
-    std::vector<Fire> fires;
+    std::vector<std::pair<std::shared_ptr<Monitor>, Run>> fires;
     for (auto& [name, m] : monitors_) {
       if (m->in_flight.load(std::memory_order_acquire)) continue;
-      if (m->mode == MonitorMode::kPeriodic) {
-        if (now + 1e-9 < m->next_due_wall) continue;
-        m->in_flight.store(true, std::memory_order_release);
-        const int64_t k = m->scheduled_runs++;
-        fires.push_back({m, k,
-                         TimeRange{m->base_start + k * m->every_seconds,
-                                   m->base_end + k * m->every_seconds}});
-        m->next_due_wall = now + static_cast<double>(m->every_seconds) *
-                                     options_.wall_scale;
-      } else if (m->pending_trigger.has_value()) {
-        m->in_flight.store(true, std::memory_order_release);
-        const int64_t k = m->scheduled_runs++;
-        const EpochSeconds t = *m->pending_trigger;
-        m->pending_trigger.reset();
-        fires.push_back({m, k, TimeRange{t - m->window_width, t}});
+      if (m->mode == MonitorMode::kPeriodic &&
+          now + 1e-9 < m->next_due_wall) {
+        continue;
       }
+      std::optional<Run> run = TakeRunLocked(m.get(), now);
+      if (!run.has_value()) continue;
+      m->in_flight.store(true, std::memory_order_release);
+      fires.emplace_back(m, *run);
     }
     if (fires.empty()) continue;
     lock.unlock();
-    for (Fire& f : fires) {
-      std::shared_ptr<Monitor> m = f.m;
-      const int64_t run = f.run;
-      const TimeRange window = f.window;
+    for (auto& [m, run] : fires) {
       runs_group_->Submit(
-          [this, m, run, window] {
-            (void)RunWindow(m, run, window);
+          [this, m = m, run = run] {
+            (void)RunWindow(m, run);
             m->in_flight.store(false, std::memory_order_release);
           },
           "monitor");

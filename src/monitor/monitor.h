@@ -3,14 +3,19 @@
 // `EXPLAIN ... EVERY 30s [TRIGGERED] INTO history` registers a monitor
 // instead of running once. A MonitorService owns the registered
 // monitors, schedules their runs on the shared worker pool with per-run
-// CancelToken deadlines, slides each monitor's BETWEEN window
-// incrementally (the target/GIVEN/USING sub-selects share one
-// multi-consumer SharedWindowScan, with the window's point vectors
-// carried across slides), appends every run's Score Table into a
-// catalog-registered ScoreHistory table, and — for TRIGGERED monitors —
-// arms a per-series EWMA anomaly detector on the store's write tap so
-// RCA fires when the target series goes anomalous rather than on a
-// timer. This is the paper's always-on deployment story.
+// CancelToken deadlines, slides each monitor's BETWEEN window, appends
+// every run's Score Table into a catalog-registered ScoreHistory table,
+// and — for TRIGGERED monitors — arms a per-series EWMA anomaly detector
+// on the store's write tap so RCA fires when the target series goes
+// anomalous rather than on a timer. This is the paper's always-on
+// deployment story.
+//
+// Each run is a one-shot EXPLAIN over its window: the monitor's catalog
+// copy registers every store-backed table through the same hinted store
+// provider as Engine::RegisterStoreTable, with the scan range set to the
+// run's window, so the target/GIVEN/USING sub-selects get the same
+// metric-set pushdown, checkpoint seek and rollup routing, and see every
+// point written into the window before the run, in any arrival order.
 //
 // Window semantics: the statement's BETWEEN [t0, t1] is run 0's window.
 // A periodic monitor's k-th run explains [t0 + k*EVERY, t1 + k*EVERY] —
@@ -40,7 +45,6 @@
 #include "exec/worker_pool.h"
 #include "monitor/anomaly.h"
 #include "monitor/history.h"
-#include "monitor/shared_scan.h"
 #include "sql/ast.h"
 #include "sql/executor.h"
 #include "table/table.h"
@@ -70,6 +74,17 @@ struct MonitorOptions {
 };
 
 enum class MonitorMode { kPeriodic, kTriggered };
+
+/// Counters of a window cache that monitors no longer keep. Only
+/// MonitorService::ScanStats, which always fails, returns it. Both stay
+/// only because perfbench's monitor_ingest still reads them; delete them
+/// together with its monitor.* cache metrics.
+struct SharedScanStats {
+  size_t full_scans = 0;
+  size_t delta_scans = 0;
+  size_t rows_reused = 0;
+  size_t rows_delta = 0;
+};
 
 /// Point-in-time status of one monitor (one SHOW MONITORS row).
 struct MonitorStatus {
@@ -135,8 +150,8 @@ class MonitorService {
   /// removes the write tap. Idempotent; the destructor calls it.
   void Stop();
 
-  /// Aggregated shared-scan statistics across a monitor's overlaid
-  /// store tables.
+  /// FailedPrecondition: monitors keep no window cache (see
+  /// SharedScanStats).
   Result<SharedScanStats> ScanStats(const std::string& name) const;
 
   /// The monitor's score history (alive as long as any reference is —
@@ -145,12 +160,20 @@ class MonitorService {
 
  private:
   struct Monitor;
+  /// One claimed run: its index and inclusive BETWEEN window.
+  struct Run {
+    int64_t index = 0;
+    TimeRange window{0, 0};
+  };
 
   Result<core::QueryResult> RegisterAsResult(const sql::ExplainStatement&);
   Result<std::shared_ptr<Monitor>> BuildMonitor(
       const sql::ExplainStatement& stmt, std::string name);
-  Status RunWindow(const std::shared_ptr<Monitor>& m, int64_t run_index,
-                   TimeRange inclusive_window);
+  /// The window rule, under mutex_: a periodic monitor's next stride
+  /// (also re-arming its due time from `now`), or a triggered monitor's
+  /// pending anomaly — nullopt when none is pending.
+  std::optional<Run> TakeRunLocked(Monitor* m, double now);
+  Status RunWindow(const std::shared_ptr<Monitor>& m, Run run);
   void SchedulerLoop();
   void OnWrite(const tsdb::SeriesMeta& meta, EpochSeconds ts, double value);
   Result<std::shared_ptr<Monitor>> FindLocked(const std::string& name) const;

@@ -59,8 +59,8 @@ class Catalog {
  public:
   Catalog() = default;
   /// Copying snapshots the bindings — the monitor subsystem clones the
-  /// engine catalog per standing query so it can overlay the shared
-  /// window scan without perturbing concurrent sessions.
+  /// engine catalog per standing query and re-registers its store tables
+  /// with the run's window, without perturbing concurrent sessions.
   Catalog(const Catalog& other);
   Catalog& operator=(const Catalog& other);
 

@@ -14,27 +14,7 @@ using table::DataType;
 using table::Value;
 
 bool SqlLikeMatch(std::string_view pattern, std::string_view text) {
-  // Two-pointer match that backtracks to the last '%'. Only '%' and '_'
-  // are wildcards; every other pattern character matches itself.
-  size_t p = 0, t = 0;
-  size_t percent = std::string_view::npos, resume = 0;
-  while (t < text.size()) {
-    if (p < pattern.size() && pattern[p] == '%') {
-      percent = p++;
-      resume = t;
-    } else if (p < pattern.size() &&
-               (pattern[p] == '_' || pattern[p] == text[t])) {
-      ++p;
-      ++t;
-    } else if (percent != std::string_view::npos) {
-      p = percent + 1;
-      t = ++resume;
-    } else {
-      return false;
-    }
-  }
-  while (p < pattern.size() && pattern[p] == '%') ++p;
-  return p == pattern.size();
+  return WildcardMatch(pattern, text, '%', '_');
 }
 
 Result<size_t> ResolveColumn(const Expr& expr, const table::Schema& schema) {

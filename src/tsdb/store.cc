@@ -728,34 +728,18 @@ void InterpolateMissing(std::vector<double>& values) {
   }
 }
 
-Result<table::Table> SeriesStore::ScanToTable(
-    const ScanRequest& request) const {
-  EXPLAINIT_ASSIGN_OR_RETURN(std::vector<SeriesData> raw, Scan(request));
-  // Honour the projection hint: materialise only the standard columns the
-  // query references (the planner always includes every referenced
-  // column, so skipping the rest can never lose a lookup — it only saves
-  // building per-row tag maps / name strings, which dominate the cost).
-  // An empty projection, or one naming none of our columns, keeps all
-  // four so "column not found" errors still surface naturally.
-  const std::vector<std::string>& projection = request.hints.projection;
-  auto wanted = [&projection](std::string_view name) {
-    for (const std::string& p : projection) {
-      if (EqualsIgnoreCase(p, name)) return true;
-    }
-    return false;
-  };
-  bool keep_ts = wanted("timestamp");
-  bool keep_metric = wanted("metric_name");
-  bool keep_tag = wanted("tag");
-  bool keep_value = wanted("value");
-  if (!keep_ts && !keep_metric && !keep_tag && !keep_value) {
-    keep_ts = keep_metric = keep_tag = keep_value = true;
-  }
+namespace {
 
-  return SeriesTable(raw, ScanColumns{keep_ts, keep_metric, keep_tag,
-                                      keep_value});
-}
+/// Which of the scan table's standard columns to materialise.
+struct ScanColumns {
+  bool timestamp = true;
+  bool metric_name = true;
+  bool tag = true;
+  bool value = true;
+};
 
+/// Renders decoded series as the scan table (the selected columns, in
+/// schema order; see ScanToTable).
 table::Table SeriesTable(const std::vector<SeriesData>& series,
                          const ScanColumns& columns) {
   // Point-less series contribute no rows, and no dictionary entry.
@@ -818,6 +802,36 @@ table::Table SeriesTable(const std::vector<SeriesData>& series,
   // Every column holds `total` rows by construction.
   return table::Table::FromColumns(std::move(schema), std::move(cols))
       .value();
+}
+
+}  // namespace
+
+Result<table::Table> SeriesStore::ScanToTable(
+    const ScanRequest& request) const {
+  EXPLAINIT_ASSIGN_OR_RETURN(std::vector<SeriesData> raw, Scan(request));
+  // Honour the projection hint: materialise only the standard columns the
+  // query references (the planner always includes every referenced
+  // column, so skipping the rest can never lose a lookup — it only saves
+  // building per-row tag maps / name strings, which dominate the cost).
+  // An empty projection, or one naming none of our columns, keeps all
+  // four so "column not found" errors still surface naturally.
+  const std::vector<std::string>& projection = request.hints.projection;
+  auto wanted = [&projection](std::string_view name) {
+    for (const std::string& p : projection) {
+      if (EqualsIgnoreCase(p, name)) return true;
+    }
+    return false;
+  };
+  bool keep_ts = wanted("timestamp");
+  bool keep_metric = wanted("metric_name");
+  bool keep_tag = wanted("tag");
+  bool keep_value = wanted("value");
+  if (!keep_ts && !keep_metric && !keep_tag && !keep_value) {
+    keep_ts = keep_metric = keep_tag = keep_value = true;
+  }
+
+  return SeriesTable(raw, ScanColumns{keep_ts, keep_metric, keep_tag,
+                                      keep_value});
 }
 
 namespace {

@@ -45,28 +45,10 @@ struct SeriesData {
   std::vector<double> values;
   /// The tag set rendered as a table::Value map, shared from the store's
   /// per-series cache (built at series creation; shared_ptr copy here).
-  /// SeriesTable makes it the series' entry of the tag dictionary, so
+  /// ScanToTable makes it the series' entry of the tag dictionary, so
   /// the map is neither rebuilt nor copied per row.
   table::Value tags_value;
 };
-
-/// Which of the scan table's standard columns to materialise.
-struct ScanColumns {
-  bool timestamp = true;
-  bool metric_name = true;
-  bool tag = true;
-  bool value = true;
-};
-
-/// Renders decoded series as the scan table (timestamp: TIMESTAMP,
-/// metric_name: STRING, tag: MAP, value: DOUBLE — the selected ones, in
-/// that order) in series-major row order. metric_name and tag are
-/// dictionary columns with one entry per series that has points, and
-/// they share one code array: a row's code is its series' index among
-/// those series. timestamp and value are boxed. The one materialiser of
-/// store scans (ScanToTable) and of the monitor's shared window.
-table::Table SeriesTable(const std::vector<SeriesData>& series,
-                         const ScanColumns& columns = {});
 
 /// Planner-derived scan narrowing, attached to a ScanRequest by the SQL
 /// layer's predicate pushdown. The range/metric/tag/projection hints only
@@ -320,10 +302,12 @@ class SeriesStore {
   /// Renders a scan as a Table with schema
   /// (timestamp: TIMESTAMP, metric_name: STRING, tag: MAP, value: DOUBLE) —
   /// the raw-events shape the Appendix C queries run over (`tsdb` table)
-  /// — through SeriesTable, so metric_name and tag are series-coded
-  /// dictionary columns. Honours hints.projection: only the referenced
-  /// standard columns are materialised, falling back to all four when
-  /// the projection is empty or names none of them.
+  /// — in series-major row order. metric_name and tag are dictionary
+  /// columns with one entry per series that has points, sharing one
+  /// code array (a row's code is its series' index among those series);
+  /// timestamp and value are boxed. Honours hints.projection: only the
+  /// referenced standard columns are materialised, falling back to all
+  /// four when the projection is empty or names none of them.
   Result<table::Table> ScanToTable(const ScanRequest& request) const;
 
   /// Writes a binary snapshot of the whole store: per series, every

@@ -62,6 +62,12 @@ TEST(StringsTest, GlobMatchBacktracking) {
   EXPECT_TRUE(GlobMatch("*ab*ab", "abxabxab"));
   EXPECT_FALSE(GlobMatch("*ab*abq", "abxabxab"));
   EXPECT_TRUE(GlobMatch("disk{host=datanode*}", "disk{host=datanode-7}"));
+  // A '*' facing a literal '*' in the text stays a wildcard (by-host
+  // family names start with one).
+  EXPECT_TRUE(GlobMatch("*a", "*ba"));
+  EXPECT_TRUE(GlobMatch("x*", "x*y"));
+  EXPECT_TRUE(GlobMatch("*host*", "*{host=h1}"));
+  EXPECT_FALSE(GlobMatch("*host*", "*{disk=h1}"));
 }
 
 TEST(StringsTest, EqualsIgnoreCase) {

@@ -236,6 +236,23 @@ TEST(EngineTest, SessionDrillDown) {
   EXPECT_FALSE(session.DrillDown({"zzz*"}).ok());
 }
 
+TEST(EngineTest, SessionDrillDownByHostFamilies) {
+  auto engine = MakeEngine(200, 8);
+  Session session(engine.get(), kRange);
+  // One family per host; a by-host family name starts with a literal '*'.
+  ASSERT_TRUE(session
+                  .SetSearchSpaceByQuery(
+                      "SELECT timestamp AS ts, CONCAT('*{host=', "
+                      "COALESCE(tag['host'], 'NULL'), '}') AS name, "
+                      "MAP(CONCAT(metric_name, tag), value) AS v FROM tsdb")
+                  .ok());
+  EXPECT_EQ(session.num_candidates(), 2u);
+  ASSERT_TRUE(session.DrillDown({"*host*"}).ok());
+  EXPECT_EQ(session.num_candidates(), 2u);
+  ASSERT_TRUE(session.DrillDown({"*{host=dn-*}"}).ok());
+  EXPECT_EQ(session.num_candidates(), 1u);
+}
+
 TEST(EngineTest, SessionValidation) {
   auto engine = MakeEngine(100, 9);
   Session session(engine.get(), kRange);

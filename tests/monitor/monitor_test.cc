@@ -20,33 +20,61 @@ namespace {
 // Same causal world as the engine tests, on a minute grid:
 //   input_rate -> runtime (target) -> latency (effect); disk_noise is
 //   independent.
-std::shared_ptr<tsdb::SeriesStore> MakeStore(size_t t, uint64_t seed) {
-  auto store = std::make_shared<tsdb::SeriesStore>();
+struct WorldMinute {
+  double rate, runtime, latency, noise;
+};
+
+std::vector<WorldMinute> MakeWorld(size_t t, uint64_t seed) {
   Rng rng(seed);
-  for (size_t i = 0; i < t; ++i) {
+  std::vector<WorldMinute> world(t);
+  for (WorldMinute& m : world) {
+    m.rate = rng.Normal(1000.0, 150.0);
+    m.runtime = 0.01 * m.rate + rng.Normal() * 0.4;
+    m.latency = 1.5 * m.runtime + rng.Normal() * 0.4;
+    m.noise = rng.Normal(5.0, 1.0);
+  }
+  return world;
+}
+
+// Writes minutes [from, to) of the world's series; `latency` = false
+// leaves pipeline_latency out (a lagging collector).
+void WriteMinutes(tsdb::SeriesStore* store,
+                  const std::vector<WorldMinute>& world, size_t from,
+                  size_t to, bool latency = true) {
+  const tsdb::TagSet pipeline{{"pipeline_name", "p1"}};
+  for (size_t i = from; i < to; ++i) {
     const EpochSeconds ts = static_cast<int64_t>(i) * 60;
-    const double rate = rng.Normal(1000.0, 150.0);
-    const double runtime = 0.01 * rate + rng.Normal() * 0.4;
-    const double latency = 1.5 * runtime + rng.Normal() * 0.4;
-    EXPECT_TRUE(store
-                    ->Write("pipeline_input_rate",
-                            tsdb::TagSet{{"pipeline_name", "p1"}}, ts, rate)
-                    .ok());
-    EXPECT_TRUE(store
-                    ->Write("pipeline_runtime",
-                            tsdb::TagSet{{"pipeline_name", "p1"}}, ts,
-                            runtime)
-                    .ok());
-    EXPECT_TRUE(store
-                    ->Write("pipeline_latency",
-                            tsdb::TagSet{{"pipeline_name", "p1"}}, ts,
-                            latency)
-                    .ok());
+    const WorldMinute& m = world[i];
+    EXPECT_TRUE(store->Write("pipeline_input_rate", pipeline, ts, m.rate).ok());
+    EXPECT_TRUE(store->Write("pipeline_runtime", pipeline, ts, m.runtime).ok());
+    if (latency) {
+      EXPECT_TRUE(
+          store->Write("pipeline_latency", pipeline, ts, m.latency).ok());
+    }
     EXPECT_TRUE(store
                     ->Write("disk_noise", tsdb::TagSet{{"host", "dn-1"}}, ts,
-                            rng.Normal(5.0, 1.0))
+                            m.noise)
                     .ok());
   }
+}
+
+// Writes only pipeline_latency for minutes [from, to).
+void WriteLatency(tsdb::SeriesStore* store,
+                  const std::vector<WorldMinute>& world, size_t from,
+                  size_t to) {
+  for (size_t i = from; i < to; ++i) {
+    EXPECT_TRUE(store
+                    ->Write("pipeline_latency",
+                            tsdb::TagSet{{"pipeline_name", "p1"}},
+                            static_cast<int64_t>(i) * 60, world[i].latency)
+                    .ok());
+  }
+}
+
+std::shared_ptr<tsdb::SeriesStore> MakeStore(
+    size_t t, uint64_t seed, tsdb::StoreOptions options = {}) {
+  auto store = std::make_shared<tsdb::SeriesStore>(options);
+  WriteMinutes(store.get(), MakeWorld(t, seed), 0, t);
   return store;
 }
 
@@ -60,8 +88,8 @@ constexpr const char* kMonitorSql =
     "SCORE BY 'L2' TOP 5 BETWEEN 0 AND 3599 EVERY 10m INTO hist";
 
 // The one-shot equivalent of run k of kMonitorSql. BETWEEN only sets the
-// Rank operator's scoring window; the monitor's shared scan additionally
-// restricts the *data* each sub-select sees to the window, so the
+// Rank operator's scoring window; the monitor's store tables additionally
+// restrict the *data* each sub-select sees to the window, so the
 // equivalent one-shot carries explicit timestamp bounds in every WHERE.
 std::string OneShotForWindow(EpochSeconds w0, EpochSeconds w1) {
   const std::string lo = std::to_string(w0);
@@ -76,6 +104,29 @@ std::string OneShotForWindow(EpochSeconds w0, EpochSeconds w1) {
          " GROUP BY timestamp, metric_name) "
          "SCORE BY 'L2' TOP 5 BETWEEN " +
          lo + " AND " + hi;
+}
+
+// Run k of the history table `hist` must equal the bounded one-shot
+// EXPLAIN of [w0, w1] row for row (same serial executor, same data ->
+// bitwise-equal scores).
+void ExpectRunMatchesOneShot(core::Engine& engine, int64_t k, EpochSeconds w0,
+                             EpochSeconds w1) {
+  auto runs = engine.Query(
+      "SELECT rank, family, score, run_ts FROM hist WHERE run = " +
+      std::to_string(k) + " ORDER BY rank");
+  ASSERT_TRUE(runs.ok()) << runs.status().ToString();
+  auto oneshot = engine.Query(OneShotForWindow(w0, w1));
+  ASSERT_TRUE(oneshot.ok()) << oneshot.status().ToString();
+  ASSERT_EQ(runs->table.num_rows(), oneshot->table.num_rows()) << "run " << k;
+  for (size_t r = 0; r < runs->table.num_rows(); ++r) {
+    SCOPED_TRACE("run " + std::to_string(k) + " row " + std::to_string(r));
+    EXPECT_EQ(runs->table.At(r, 0).AsInt(), oneshot->table.At(r, 0).AsInt());
+    EXPECT_EQ(runs->table.At(r, 1).AsString(),
+              oneshot->table.At(r, 1).AsString());
+    EXPECT_EQ(runs->table.At(r, 2).AsDouble(),
+              oneshot->table.At(r, 2).AsDouble());
+    EXPECT_EQ(runs->table.At(r, 3).AsTimestamp(), w1);
+  }
 }
 
 class MonitorTest : public ::testing::Test {
@@ -168,50 +219,74 @@ TEST_F(MonitorTest, PeriodicRunsAppendHistoryAndMatchOneShot) {
   // Run 2's half-open window is run 0's slid by 2 * EVERY.
   EXPECT_EQ(statuses[0].last_window.start, 1200);
   EXPECT_EQ(statuses[0].last_window.end, 3600 + 1200);
+  // Runs scan the store; no window cache is kept to report on.
+  EXPECT_TRUE(service.ScanStats("hist").status().IsFailedPrecondition());
 
   // The history is an ordinary engine-queryable table, and every run's
-  // rows match the equivalent bounded one-shot EXPLAIN exactly (same
-  // serial executor, same data -> bitwise-equal scores).
+  // rows match the equivalent bounded one-shot EXPLAIN exactly.
   for (int64_t k = 0; k < 3; ++k) {
-    const EpochSeconds w0 = k * 600;
-    const EpochSeconds w1 = 3599 + k * 600;
-    auto runs = engine_.Query(
-        "SELECT rank, family, score, run_ts FROM hist WHERE run = " +
-        std::to_string(k) + " ORDER BY rank");
-    ASSERT_TRUE(runs.ok()) << runs.status().ToString();
-    auto oneshot = engine_.Query(OneShotForWindow(w0, w1));
-    ASSERT_TRUE(oneshot.ok()) << oneshot.status().ToString();
-    ASSERT_EQ(runs->table.num_rows(), oneshot->table.num_rows())
-        << "run " << k;
-    for (size_t r = 0; r < runs->table.num_rows(); ++r) {
-      SCOPED_TRACE("run " + std::to_string(k) + " row " + std::to_string(r));
-      EXPECT_EQ(runs->table.At(r, 0).AsInt(),
-                oneshot->table.At(r, 0).AsInt());
-      EXPECT_EQ(runs->table.At(r, 1).AsString(),
-                oneshot->table.At(r, 1).AsString());
-      EXPECT_EQ(runs->table.At(r, 2).AsDouble(),
-                oneshot->table.At(r, 2).AsDouble());
-      EXPECT_EQ(runs->table.At(r, 3).AsTimestamp(), w1);
-    }
+    ExpectRunMatchesOneShot(engine_, k, k * 600, 3599 + k * 600);
   }
 }
 
-TEST_F(MonitorTest, SharedScanReusesPointsAcrossSlides) {
-  MonitorService service(&engine_);
-  sql::Executor executor = MakeExecutor();
+// A slide decodes its window of the sub-selects' series and nothing
+// more: the monitor's store tables take the planner's metric-set and
+// window pushdown as a one-shot EXPLAIN's do.
+TEST(MonitorPushdownTest, SlideDecodesOneWindowPerSubSelectSeries) {
+  tsdb::StoreOptions options;
+  // Ten-minute segments, kept apart, that the window prunes.
+  options.seal_max_points = 10;
+  options.compact_min_segments = 0;
+  options.background_seal = false;
+  core::Engine engine(MakeStore(240, 7, options));
+  engine.RegisterStoreTable("tsdb", TimeRange{0, 240 * 60});
+  MonitorService service(&engine);
+  sql::Executor executor(&engine.catalog(), &engine.functions(), 1,
+                         &exec::WorkerPool::Global());
+  ASSERT_TRUE(service
+                  .Query(executor,
+                         "EXPLAIN (SELECT timestamp, AVG(value) AS y FROM tsdb "
+                         "WHERE metric_name = 'pipeline_runtime' "
+                         "GROUP BY timestamp) "
+                         "USING (SELECT timestamp, metric_name, AVG(value) AS v "
+                         "FROM tsdb WHERE metric_name IN "
+                         "('pipeline_input_rate', 'pipeline_latency') "
+                         "GROUP BY timestamp, metric_name) "
+                         "SCORE BY 'L2' TOP 5 BETWEEN 0 AND 3599 EVERY 10m "
+                         "INTO hist")
+                  .ok());
+  ASSERT_TRUE(service.RunOnce("hist").ok());
+  ASSERT_TRUE(service.RunOnce("hist").ok());
+
+  engine.store().ResetScanStats();
+  ASSERT_TRUE(service.RunOnce("hist").ok());  // window [1200, 4800)
+  const tsdb::ScanStats st = engine.store().scan_stats();
+  // 60 minutes of the target's one series plus 60 of the USING's two,
+  // each series allowed one stop point past the window's end.
+  constexpr size_t kWindowPoints = 60;
+  constexpr size_t kSeries = 1 + 2;
+  EXPECT_LE(st.points_decoded, kSeries * (kWindowPoints + 1));
+  EXPECT_EQ(st.points_returned, kSeries * kWindowPoints);
+}
+
+// A collector that lags on one series and catches up between two slides:
+// the next run sees the late points, as the one-shot EXPLAIN does.
+TEST(MonitorLateArrivalTest, LaggingSeriesPointsReachTheNextSlide) {
+  const std::vector<WorldMinute> world = MakeWorld(70, 7);
+  core::Engine engine(std::make_shared<tsdb::SeriesStore>());
+  engine.RegisterStoreTable("tsdb", TimeRange{0, 70 * 60});
+  tsdb::SeriesStore* store = &engine.store();
+  WriteMinutes(store, world, 0, 30);
+  WriteMinutes(store, world, 30, 70, /*latency=*/false);
+
+  MonitorService service(&engine);
+  sql::Executor executor(&engine.catalog(), &engine.functions(), 1,
+                         &exec::WorkerPool::Global());
   ASSERT_TRUE(service.Query(executor, kMonitorSql).ok());
-  for (int k = 0; k < 3; ++k) {
-    ASSERT_TRUE(service.RunOnce("hist").ok()) << k;
-  }
-  auto stats = service.ScanStats("hist");
-  ASSERT_TRUE(stats.ok());
-  // Run 0 pays a full store scan; later slides fetch only the delta and
-  // reuse the overlapping 50 minutes of each window.
-  EXPECT_GE(stats->full_scans, 1u);
-  EXPECT_GE(stats->delta_scans, 2u);
-  EXPECT_GT(stats->rows_reused, 0u);
-  // Both sub-selects read through the one shared scan per run.
-  EXPECT_GE(stats->consumer_reads, 6u);
+  ASSERT_TRUE(service.RunOnce("hist").ok());  // latency only to minute 29
+  WriteLatency(store, world, 30, 70);
+  ASSERT_TRUE(service.RunOnce("hist").ok());
+  ExpectRunMatchesOneShot(engine, 1, 600, 4199);
 }
 
 TEST_F(MonitorTest, DropKeepsHistoryQueryableAndAllowsRebind) {
